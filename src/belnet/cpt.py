@@ -31,6 +31,7 @@ from .extvals import OP_AT, OP_DOT, ExtValue, ExtVector, ext_values, ext_vectors
 from .network import Network, topological_order, validate_structure
 from .tables import (
     EXACT_TOL,
+    REPORT_TOL,
     ROWSUM_TOL,
     CondCommonalityTable,
     Frame,
@@ -218,8 +219,22 @@ def build_network_cpts(net: Network) -> dict[str, ExtCPT]:
                 raise InfeasibleModelError(
                     f"node {name}: commonality table has negative value {low:.6g}"
                 )
+        _check_row_sums(name, table)
         cpts[name] = build_node_cpt(name, table, len(node.successors))
     return cpts
+
+
+def _check_row_sums(node: str, table: CondCommonalityTable) -> None:
+    """Every commonality row must sum to one; a short row would be drawn with its
+    missing mass on the row's last positive cell."""
+    sums = table.values.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > REPORT_TOL)
+    if bad.size:
+        r = int(bad[0])
+        cfg = next(itertools.islice(table.configs(), r, None))
+        raise InfeasibleModelError(
+            f"node {node}: commonality row {_cfg_text(cfg)} sums to {sums[r]:.9f}, expected 1"
+        )
 
 
 def check_feasibility(cpt: ExtCPT) -> ValidationReport:

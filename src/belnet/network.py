@@ -80,7 +80,10 @@ def parse_network(text: str, name_hint: str = "net") -> Network:
         elif line.startswith("var "):
             _parse_var(net, line, lineno)
         elif line.startswith("edge "):
-            edges.append(_parse_edge(net, line, lineno))
+            edge = _parse_edge(net, line, lineno)
+            if edge in edges:
+                raise NetworkParseError(f"duplicate edge {edge[0]} -> {edge[1]}", lineno)
+            edges.append(edge)
         elif line.startswith("table"):
             cur = _parse_table_header(net, pending, line, lineno)
         else:
@@ -168,9 +171,11 @@ def _parse_table_header(net: Network, pending: dict, line: str, lineno: int) -> 
         raise NetworkParseError("missing table variable", lineno)
     if child not in net.nodes:
         raise NetworkParseError(f"undeclared variable {child!r}", lineno)
-    for p in parents:
+    for i, p in enumerate(parents):
         if p not in net.nodes:
             raise NetworkParseError(f"undeclared variable {p!r}", lineno)
+        if p in parents[:i]:
+            raise NetworkParseError(f"parent {p!r} listed twice for {child!r}", lineno)
     if child in pending:
         raise NetworkParseError(f"duplicate table for {child!r}", lineno)
     cur = {"child": child, "parents": parents, "kind": kind, "line": lineno, "entries": {}}

@@ -3,12 +3,13 @@
 Randomness is fully determined by a single integer seed: a counter-based
 generator produces one uniform variate per record per node, and each record
 consumes only its own row of variates, so output is identical no matter how
-records are batched or parallelized.
+records are batched.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -17,10 +18,10 @@ import numpy as np
 from .cpt import ExtCPT, build_network_cpts
 from .tables import SubsetMask, subsets_of
 from .extvals import component, ext_value_index
-from .kernels import active_backend, draw_records
 from .network import Network, edge_index, topological_order
 
 _CHUNK = 1 << 18
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -37,65 +38,50 @@ def collapse(record: SampleRecord) -> tuple[SubsetMask, ...]:
     return record.collapsed
 
 
-class _CompiledModel:
-    """Flattened integer/float arrays consumed by the drawing kernels."""
+class _NodeDraw:
+    """One node's drawing tables: the cumulative CPT rows, the last positive
+    cell of each row, and how the parents' drawn values address a row."""
 
-    def __init__(self, net: Network, cpts: dict[str, ExtCPT]):
-        self.topo = topological_order(net)
-        pos = {name: j for j, name in enumerate(self.topo)}
-        self.domains = [cpts[name].child_domain for name in self.topo]
+    def __init__(self, net: Network, cpts: dict[str, ExtCPT], name: str, column: dict[str, int]):
+        probs = cpts[name].probs
+        # rows of nonnegative cells, so every CDF row is nondecreasing
+        self.cdf = np.cumsum(probs, axis=1)
+        self.top = np.where(probs > 0.0, np.arange(probs.shape[1]), -1).max(axis=1)
+        # per parent: its column in the record array and, per parent value
+        # index, that value's contribution to the row index
+        self.parents: list[tuple[int, np.ndarray]] = []
+        stride = probs.shape[0]
+        for parent, domain in zip(cpts[name].parent_names, cpts[name].parent_domains):
+            stride //= len(domain)
+            h = edge_index(net, parent, name)
+            comp = [ext_value_index(component(x, h)) for x in cpts[parent].child_domain]
+            self.parents.append((column[parent], np.asarray(comp, dtype=np.int64) * stride))
 
-        cdf_parts, clamp_parts, comp_parts = [], [], []
-        cdf_off, row_off, comp_off = [], [], []
-        dom_size, n_succ = [], []
-        slot_node, slot_h, slot_stride, slot_start = [], [], [], [0]
-        for name in self.topo:
-            cpt = cpts[name]
-            node = net.node(name)
-            probs = cpt.probs
-            cdf_off.append(sum(len(p) for p in cdf_parts))
-            row_off.append(sum(len(p) for p in clamp_parts))
-            comp_off.append(sum(len(p) for p in comp_parts))
-            dom_size.append(probs.shape[1])
-            cdf_parts.append(np.cumsum(probs, axis=1).ravel())
-            clamp_parts.append(
-                np.where(probs > 0.0, np.arange(probs.shape[1]), -1).max(axis=1)
-            )
-            ns = len(node.successors)
-            n_succ.append(ns)
-            if ns:
-                comp = np.empty(len(cpt.child_domain) * ns, dtype=np.int64)
-                for i, x in enumerate(cpt.child_domain):
-                    for h in range(1, ns + 1):
-                        comp[i * ns + (h - 1)] = ext_value_index(component(x, h))
-                comp_parts.append(comp)
-            strides = []
-            acc = 1
-            for domain in reversed(cpt.parent_domains):
-                strides.append(acc)
-                acc *= len(domain)
-            strides.reverse()
-            for parent, stride in zip(cpt.parent_names, strides):
-                slot_node.append(pos[parent])
-                slot_h.append(edge_index(net, parent, name) - 1)
-                slot_stride.append(stride)
-            slot_start.append(len(slot_node))
+    def draw(self, records: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Child index per record, given its parents' columns in ``records``."""
+        rows = np.zeros(len(u), dtype=np.int64)
+        for col, contrib in self.parents:
+            rows += contrib[records[:, col]]
+        return _draw_cells(self.cdf, self.top, rows, u)
 
-        as_i64 = lambda xs: np.asarray(xs, dtype=np.int64)
-        self.cdf_flat = np.concatenate(cdf_parts) if cdf_parts else np.zeros(0)
-        self.clamp_flat = as_i64(np.concatenate(clamp_parts))
-        self.comp_flat = (
-            as_i64(np.concatenate(comp_parts)) if comp_parts else np.zeros(0, dtype=np.int64)
-        )
-        self.cdf_off = as_i64(cdf_off)
-        self.row_off = as_i64(row_off)
-        self.comp_off = as_i64(comp_off)
-        self.dom_size = as_i64(dom_size)
-        self.n_succ = as_i64(n_succ)
-        self.slot_node = as_i64(slot_node)
-        self.slot_h = as_i64(slot_h)
-        self.slot_stride = as_i64(slot_stride)
-        self.slot_start = as_i64(slot_start)
+
+def _draw_cells(cdf: np.ndarray, top: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``min(#{c : cdf[r, c] <= u}, top[r])`` with ``r = rows[i]``, for every i.
+
+    The count is a binary search of each record's own nondecreasing CDF row,
+    vectorized over records, so memory is a few arrays of ``len(u)`` whatever
+    the row width.
+    """
+    d = cdf.shape[1]
+    flat = cdf.ravel()
+    last = rows * d - 1  # flat position of cell -1 of each record's row
+    count = np.zeros(len(u), dtype=np.int64)
+    step = 1 << (d.bit_length() - 1)
+    while step:
+        cand = np.minimum(count + step, d)
+        count = np.where(flat[last + cand] <= u, cand, count)
+        step >>= 1
+    return np.minimum(count, top[rows], out=count)
 
 
 class Sample(Sequence[SampleRecord]):
@@ -109,9 +95,14 @@ class Sample(Sequence[SampleRecord]):
         self.variables = variables
         self.domains = domains
         self.codes = codes
-        self._collapse_maps = [
-            np.array([str(_own(v)) for v in domain]) for domain in domains
-        ]
+        self._subsets = [_subsets_cache(domain) for domain in domains]
+        # per variable: child-domain index -> index of its own subset in _subsets
+        self._own_index = []
+        for domain, subs in zip(domains, self._subsets):
+            pos = {s.bits: i for i, s in enumerate(subs)}
+            self._own_index.append(
+                np.array([pos[_own(v).bits] for v in domain], dtype=np.int64)
+            )
 
     def __len__(self) -> int:
         return self.codes.shape[0]
@@ -128,32 +119,42 @@ class Sample(Sequence[SampleRecord]):
 
     def collapsed_counts(self) -> dict[tuple[SubsetMask, ...], int]:
         """Counts of collapsed records, keyed by per-variable subsets."""
-        coded = np.stack(
-            [m[self.codes[:, j]] for j, m in enumerate(self._own_index_maps())], axis=1
-        )
-        uniq, counts = np.unique(coded, axis=0, return_counts=True)
-        out = {}
-        for row, cnt in zip(uniq, counts):
-            key = tuple(
-                _subsets_cache(self.domains[j])[row[j]] for j in range(len(self.variables))
-            )
-            out[key] = int(cnt)
+        out: dict[tuple[SubsetMask, ...], int] = {}
+        for inv, own in self._chunk_classes():
+            for row, cnt in zip(own.tolist(), np.bincount(inv).tolist()):
+                key = tuple(subs[i] for subs, i in zip(self._subsets, row))
+                out[key] = out.get(key, 0) + cnt
         return out
 
     def marginal_counts(self, variable: str) -> dict[SubsetMask, int]:
         j = self.variables.index(variable)
-        subs = _subsets_cache(self.domains[j])
-        m = self._own_index_maps()[j]
-        counts = np.bincount(m[self.codes[:, j]], minlength=len(subs))
+        subs = self._subsets[j]
+        counts = np.bincount(self._own_index[j][self.codes[:, j]], minlength=len(subs))
         return {subs[i]: int(c) for i, c in enumerate(counts) if c}
 
-    def _own_index_maps(self) -> list[np.ndarray]:
-        maps = []
-        for domain in self.domains:
-            subs = _subsets_cache(domain)
-            pos = {s.bits: i for i, s in enumerate(subs)}
-            maps.append(np.array([pos[_own(v).bits] for v in domain], dtype=np.int64))
-        return maps
+    def _chunk_classes(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Collapsed classes, ``_CHUNK`` records at a time.
+
+        Yields, per chunk, the class id of every record and the class table:
+        per class, the own-subset index of every variable (classes x variables).
+        """
+        for lo in range(0, len(self), _CHUNK):
+            codes = self.codes[lo : lo + _CHUNK]
+            # mixed-radix class code, re-ranked before a multiply could overflow
+            key = np.zeros(len(codes), dtype=np.int64)
+            bound = 1
+            for j, subs in enumerate(self._subsets):
+                if bound > _INT64_MAX // len(subs):
+                    uniq, key = np.unique(key, return_inverse=True)
+                    bound = len(uniq)
+                key = key * len(subs) + self._own_index[j][codes[:, j]]
+                bound *= len(subs)
+            uniq, inv = np.unique(key, return_inverse=True)
+            # one record standing for each class
+            rep = np.empty(len(uniq), dtype=np.int64)
+            rep[inv] = np.arange(len(inv))
+            own = np.stack([m[codes[rep, j]] for j, m in enumerate(self._own_index)], axis=1)
+            yield inv, own
 
 
 def _own(value) -> SubsetMask:
@@ -169,33 +170,28 @@ def generate(
     count: int,
     seed: int = 0,
     cpts: dict[str, ExtCPT] | None = None,
-    backend: str | None = None,
 ) -> Sample:
     """Draw ``count`` i.i.d. records from the extended model of ``net``.
 
-    Identical (net, count, seed) always produce identical output; the backend
-    only selects the execution path.
+    Identical (net, count, seed) always produce identical output.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if cpts is None:
         cpts = build_network_cpts(net)
-    model = _CompiledModel(net, cpts)
-    chosen = active_backend(backend)
-    k = len(model.topo)
-    out = np.empty((count, k), dtype=np.int64)
-    rng = np.random.Generator(np.random.Philox(seed))
-    lo = 0
-    while lo < count:
-        hi = min(lo + _CHUNK, count)
-        u = rng.random((hi - lo, k))
-        draw_records(u, out[lo:hi], model, chosen)
-        lo = hi
     variables = tuple(net.variables)
-    perm = [model.topo.index(v) for v in variables]
-    codes = np.ascontiguousarray(out[:, perm])
-    domains = [model.domains[p] for p in perm]
-    return Sample(variables, domains, codes)
+    column = {name: j for j, name in enumerate(variables)}
+    topo = topological_order(net)
+    nodes = [(column[name], _NodeDraw(net, cpts, name, column)) for name in topo]
+    codes = np.empty((count, len(topo)), dtype=np.int64)
+    rng = np.random.Generator(np.random.Philox(seed))
+    for lo in range(0, count, _CHUNK):
+        chunk = codes[lo : lo + _CHUNK]
+        # one variate per record per node, in topological order
+        u = rng.random((len(chunk), len(topo)))
+        for t, (col, node) in enumerate(nodes):
+            chunk[:, col] = node.draw(chunk, u[:, t])
+    return Sample(variables, [cpts[name].child_domain for name in variables], codes)
 
 
 def write_csv(
@@ -216,8 +212,11 @@ def _write_csv_stream(sample, stream, variables) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     if isinstance(sample, Sample):
         writer.writerow(sample.variables)
-        cols = [m[sample.codes[:, j]] for j, m in enumerate(sample._collapse_maps)]
-        writer.writerows(zip(*cols))
+        cells = [_csv_cells(subs) for subs in sample._subsets]
+        for inv, own in sample._chunk_classes():
+            cols = [c[own[:, j]] for j, c in enumerate(cells)]
+            lines = np.array([",".join(row) + "\n" for row in zip(*cols)], dtype=object)
+            stream.write("".join(lines[inv]))
         return
     records = list(sample)
     if variables is None:
@@ -227,3 +226,11 @@ def _write_csv_stream(sample, stream, variables) -> None:
     writer.writerow(list(variables))
     for rec in records:
         writer.writerow([str(m) for m in rec.collapsed])
+
+
+def _csv_cells(subsets: Sequence[SubsetMask]) -> np.ndarray:
+    """Each subset literal as the csv module writes it in a row (quoted when it
+    holds a comma), as an object array indexable by subset index."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([str(s)] for s in subsets)
+    return np.array(buf.getvalue().split("\n")[:-1], dtype=object)

@@ -25,7 +25,6 @@ from belnet import (
     parse_subset_label,
 )
 from belnet.cli import main as cli_main
-from belnet.kernels import HAVE_NUMBA
 
 from conftest import bframe, cond_table, fixture_path, load, mask, LOOSE_ROWS
 
@@ -225,10 +224,7 @@ def test_c09_rule_identity_suite():
 
 
 def test_c10_cli_determinism(tmp_path, capsys):
-    desc = "identical sample invocations are byte-identical"
-    if HAVE_NUMBA:
-        desc += " (parallel kernel)"
-    with criterion(10, desc):
+    with criterion(10, "identical sample invocations are byte-identical"):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for dest in (a, b):
             code = cli_main(
@@ -238,21 +234,3 @@ def test_c10_cli_determinism(tmp_path, capsys):
             assert code == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
-        if HAVE_NUMBA:
-            import os
-
-            env_backup = os.environ.get("BELNET_DISABLE_NUMBA")
-            os.environ["BELNET_DISABLE_NUMBA"] = "1"
-            try:
-                c = tmp_path / "c.csv"
-                assert cli_main(
-                    ["sample", fixture_path("chain4_sampling.dsn"),
-                     "-n", "50000", "--seed", "99", "-o", str(c)]
-                ) == 0
-            finally:
-                if env_backup is None:
-                    del os.environ["BELNET_DISABLE_NUMBA"]
-                else:
-                    os.environ["BELNET_DISABLE_NUMBA"] = env_backup
-            capsys.readouterr()
-            assert c.read_bytes() == a.read_bytes()

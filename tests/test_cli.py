@@ -151,6 +151,13 @@ class TestSample:
         )
         assert code == 2 and "infeasible" in err
 
+    def test_short_commonality_row_exits_2(self, capsys, tmp_path):
+        half = tmp_path / "half.dsn"
+        half.write_text("var X1 : a b\ntable X1 | kind=k\n  {a} : 0.25\n  {b} : 0.25\nend\n")
+        code, out, err = run(capsys, "sample", str(half), "-n", "10")
+        assert code == 2 and out == ""
+        assert "node X1: commonality row () sums to 0.5" in err
+
     def test_bad_count_exits_1(self, capsys):
         code, _, err = run(
             capsys, "sample", fixture_path("chain4_sampling.dsn"), "-n", "-5"

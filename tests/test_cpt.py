@@ -18,6 +18,7 @@ from belnet import (
     ext_vectors,
     mass_to_commonality,
     parse_ext_value,
+    parse_network,
     subsets_of,
 )
 
@@ -157,6 +158,26 @@ class TestFeasibility:
         net = load("vacuous3.dsn")
         with pytest.raises(InfeasibleModelError):
             build_network_cpts(net)
+
+    def test_short_commonality_row_rejected(self):
+        text = "var X1 : a b\ntable X1 | kind=k\n  {a} : 0.25\n  {b} : 0.25\nend\n"
+        with pytest.raises(
+            InfeasibleModelError, match=r"node X1: commonality row \(\) sums to 0\.500000000"
+        ):
+            build_network_cpts(parse_network(text))
+
+    def test_derived_commonality_row_sum_checked(self):
+        # mass rows {a}: 0.3 and {a,b}: 1 cumulate to a commonality row of 1.3
+        text = (
+            "var X1 : a b\nvar X2 : a b\nedge X1 -> X2\n"
+            "table X1 | kind=m\n  {a} : 0.4\n  {b} : 0.4\n  {a,b} : 0.2\nend\n"
+            "table X2 | X1 kind=m\n  {a} | {a} : 0.3\n"
+            "  {a} | {a,b} : 0.5\n  {b} | {a,b} : 0.5\nend\n"
+        )
+        with pytest.raises(
+            InfeasibleModelError, match=r"node X2: commonality row \{a\} sums to 1\.300000000"
+        ):
+            build_network_cpts(parse_network(text))
 
     def test_vacuous_leaf_is_feasible(self):
         child, parent = bframe("C"), bframe("P")

@@ -48,6 +48,24 @@ class TestParse:
         with pytest.raises(NetworkParseError, match="duplicate table"):
             parse_network(text)
 
+    def test_duplicate_edge_error(self):
+        text = (
+            "var X1 : a b\nvar X2 : a b\nedge X1 -> X2\nedge X1 -> X2\n"
+            "table X1 | kind=m\n  {a,b} : 1\nend\n"
+            "table X2 | X1 kind=m\n  {a,b} | {a,b} : 1\nend\n"
+        )
+        with pytest.raises(NetworkParseError, match=r"line 4: duplicate edge X1 -> X2"):
+            parse_network(text)
+
+    def test_repeated_table_parent_error(self):
+        text = (
+            "var X1 : a b\nvar X2 : a b\nedge X1 -> X2\n"
+            "table X1 | kind=m\n  {a,b} : 1\nend\n"
+            "table X2 | X1 X1 kind=m\n  {a,b} | {a,b} {a,b} : 1\nend\n"
+        )
+        with pytest.raises(NetworkParseError, match=r"line 7: parent 'X1' listed twice"):
+            parse_network(text)
+
     def test_undeclared_variable(self):
         with pytest.raises(NetworkParseError, match="undeclared"):
             parse_network("var X1 : a b\nedge X1 -> X9\n")

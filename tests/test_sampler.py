@@ -4,23 +4,24 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import belnet.sampler as sampler_mod
 from belnet import (
     ExtValue,
     ExtVector,
+    Frame,
     build_network_cpts,
     collapse,
     component,
     edge_index,
     generate,
+    subsets_of,
     write_csv,
 )
-from belnet.kernels import HAVE_NUMBA, active_backend
 
 from conftest import bframe, load, mask
-
-BACKENDS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
 
 
 class TestDeterminism:
@@ -32,49 +33,84 @@ class TestDeterminism:
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_backends_agree_exactly(self, sampling_net):
-        cpts = build_network_cpts(sampling_net)
-        a = generate(sampling_net, 4000, seed=3, cpts=cpts, backend="numpy")
-        b = generate(sampling_net, 4000, seed=3, cpts=cpts, backend="numba")
-        assert np.array_equal(a.codes, b.codes)
-
     def test_chunking_does_not_change_records(self, sampling_net, monkeypatch):
         cpts = build_network_cpts(sampling_net)
-        whole = generate(sampling_net, 300, seed=9, cpts=cpts, backend="numpy")
+        whole = generate(sampling_net, 300, seed=9, cpts=cpts)
         monkeypatch.setattr(sampler_mod, "_CHUNK", 7)
-        parts = generate(sampling_net, 300, seed=9, cpts=cpts, backend="numpy")
+        parts = generate(sampling_net, 300, seed=9, cpts=cpts)
         assert np.array_equal(whole.codes, parts.codes)
 
     def test_different_seeds_differ(self, sampling_net):
         cpts = build_network_cpts(sampling_net)
-        a = generate(sampling_net, 200, seed=0, cpts=cpts, backend="numpy")
-        b = generate(sampling_net, 200, seed=1, cpts=cpts, backend="numpy")
+        a = generate(sampling_net, 200, seed=0, cpts=cpts)
+        b = generate(sampling_net, 200, seed=1, cpts=cpts)
         assert not np.array_equal(a.codes, b.codes)
 
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("BELNET_DISABLE_NUMBA", "1")
-        assert active_backend() == "numpy"
-        monkeypatch.setenv("BELNET_DISABLE_NUMBA", "0")
-        assert active_backend() == ("numba" if HAVE_NUMBA else "numpy")
+
+def _reference_draw(probs, cdf, r, u):
+    """The draw rule, one record at a time: the number of CDF cells <= u,
+    clamped to the last cell with positive probability."""
+    count = sum(1 for x in cdf[r] if x <= u)
+    return min(count, max(c for c, p in enumerate(probs[r]) if p > 0.0))
+
+
+@st.composite
+def _cpt_rows(draw):
+    """Random CPT rows, with runs of zero cells at either end, and records whose
+    variates include exact CDF entries."""
+    width = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        weights = draw(st.lists(st.integers(0, 5), min_size=width, max_size=width))
+        lead = draw(st.integers(0, width - 1))
+        trail = draw(st.integers(0, width - 1 - lead))
+        weights = [0] * lead + weights[lead : width - trail] + [0] * trail
+        if not any(weights):
+            weights[lead] = 1
+        rows.append(np.asarray(weights, dtype=float) / sum(weights))
+    probs = np.array(rows)
+    cdf = np.cumsum(probs, axis=1)
+    n = draw(st.integers(1, 40))
+    recs = draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
+    us = [
+        draw(
+            st.one_of(
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.integers(0, width - 1).map(lambda c, r=r: float(cdf[r, c])),
+            )
+        )
+        for r in recs
+    ]
+    return probs, np.asarray(recs, dtype=np.int64), np.asarray(us)
+
+
+class TestDrawRule:
+    @given(_cpt_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, case):
+        probs, rows, u = case
+        cdf = np.cumsum(probs, axis=1)
+        top = np.where(probs > 0.0, np.arange(probs.shape[1]), -1).max(axis=1)
+        got = sampler_mod._draw_cells(cdf, top, rows, u)
+        want = [_reference_draw(probs, cdf, r, x) for r, x in zip(rows, u)]
+        assert got.tolist() == want
 
 
 class TestRecords:
     def test_count_contract(self, sampling_net):
-        s = generate(sampling_net, 17, seed=0, backend="numpy")
+        s = generate(sampling_net, 17, seed=0)
         assert len(s) == 17
         with pytest.raises(ValueError):
             generate(sampling_net, 0)
 
     def test_degenerate_network(self):
         net = load("vacuous1.dsn")
-        s = generate(net, 25, seed=5, backend="numpy")
+        s = generate(net, 25, seed=5)
         assert all(str(r.collapsed[0]) == "{a,b}" for r in s)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_support_has_positive_probability(self, sampling_net, backend):
+    def test_support_has_positive_probability(self, sampling_net):
         cpts = build_network_cpts(sampling_net)
-        s = generate(sampling_net, 1500, seed=2, cpts=cpts, backend=backend)
+        s = generate(sampling_net, 1500, seed=2, cpts=cpts)
         order = sampling_net.variables
         for i in range(0, len(s), 97):
             rec = s[i]
@@ -88,7 +124,7 @@ class TestRecords:
                 assert cpt.get(cfg, byname[name]) > 0.0
 
     def test_collapse_is_coordinatewise_own(self, sampling_net):
-        s = generate(sampling_net, 50, seed=1, backend="numpy")
+        s = generate(sampling_net, 50, seed=1)
         rec = s[9]
         assert collapse(rec) == tuple(
             v.own if isinstance(v, ExtVector) else v for v in rec.extended
@@ -106,7 +142,7 @@ class TestRecords:
 class TestCsv:
     def test_single_record_two_lines(self, sampling_net):
         buf = io.StringIO()
-        write_csv(generate(sampling_net, 1, seed=0, backend="numpy"), buf)
+        write_csv(generate(sampling_net, 1, seed=0), buf)
         lines = buf.getvalue().split("\n")
         assert lines[0] == "X1,X2,X3,X4"
         assert len(lines) == 3 and lines[2] == ""
@@ -120,20 +156,39 @@ class TestCsv:
         import csv
 
         buf = io.StringIO()
-        write_csv(generate(sampling_net, 200, seed=4, backend="numpy"), buf)
+        write_csv(generate(sampling_net, 200, seed=4), buf)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
         cells = {c for row in rows[1:] for c in row}
         assert cells == {"{a}", "{b}", "{a,b}"}
         assert all(len(row) == 4 for row in rows)
 
     def test_record_iterable_path_matches_fast_path(self, sampling_net):
-        s = generate(sampling_net, 40, seed=6, backend="numpy")
+        s = generate(sampling_net, 40, seed=6)
         fast, slow = io.StringIO(), io.StringIO()
         write_csv(s, fast)
         write_csv(list(s), slow)
         assert fast.getvalue() == slow.getvalue()
 
+    def test_classes_beyond_int64_stay_distinct(self):
+        # two collapsed classes of 45 binary leaves whose mixed-radix codes
+        # differ by exactly 2^64: all {a}, and the base-3 digits of 2^64
+        frames = [Frame(f"X{i}", ("a", "b")) for i in range(45)]
+        digits, rest = [], 1 << 64
+        while rest:
+            rest, d = divmod(rest, 3)
+            digits.append(d)
+        far = [0] * (45 - len(digits)) + digits[::-1]
+        codes = np.array([[0] * 45, far, [0] * 45], dtype=np.int64)
+        sample = sampler_mod.Sample(
+            tuple(f.name for f in frames), [subsets_of(f) for f in frames], codes
+        )
+        fast, slow = io.StringIO(), io.StringIO()
+        write_csv(sample, fast)
+        write_csv(list(sample), slow)
+        assert fast.getvalue() == slow.getvalue()
+        assert sorted(sample.collapsed_counts().values()) == [1, 2]
+
     def test_write_to_path(self, sampling_net, tmp_path):
         dest = tmp_path / "out.csv"
-        write_csv(generate(sampling_net, 10, seed=0, backend="numpy"), str(dest))
+        write_csv(generate(sampling_net, 10, seed=0), str(dest))
         assert dest.read_text().count("\n") == 11

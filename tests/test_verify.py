@@ -124,7 +124,8 @@ class TestAgainstCombinationJoint:
         assert all(col.probs[k] == pytest.approx(0.0, abs=1e-12) for k in keys)
 
     def test_star_deviates_but_keeps_marginals(self):
-        # multi-successor splitting trades joint faithfulness for feasibility
+        # multi-successor splitting trades joint faithfulness for feasibility:
+        # the root marginal holds, a leaf marginal does not
         net = load("star4_proper.dsn")
         col = exact_collapsed_joint(net)
         joint, _ = network_joint(net)
@@ -133,6 +134,20 @@ class TestAgainstCombinationJoint:
             for b, v in joint.entries.items()
         ]
         assert max(diffs) > 1e-3
+        for variable, literal, want in (("X1", "{a,b}", 0.2), ("X1", "{a}", 0.4)):
+            assert _joint_marginal(joint, variable, literal) == pytest.approx(want, abs=1e-9)
+            got = {str(k): p for k, p in col.marginal(variable).items()}[literal]
+            assert got == pytest.approx(want, abs=1e-9)
+        assert _joint_marginal(joint, "X2", "{a,b}") == pytest.approx(0.2, abs=1e-9)
+        leaf = {str(k): p for k, p in col.marginal("X2").items()}
+        assert leaf["{a,b}"] == pytest.approx(0.2286, abs=1e-4)
+
+
+def _joint_marginal(joint, variable, literal) -> float:
+    j = joint.scope.index(variable)
+    return sum(
+        v for b, v in joint.entries.items() if str(joint.focal(b).masks[j]) == literal
+    )
 
 
 class TestCompareEmpirical:
@@ -150,7 +165,7 @@ class TestCompareEmpirical:
 
     def test_scope_mismatch_rejected(self, sampling_net):
         exact = exact_collapsed_joint(sampling_net)
-        other = generate(load("vacuous1.dsn"), 5, seed=0, backend="numpy")
+        other = generate(load("vacuous1.dsn"), 5, seed=0)
         with pytest.raises(ValueError, match="variables"):
             compare_empirical(other, exact)
 
@@ -168,7 +183,7 @@ class TestCompareEmpirical:
     def test_chi_square_degrees_of_freedom(self, sampling_net):
         exact = exact_collapsed_joint(sampling_net)
         support = sum(1 for p in exact.probs.values() if p > 0)
-        sample = generate(sampling_net, 5000, seed=21, backend="numpy")
+        sample = generate(sampling_net, 5000, seed=21)
         report = compare_empirical(sample, exact)
         assert report.dof == support - 1
         assert report.chi2 > 0.0
