@@ -27,8 +27,6 @@ from .extvals import (
 from .fusion import (
     JointMass,
     NegativityReport,
-    conjunctive_combine,
-    cylindrical_extension,
     network_joint,
     write_joint_csv,
 )
@@ -41,7 +39,7 @@ from .network import (
     topological_order,
     validate_structure,
 )
-from .sampler import Sample, SampleRecord, collapse, generate, write_csv
+from .sampler import Sample, SampleRecord, generate, write_csv
 from .tables import (
     CondCommonalityTable,
     CondMassTable,

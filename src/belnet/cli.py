@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 parse/size/I-O error, 2 model infeasibility
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import sys
 from typing import IO
 
@@ -18,6 +20,7 @@ from .sampler import generate, write_csv
 from .tables import (
     ValidationReport,
     commonality_to_mass,
+    csv_cells,
     mass_to_commonality,
     validate_table,
 )
@@ -172,16 +175,13 @@ def _cmd_cpt(args) -> int:
 
 
 def _emit_cpt(cpt, stream: IO[str]) -> None:
-    import csv as _csv
-
     print(f"# node {cpt.node}", file=stream)
-    writer = _csv.writer(stream, lineterminator="\n")
-    writer.writerow(list(cpt.parent_names) + [cpt.node, "p"])
-    for r, cfg in enumerate(cpt.configs()):
-        for c, child in enumerate(cpt.child_domain):
-            writer.writerow(
-                [str(v) for v in cfg] + [str(child), f"{cpt.probs[r, c]:.9f}"]
-            )
+    csv.writer(stream, lineterminator="\n").writerow(list(cpt.parent_names) + [cpt.node, "p"])
+    children = csv_cells(cpt.child_domain)
+    configs = itertools.product(*map(csv_cells, cpt.parent_domains))
+    for cfg, row in zip(configs, cpt.probs):
+        prefix = "".join(cell + "," for cell in cfg)
+        stream.write("".join(f"{prefix}{child},{p:.9f}\n" for child, p in zip(children, row.tolist())))
 
 
 def _cmd_sample(args) -> int:

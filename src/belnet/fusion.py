@@ -1,16 +1,26 @@
-"""Unnormalized conjunctive combination of product-form focal elements.
+"""Unnormalized conjunctive combination: the exact joint mass of a network.
 
 Composing a root table with conditional tables this way yields the exact
 joint mass function of a network; the result may carry negative values,
 which is precisely what the sampling construction works around.  Mass that
 lands on an empty intersection is tracked separately and never redistributed.
+
+Conjunctive combination is the pointwise product of commonality functions
+(Shafer 1976).  Every focal element is a product of per-variable subsets, so
+the product is taken on a dense array indexed by per-variable subset bits,
+empty subsets included: each table's superset sums are multiplied in by
+broadcasting, and one Moebius inverse turns the product back into mass.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import IO, Sequence
+
+import numpy as np
 
 from .errors import SizeGuardError
 from .network import Network, topological_order
@@ -18,15 +28,18 @@ from .tables import (
     EXACT_TOL,
     REPORT_TOL,
     CondCommonalityTable,
-    CondMassTable,
     Frame,
     ProductFocal,
     SubsetMask,
+    bit_ordered,
     commonality_to_mass,
+    csv_cells,
+    subsets_of,
+    superset_sums,
 )
 
 MAX_SCOPE = 6
-MAX_PAIRS = 10_000_000
+MAX_FOCAL = 10_000_000
 
 
 @dataclass
@@ -45,11 +58,6 @@ class JointMass:
     def scope(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.frames)
 
-    @classmethod
-    def vacuous(cls, frames: Sequence[Frame]) -> "JointMass":
-        frames = tuple(frames)
-        return cls(frames, {tuple(f.full_bits for f in frames): 1.0})
-
     def total(self) -> float:
         return sum(self.entries.values()) + self.empty_mass
 
@@ -62,50 +70,6 @@ class JointMass:
     def items(self):
         for bits, v in self.entries.items():
             yield self.focal(bits), v
-
-
-def cylindrical_extension(
-    table: CondMassTable | CondCommonalityTable, frames: Sequence[Frame]
-) -> JointMass:
-    """Extend a conditional table to a wider scope with full sets elsewhere."""
-    frames = tuple(frames)
-    names = [f.name for f in frames]
-    positions = {}
-    for f in table.parent_frames + (table.child_frame,):
-        if f.name not in names:
-            raise ValueError(f"scope is missing table variable {f.name!r}")
-        positions[f.name] = names.index(f.name)
-    out = JointMass(frames)
-    base = [f.full_bits for f in frames]
-    for cfg, child, v in table.items():
-        bits = list(base)
-        for mask in cfg + (child,):
-            bits[positions[mask.frame.name]] = mask.bits
-        key = tuple(bits)
-        out.entries[key] = out.entries.get(key, 0.0) + v
-    return out
-
-
-def conjunctive_combine(p: JointMass, q: JointMass) -> JointMass:
-    """Pairwise coordinatewise intersection with multiplied masses, no renormalization."""
-    if p.scope != q.scope:
-        raise ValueError(f"scope mismatch: {p.scope} vs {q.scope}")
-    if len(p.entries) * len(q.entries) >= MAX_PAIRS:
-        raise SizeGuardError(
-            f"{len(p.entries)} x {len(q.entries)} focal pairs exceed the {MAX_PAIRS} guard"
-        )
-    out = JointMass(p.frames)
-    empty = p.empty_mass * q.total() + q.empty_mass * sum(p.entries.values())
-    entries = out.entries
-    for fa, va in p.entries.items():
-        for fb, vb in q.entries.items():
-            inter = tuple(a & b for a, b in zip(fa, fb))
-            if 0 in inter:
-                empty += va * vb
-            else:
-                entries[inter] = entries.get(inter, 0.0) + va * vb
-    out.empty_mass = empty
-    return out
 
 
 @dataclass
@@ -135,7 +99,8 @@ class NegativityReport:
 
 
 def network_joint(net: Network) -> tuple[JointMass, NegativityReport]:
-    """Fold all node tables (extended to full scope) in topological order."""
+    """Combine all node tables; ``entries`` holds every product of nonempty
+    subsets, zero or not."""
     names = list(net.variables)
     if len(names) > MAX_SCOPE:
         raise SizeGuardError(f"joint computation supports at most {MAX_SCOPE} variables")
@@ -143,21 +108,35 @@ def network_joint(net: Network) -> tuple[JointMass, NegativityReport]:
         if not 2 <= len(net.frame(name)) <= 4:
             raise SizeGuardError(f"variable {name!r} needs 2..4 values for the joint oracle")
     frames = tuple(net.frame(n) for n in names)
-    joint = JointMass.vacuous(frames)
+    focal = math.prod((1 << len(f)) - 1 for f in frames)
+    if focal >= MAX_FOCAL:
+        raise SizeGuardError(f"joint would hold {focal} focal elements (limit {MAX_FOCAL})")
+    commonality = np.ones([1 << len(f) for f in frames])
     for name in topological_order(net):
         table = net.node(name).table
         if isinstance(table, CondCommonalityTable):
             table = commonality_to_mass(table)
-        joint = conjunctive_combine(joint, cylindrical_extension(table, frames))
-    negatives = [
-        (joint.focal(bits), v)
-        for bits, v in sorted(joint.entries.items())
-        if v < -EXACT_TOL
-    ]
-    total = sum(joint.entries.values())
+        axes = [names.index(f.name) for f in table.parent_frames + (table.child_frame,)]
+        factor = superset_sums(bit_ordered(table), range(len(axes)))
+        # the table's axes in scope order, length 1 on the other variables
+        shape = [1] * len(names)
+        for axis, size in zip(axes, factor.shape):
+            shape[axis] = size
+        commonality *= factor.transpose(np.argsort(axes)).reshape(shape)
+    mass = superset_sums(commonality, range(len(names)), inverse=True)
+    nonempty = mass[(slice(1, None),) * len(names)]
+    keys = itertools.product(*(range(1, 1 << len(f)) for f in frames))
+    joint = JointMass(
+        frames,
+        dict(zip(keys, nonempty.ravel().tolist())),
+        float(mass.sum() - nonempty.sum()),
+    )
+    # entries run in key order, so the negatives come sorted
+    negatives = [(joint.focal(bits), v) for bits, v in joint.entries.items() if v < -EXACT_TOL]
+    total = float(nonempty.sum())
     report = NegativityReport(
         negatives=negatives,
-        min_entry=min(joint.entries.values(), default=0.0),
+        min_entry=float(nonempty.min()),
         total_nonempty=total,
         empty_mass=joint.empty_mass,
     )
@@ -168,12 +147,12 @@ def network_joint(net: Network) -> tuple[JointMass, NegativityReport]:
 
 def write_joint_csv(joint: JointMass, stream: IO[str]) -> None:
     """One row per focal element, sorted by the canonical subset literals."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(list(joint.scope) + ["mass"])
-    rows = []
-    for bits, v in joint.entries.items():
-        literals = tuple(str(SubsetMask(f, b)) for f, b in zip(joint.frames, bits))
-        rows.append((literals, v))
-    rows.sort(key=lambda r: r[0])
-    for literals, v in rows:
-        writer.writerow(list(literals) + [f"{v:.9f}"])
+    csv.writer(stream, lineterminator="\n").writerow(list(joint.scope) + ["mass"])
+    # each axis's subsets sorted by literal: their product runs in row order
+    axes = [sorted(subsets_of(f), key=str) for f in joint.frames]
+    keys = itertools.product(*([s.bits for s in subs] for subs in axes))
+    cells = itertools.product(*map(csv_cells, axes))
+    for bits, row in zip(keys, cells):
+        v = joint.entries.get(bits)
+        if v is not None:
+            stream.write(",".join(row) + f",{v:.9f}\n")

@@ -15,6 +15,8 @@ Missing table rows default to zero mass.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 
 from .errors import NetworkParseError
@@ -95,7 +97,7 @@ def parse_network(text: str, name_hint: str = "net") -> Network:
     for child, node in net.nodes.items():
         node.parents = tuple(p for p, c in edges if c == child)
         node.successors = tuple(c for p, c in edges if p == child)
-    _check_acyclic(net)
+    topological_order(net)  # rejects cycles
     for name, node in net.nodes.items():
         if node.table is None:
             raise NetworkParseError(f"no table declared for variable {name!r}")
@@ -191,6 +193,8 @@ def _parse_table_row(net: Network, cur: dict, line: str, lineno: int) -> None:
         value = float(valuepart)
     except ValueError:
         raise NetworkParseError(f"bad numeric value {valuepart.strip()!r}", lineno) from None
+    if not math.isfinite(value):
+        raise NetworkParseError(f"non-finite value {valuepart.strip()!r}", lineno)
     child_frame = net.nodes[cur["child"]].frame
     parents = cur["parents"]
     if "|" in left:
@@ -222,28 +226,25 @@ def _finish_table(net: Network, pending: dict, cur: dict) -> None:
     net.nodes[child].table = cls.from_entries(net.nodes[child].frame, frames, cur["entries"])
 
 
-def _check_acyclic(net: Network) -> None:
-    order = _kahn_order(net)
-    if len(order) != len(net.nodes):
-        stuck = [n for n in net.nodes if n not in order]
-        raise NetworkParseError(f"cycle involving {', '.join(sorted(stuck))}")
-
-
 def _kahn_order(net: Network) -> list[str]:
-    indeg = {n: 0 for n in net.nodes}
-    for _, c in net.edges:
-        indeg[c] += 1
-    # stable by declaration order
-    ready = [n for n in net.nodes if indeg[n] == 0]
+    """Parents-first order that takes, at each step, the earliest-declared node
+    whose parents are all placed; shorter than the network on a cycle."""
+    names = list(net.nodes)
+    index = {n: i for i, n in enumerate(names)}
+    indeg = [0] * len(names)
+    children: list[list[int]] = [[] for _ in names]
+    for p, c in net.edges:
+        indeg[index[c]] += 1
+        children[index[p]].append(index[c])
+    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so a heap
     order: list[str] = []
     while ready:
-        n = ready.pop(0)
-        order.append(n)
-        for p, c in net.edges:
-            if p == n:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
+        i = heapq.heappop(ready)
+        order.append(names[i])
+        for c in children[i]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(ready, c)
     return order
 
 
@@ -251,21 +252,9 @@ def topological_order(net: Network) -> tuple[str, ...]:
     """Parents-first node order, stable with respect to declaration order."""
     order = _kahn_order(net)
     if len(order) != len(net.nodes):
-        raise NetworkParseError("network contains a cycle")
-    # prefer declaration order among nodes whose parents are all placed
-    placed: set[str] = set()
-    result: list[str] = []
-    remaining = list(net.nodes)
-    while remaining:
-        for n in remaining:
-            if all(p in placed for p in net.nodes[n].parents):
-                placed.add(n)
-                result.append(n)
-                remaining.remove(n)
-                break
-        else:
-            raise NetworkParseError("network contains a cycle")
-    return tuple(result)
+        stuck = [n for n in net.nodes if n not in order]
+        raise NetworkParseError(f"cycle involving {', '.join(sorted(stuck))}")
+    return tuple(order)
 
 
 def edge_index(net: Network, parent: str, child: str) -> int:

@@ -9,14 +9,13 @@ records are batched.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .cpt import ExtCPT, build_network_cpts
-from .tables import SubsetMask, subsets_of
+from .tables import SubsetMask, _subset_pos, csv_cells, subsets_of
 from .extvals import component, ext_value_index
 from .network import Network, edge_index, topological_order
 
@@ -33,35 +32,38 @@ class SampleRecord:
     collapsed: tuple[SubsetMask, ...]
 
 
-def collapse(record: SampleRecord) -> tuple[SubsetMask, ...]:
-    """Replace each extended value by the subset it stands for."""
-    return record.collapsed
+def row_offsets(net: Network, cpts: dict[str, ExtCPT], name: str) -> list[tuple[str, np.ndarray]]:
+    """How the parents' drawn values address a row of ``name``'s CPT.
+
+    Per parent: its name and, per index into its child domain, that value's
+    contribution to the row index (the sum over parents is the row).
+    """
+    out = []
+    stride = cpts[name].probs.shape[0]
+    for parent, domain in zip(cpts[name].parent_names, cpts[name].parent_domains):
+        stride //= len(domain)
+        h = edge_index(net, parent, name)
+        comp = [ext_value_index(component(x, h)) for x in cpts[parent].child_domain]
+        out.append((parent, np.asarray(comp, dtype=np.int64) * stride))
+    return out
 
 
 class _NodeDraw:
     """One node's drawing tables: the cumulative CPT rows, the last positive
-    cell of each row, and how the parents' drawn values address a row."""
+    cell of each row, and the row offsets of the parents' record columns."""
 
     def __init__(self, net: Network, cpts: dict[str, ExtCPT], name: str, column: dict[str, int]):
         probs = cpts[name].probs
         # rows of nonnegative cells, so every CDF row is nondecreasing
         self.cdf = np.cumsum(probs, axis=1)
         self.top = np.where(probs > 0.0, np.arange(probs.shape[1]), -1).max(axis=1)
-        # per parent: its column in the record array and, per parent value
-        # index, that value's contribution to the row index
-        self.parents: list[tuple[int, np.ndarray]] = []
-        stride = probs.shape[0]
-        for parent, domain in zip(cpts[name].parent_names, cpts[name].parent_domains):
-            stride //= len(domain)
-            h = edge_index(net, parent, name)
-            comp = [ext_value_index(component(x, h)) for x in cpts[parent].child_domain]
-            self.parents.append((column[parent], np.asarray(comp, dtype=np.int64) * stride))
+        self.parents = [(column[p], offsets) for p, offsets in row_offsets(net, cpts, name)]
 
     def draw(self, records: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Child index per record, given its parents' columns in ``records``."""
         rows = np.zeros(len(u), dtype=np.int64)
-        for col, contrib in self.parents:
-            rows += contrib[records[:, col]]
+        for col, offsets in self.parents:
+            rows += offsets[records[:, col]]
         return _draw_cells(self.cdf, self.top, rows, u)
 
 
@@ -96,13 +98,7 @@ class Sample(Sequence[SampleRecord]):
         self.domains = domains
         self.codes = codes
         self._subsets = [_subsets_cache(domain) for domain in domains]
-        # per variable: child-domain index -> index of its own subset in _subsets
-        self._own_index = []
-        for domain, subs in zip(domains, self._subsets):
-            pos = {s.bits: i for i, s in enumerate(subs)}
-            self._own_index.append(
-                np.array([pos[_own(v).bits] for v in domain], dtype=np.int64)
-            )
+        self._own_index = [own_index(domain) for domain in domains]
 
     def __len__(self) -> int:
         return self.codes.shape[0]
@@ -161,6 +157,13 @@ def _own(value) -> SubsetMask:
     return value if isinstance(value, SubsetMask) else value.own
 
 
+def own_index(domain) -> np.ndarray:
+    """Per child-domain index, the index of the value's own subset in
+    ``subsets_of`` order."""
+    pos = _subset_pos(_own(domain[0]).frame)
+    return np.array([pos[_own(v).bits] for v in domain], dtype=np.int64)
+
+
 def _subsets_cache(domain) -> tuple[SubsetMask, ...]:
     return subsets_of(_own(domain[0]).frame)
 
@@ -212,7 +215,7 @@ def _write_csv_stream(sample, stream, variables) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     if isinstance(sample, Sample):
         writer.writerow(sample.variables)
-        cells = [_csv_cells(subs) for subs in sample._subsets]
+        cells = [np.array(csv_cells(subs), dtype=object) for subs in sample._subsets]
         for inv, own in sample._chunk_classes():
             cols = [c[own[:, j]] for j, c in enumerate(cells)]
             lines = np.array([",".join(row) + "\n" for row in zip(*cols)], dtype=object)
@@ -226,11 +229,3 @@ def _write_csv_stream(sample, stream, variables) -> None:
     writer.writerow(list(variables))
     for rec in records:
         writer.writerow([str(m) for m in rec.collapsed])
-
-
-def _csv_cells(subsets: Sequence[SubsetMask]) -> np.ndarray:
-    """Each subset literal as the csv module writes it in a row (quoted when it
-    holds a comma), as an object array indexable by subset index."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([str(s)] for s in subsets)
-    return np.array(buf.getvalue().split("\n")[:-1], dtype=object)

@@ -7,10 +7,12 @@ superset-cumulated form whose rows are probability distributions.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -220,41 +222,55 @@ class CondCommonalityTable(_CondTable):
     kind = "k"
 
 
-@lru_cache(maxsize=None)
-def _superset_matrix(frame: Frame) -> np.ndarray:
-    """M[i, j] = 1 when subset i contains subset j (canonical order)."""
-    subs = subsets_of(frame)
-    n = len(subs)
-    m = np.zeros((n, n))
-    for i, a in enumerate(subs):
-        for j, b in enumerate(subs):
-            if b.bits & a.bits == b.bits:
-                m[i, j] = 1.0
-    m.setflags(write=False)
-    return m
+def superset_sums(a: np.ndarray, axes: Iterable[int], inverse: bool = False) -> np.ndarray:
+    """Superset sums of ``a`` in place along each of ``axes``; returns ``a``.
+
+    Each of those axes has length 2^k and is indexed by subset bits, index 0
+    being the empty set.  Per axis, the zeta transform sets ``a[A]`` to the sum
+    of ``a[B]`` over every ``B`` containing ``A``; its Moebius inverse
+    (``inverse=True``) undoes it.  One pass per frame value (Kennes & Smets,
+    UAI 1990).
+    """
+    if not a.flags.c_contiguous:
+        raise ValueError("superset sums work in place on a C-contiguous array")
+    for axis in axes:
+        k = a.shape[axis].bit_length() - 1
+        # a view with one length-2 axis per frame value; lo lacks the value, hi has it
+        split = a.reshape(a.shape[:axis] + (2,) * k + a.shape[axis + 1 :])
+        for b in range(axis, axis + k):
+            lo = split[(slice(None),) * b + (0,)]
+            hi = split[(slice(None),) * b + (1,)]
+            if inverse:
+                lo -= hi
+            else:
+                lo += hi
+    return a
 
 
 @lru_cache(maxsize=None)
-def _inversion_matrix(frame: Frame) -> np.ndarray:
-    """Signed inverse of the superset accumulation along one coordinate."""
-    subs = subsets_of(frame)
-    n = len(subs)
-    m = np.zeros((n, n))
-    for i, a in enumerate(subs):
-        for j, b in enumerate(subs):
-            if b.bits & a.bits == b.bits:
-                m[i, j] = float((-1) ** (a.size - b.size))
-    m.setflags(write=False)
-    return m
+def _bits_of(frame: Frame) -> np.ndarray:
+    """Membership bits of each nonempty subset, in canonical order."""
+    bits = np.array([s.bits for s in subsets_of(frame)])
+    bits.setflags(write=False)
+    return bits
 
 
-def _apply_parent_axes(table: _CondTable, mat_of: "callable") -> np.ndarray:
-    dims = table._dims + (len(subsets_of(table.child_frame)),)
-    t = table.values.reshape(dims)
-    for axis, frame in enumerate(table.parent_frames):
-        m = mat_of(frame)
-        t = np.moveaxis(np.tensordot(m, t, axes=([0], [axis])), 0, axis)
-    return t.reshape(table.values.shape)
+def bit_ordered(table: _CondTable) -> np.ndarray:
+    """The table as a dense array over (parents..., child), each axis indexed
+    by subset bits; cells with an empty subset are zero."""
+    dense = np.zeros([1 << len(f) for f in table.parent_frames + (table.child_frame,)])
+    dense[_bit_index(table)] = table.values.reshape(table._dims + (-1,))
+    return dense
+
+
+def _bit_index(table: _CondTable) -> tuple[np.ndarray, ...]:
+    """Where the table's cells sit in its bit-ordered form."""
+    return np.ix_(*map(_bits_of, table.parent_frames + (table.child_frame,)))
+
+
+def _parent_superset_sums(table: _CondTable, inverse: bool) -> np.ndarray:
+    dense = superset_sums(bit_ordered(table), range(len(table.parent_frames)), inverse)
+    return dense[_bit_index(table)].reshape(table.values.shape)
 
 
 def mass_to_commonality(m: CondMassTable) -> CondCommonalityTable:
@@ -264,11 +280,11 @@ def mass_to_commonality(m: CondMassTable) -> CondCommonalityTable:
     Values in [-EXACT_TOL, 0] are clamped to zero; anything lower raises
     InfeasibleModelError (the input has no such representation).
     """
-    vals = _apply_parent_axes(m, _superset_matrix)
+    vals = _parent_superset_sums(m, inverse=False)
     low = vals.min() if vals.size else 0.0
     if low < -EXACT_TOL:
         r, c = np.unravel_index(int(vals.argmin()), vals.shape)
-        cfg = _nth_config(m, int(r))
+        cfg = next(itertools.islice(m.configs(), int(r), None))
         child = subsets_of(m.child_frame)[int(c)]
         raise InfeasibleModelError(
             f"negative commonality value {low:.6g} at "
@@ -280,15 +296,7 @@ def mass_to_commonality(m: CondMassTable) -> CondCommonalityTable:
 
 def commonality_to_mass(k: CondCommonalityTable) -> CondMassTable:
     """Exact inverse of mass_to_commonality (signed superset sums per parent axis)."""
-    return CondMassTable(k.child_frame, k.parent_frames, _apply_parent_axes(k, _inversion_matrix))
-
-
-def _nth_config(table: _CondTable, r: int) -> tuple[SubsetMask, ...]:
-    cfg = []
-    for frame, d in zip(reversed(table.parent_frames), reversed(table._dims)):
-        cfg.append(subsets_of(frame)[r % d])
-        r //= d
-    return tuple(reversed(cfg))
+    return CondMassTable(k.child_frame, k.parent_frames, _parent_superset_sums(k, inverse=True))
 
 
 @dataclass
@@ -342,6 +350,14 @@ def validate_table(t: _CondTable) -> ValidationReport:
                     f"convention expects {want:g}"
                 )
     return report
+
+
+def csv_cells(values: Iterable) -> list[str]:
+    """Each value's text as the csv module writes it in a row (quoted when it
+    holds a comma)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([str(v)] for v in values)
+    return buf.getvalue().split("\n")[:-1]
 
 
 def _fmt_cfg(cfg: tuple[SubsetMask, ...]) -> str:

@@ -7,6 +7,7 @@ against.  The collapsed form is its push-forward under per-variable collapse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -14,9 +15,9 @@ import numpy as np
 
 from .cpt import ExtCPT, build_network_cpts
 from .errors import SizeGuardError
-from .extvals import component
-from .network import Network, edge_index, topological_order
-from .sampler import Sample, _own
+from .network import Network, topological_order
+from .sampler import Sample, own_index, row_offsets
+from .tables import subsets_of
 
 MAX_STATES = 10_000_000
 
@@ -39,58 +40,69 @@ class ExactDistribution:
         return out
 
 
+def _extended_array(
+    net: Network, cpts: dict[str, ExtCPT] | None, max_states: int
+) -> tuple[tuple[str, ...], dict[str, ExtCPT], np.ndarray]:
+    """The chain-rule product over all extended states, as a dense array with
+    one axis per node in topological order, indexed by child-domain position.
+
+    Each node's CPT is broadcast onto its parents' axes and its own, and the
+    factors are multiplied in topological order.
+    """
+    if cpts is None:
+        cpts = build_network_cpts(net)
+    topo = topological_order(net)
+    sizes = [len(cpts[name].child_domain) for name in topo]
+    size = math.prod(sizes)
+    if size > max_states:
+        raise SizeGuardError(f"extended state space holds {size} states (limit {max_states})")
+    axis = {name: j for j, name in enumerate(topo)}
+    joint = np.ones(sizes)
+    for j, name in enumerate(topo):
+        # flat CPT cell of every (parent values, own value) combination
+        cell = _along(np.arange(sizes[j]), j, len(topo))
+        for parent, offsets in row_offsets(net, cpts, name):
+            cell = cell + _along(offsets * sizes[j], axis[parent], len(topo))
+        joint *= cpts[name].probs.ravel()[cell]
+    return topo, cpts, joint
+
+
+def _along(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """``values`` laid along one axis of an ``ndim``-dimensional array."""
+    return values.reshape([-1 if a == axis else 1 for a in range(ndim)])
+
+
+def _keyed(net: Network, topo, labels, index, probs: np.ndarray) -> ExactDistribution:
+    """Distribution from per-axis indices of its support: ``labels[j][index[j]]``
+    is the value of node ``topo[j]``; keys are in declaration order."""
+    values = dict(zip(topo, (np.array(lab, dtype=object)[i] for lab, i in zip(labels, index))))
+    keys = zip(*(values[name] for name in net.variables))
+    return ExactDistribution(tuple(net.variables), dict(zip(keys, probs.tolist())))
+
+
 def exact_extended_joint(
     net: Network, cpts: dict[str, ExtCPT] | None = None, max_states: int = MAX_STATES
 ) -> ExactDistribution:
     """Exhaustive chain-rule product over all extended states."""
-    if cpts is None:
-        cpts = build_network_cpts(net)
-    topo = topological_order(net)
-    size = 1
-    for name in topo:
-        size *= len(cpts[name].child_domain)
-    if size > max_states:
-        raise SizeGuardError(f"extended state space holds {size} states (limit {max_states})")
-
-    variables = tuple(net.variables)
-    topo_pos = {v: j for j, v in enumerate(topo)}
-    decl_of = [topo_pos[v] for v in variables]
-    parent_slots = {
-        name: [
-            (topo_pos[p], edge_index(net, p, name)) for p in cpts[name].parent_names
-        ]
-        for name in topo
-    }
-    out = ExactDistribution(variables)
-    values: list = [None] * len(topo)
-
-    def rec(j: int, acc: float) -> None:
-        if j == len(topo):
-            key = tuple(values[t] for t in decl_of)
-            out.probs[key] = out.probs.get(key, 0.0) + acc
-            return
-        name = topo[j]
-        cpt = cpts[name]
-        cfg = tuple(component(values[t], h) for t, h in parent_slots[name])
-        row = cpt.row(cfg)
-        for c in np.nonzero(row)[0]:
-            values[j] = cpt.child_domain[c]
-            rec(j + 1, acc * float(row[c]))
-
-    rec(0, 1.0)
-    return out
+    topo, cpts, joint = _extended_array(net, cpts, max_states)
+    support = np.nonzero(joint)
+    labels = [cpts[name].child_domain for name in topo]
+    return _keyed(net, topo, labels, support, joint[support])
 
 
 def exact_collapsed_joint(
     net: Network, cpts: dict[str, ExtCPT] | None = None, max_states: int = MAX_STATES
 ) -> ExactDistribution:
     """Push-forward of the extended joint under per-variable collapse."""
-    extended = exact_extended_joint(net, cpts, max_states)
-    out = ExactDistribution(extended.variables)
-    for key, p in extended.probs.items():
-        ckey = tuple(_own(v) for v in key)
-        out.probs[ckey] = out.probs.get(ckey, 0.0) + p
-    return out
+    topo, cpts, joint = _extended_array(net, cpts, max_states)
+    labels = [subsets_of(net.frame(name)) for name in topo]
+    sizes = [len(lab) for lab in labels]
+    # collapsed class of every extended state, in mixed radix over own subsets
+    owns = [_along(own_index(cpts[name].child_domain), j, len(topo)) for j, name in enumerate(topo)]
+    classes = np.ravel_multi_index(owns, sizes)
+    probs = np.bincount(classes.ravel(), weights=joint.ravel(), minlength=math.prod(sizes))
+    support = np.flatnonzero(probs)
+    return _keyed(net, topo, labels, np.unravel_index(support, sizes), probs[support])
 
 
 @dataclass

@@ -40,6 +40,12 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 1 and "line 2" in err
 
+    def test_non_finite_value_exits_1(self, capsys, tmp_path):
+        bad = tmp_path / "nan.dsn"
+        bad.write_text("var X1 : a b\ntable X1 | kind=m\n  {a} : nan\n  {b} : 1\nend\n")
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == 1 and "line 3: non-finite value 'nan'" in err
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/net.dsn")
         assert code == 1

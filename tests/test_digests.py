@@ -1,5 +1,6 @@
-"""Sample CSV bytes pinned by sha256: any change to the draw, the collapse or
-the CSV writer that moves a single byte fails here."""
+"""Output bytes pinned by sha256: any change to the draw, the collapse or the
+sample CSV writer, to the combination joint or its CSV writer, or to the CPT
+dump that moves a single byte fails here."""
 
 import hashlib
 import io
@@ -10,6 +11,7 @@ import pytest
 
 import belnet.sampler as sampler_mod
 from belnet import generate, parse_network, write_csv
+from belnet.cli import main
 
 from conftest import fixture_path, load
 
@@ -22,6 +24,13 @@ FIXTURE_DIGESTS = {
 # 3^45 collapsed classes exceed int64: a mixed-radix class code would overflow.
 LONG_CHAIN_DIGEST = "2d5741c170416e10436c176a2012f9807a9d8251e1ba4eb3f9aea03bb52603e1"
 LONG_CHAIN_NODES = 45
+# `belnet joint` and `belnet cpt` output files
+COMMAND_DIGESTS = {
+    ("joint", "star5_negjoint"): "6709851de17fd0b22eeeb823d1aff7d9818db5a6b1e588abf660d662ba6f99e8",
+    ("joint", "chain3_ternary"): "5f2db9e9bd352775c844be5ab7194345a207db69de4a5c0c670cdf08b60595dd",
+    ("cpt", "collider3"): "1258dd2c506b70f752930de430428512c3c6a2f495fecf1b2953a9b812a9839a",
+    ("cpt", "chain4_sampling"): "873d8d58dff3bc7685c7c3b2e4a357ad4c1f2ecbac830a366f551c8356443881",
+}
 
 
 def _digest(sample) -> str:
@@ -61,3 +70,12 @@ def test_sample_digest(make_net, n, seed, digest, monkeypatch):
     # the writer works chunk by chunk; chunk boundaries must not show
     monkeypatch.setattr(sampler_mod, "_CHUNK", 7)
     assert _digest(sample) == digest
+
+
+@pytest.mark.parametrize("command, fixture", sorted(COMMAND_DIGESTS))
+def test_command_output_digest(command, fixture, tmp_path, capsys):
+    dest = tmp_path / "out.csv"
+    assert main([command, fixture_path(f"{fixture}.dsn"), "-o", str(dest)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(dest.read_bytes()).hexdigest()
+    assert digest == COMMAND_DIGESTS[command, fixture]

@@ -1,23 +1,27 @@
-"""Conjunctive combination and the exact joint mass oracle."""
+"""The exact joint mass oracle, checked against a pairwise-intersection reference."""
+
+import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import belnet.fusion as fusion_mod
 from belnet import (
     Frame,
-    JointMass,
     SizeGuardError,
-    conjunctive_combine,
-    cylindrical_extension,
     network_joint,
+    parse_network,
     parse_subset_label,
+    subsets_of,
 )
 
-from conftest import bframe, load, root_table
+from conftest import FIXTURES, LOOSE_ROWS, ROOT_ROWS, load
 
-FRAMES2 = (Frame("X1", ("a", "b")), Frame("X2", ("a", "b")))
+TOL = 1e-12
 
 
 def _entry(joint, net, *lits):
@@ -27,115 +31,107 @@ def _entry(joint, net, *lits):
     return joint.get(masks)
 
 
-class TestCylindricalExtension:
-    def test_root_extends_with_full_sets(self):
-        root = root_table(FRAMES2[0])
-        j = cylindrical_extension(root, FRAMES2)
-        a = parse_subset_label("{a}", FRAMES2[0])
-        full2 = parse_subset_label("{a,b}", FRAMES2[1])
-        assert j.get((a, full2)) == pytest.approx(0.4)
-
-    def test_extension_to_own_scope_is_identity(self, loose_cond):
-        frames = (loose_cond.parent_frames[0], loose_cond.child_frame)
-        j = cylindrical_extension(loose_cond, frames)
-        for cfg, child, v in loose_cond.items():
-            assert j.get((cfg[0], child)) == pytest.approx(v, abs=1e-15)
-
-    def test_total_mass_unchanged(self, loose_cond):
-        frames = (loose_cond.parent_frames[0], loose_cond.child_frame, Frame("X3", ("a", "b")))
-        j = cylindrical_extension(loose_cond, frames)
-        assert j.total() == pytest.approx(loose_cond.values.sum(), abs=1e-12)
-
-    def test_missing_variable_rejected(self, loose_cond):
-        with pytest.raises(ValueError, match="missing table variable"):
-            cylindrical_extension(loose_cond, (loose_cond.child_frame,))
+def _mass_rows(table):
+    """(parent configuration, child, mass) of every cell.  A commonality table
+    is inverted by brute force: signed sums over every coarser configuration."""
+    if table.kind == "m":
+        return list(table.items())
+    rows = []
+    for cfg, child, _ in table.items():
+        v = 0.0
+        for sup in table.configs():
+            if all(a.issubset(b) for a, b in zip(cfg, sup)):
+                sign = (-1) ** sum(b.size - a.size for a, b in zip(cfg, sup))
+                v += sign * table.get(sup, child)
+        rows.append((cfg, child, v))
+    return rows
 
 
-class TestConjunctiveCombine:
-    def _pair(self, loose_cond):
-        root = root_table(Frame("X1", ("a", "b")))
-        frames = (Frame("X1", ("a", "b")), loose_cond.child_frame)
-        # rebuild conditional against the same parent frame object semantics
-        return (
-            cylindrical_extension(root, frames),
-            cylindrical_extension(loose_cond, frames),
-        )
-
-    def test_hand_expanded_entry(self, loose_cond):
-        p, q = self._pair(loose_cond)
-        j = conjunctive_combine(p, q)
-        # three contributing pairs: 0.4*(-1/12) + 0.2*(-1/12) + 0.4*0.35
-        a = parse_subset_label("{a}", p.frames[0])
-        b = parse_subset_label("{b}", p.frames[1])
-        assert j.get((a, b)) == pytest.approx(0.09, abs=1e-9)
-
-    def test_bruteforce_all_pairs(self, loose_cond):
-        p, q = self._pair(loose_cond)
-        j = conjunctive_combine(p, q)
-        expect = {}
-        empty = 0.0
-        for fa, va in p.entries.items():
-            for fb, vb in q.entries.items():
-                inter = tuple(x & y for x, y in zip(fa, fb))
+def pairwise_joint(net):
+    """Reference combination: each table extended to the full scope with full
+    sets elsewhere, folded in pair by pair with coordinatewise intersection."""
+    names = list(net.variables)
+    full = tuple(net.frame(n).full_bits for n in names)
+    entries, empty = {full: 1.0}, 0.0
+    for name in names:
+        table = net.node(name).table
+        pos = [names.index(f.name) for f in table.parent_frames + (table.child_frame,)]
+        ext = {}
+        for cfg, child, v in _mass_rows(table):
+            key = list(full)
+            for p, m in zip(pos, cfg + (child,)):
+                key[p] = m.bits
+            ext[tuple(key)] = ext.get(tuple(key), 0.0) + v
+        out, empty = {}, empty * sum(ext.values())
+        for a, va in entries.items():
+            for b, vb in ext.items():
+                inter = tuple(x & y for x, y in zip(a, b))
                 if 0 in inter:
                     empty += va * vb
                 else:
-                    expect[inter] = expect.get(inter, 0.0) + va * vb
-        assert set(expect) == set(j.entries)
-        for k, v in expect.items():
-            assert j.entries[k] == pytest.approx(v, abs=1e-15)
-
-    def test_vacuous_is_neutral(self, loose_cond):
-        p, q = self._pair(loose_cond)
-        vac = JointMass.vacuous(p.frames)
-        j = conjunctive_combine(vac, q)
-        assert j.entries == pytest.approx(q.entries)
-        assert j.empty_mass == 0.0
-
-    def test_commutative(self, loose_cond):
-        p, q = self._pair(loose_cond)
-        ab = conjunctive_combine(p, q)
-        ba = conjunctive_combine(q, p)
-        assert set(ab.entries) == set(ba.entries)
-        for k in ab.entries:
-            assert abs(ab.entries[k] - ba.entries[k]) <= 1e-12
-
-    def test_scope_mismatch(self, loose_cond):
-        p, _ = self._pair(loose_cond)
-        other = JointMass.vacuous((Frame("Y1", ("a", "b")), Frame("Y2", ("a", "b"))))
-        with pytest.raises(ValueError, match="scope mismatch"):
-            conjunctive_combine(p, other)
-
-    def test_pair_guard(self):
-        frames = FRAMES2
-        big = JointMass(frames, {(1, i): 0.0 for i in range(1, 3200)})
-        big2 = JointMass(frames, {(2, i): 0.0 for i in range(1, 3200)})
-        with pytest.raises(SizeGuardError, match="focal pairs"):
-            conjunctive_combine(big, big2)
+                    out[inter] = out.get(inter, 0.0) + va * vb
+        entries = out
+    return entries, empty
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_algebraic_properties_on_random_tables(seed):
-    rng = np.random.default_rng(seed)
-    frames = (Frame("A", ("a", "b")), Frame("B", ("a", "b")))
-    keys = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+def _assert_matches_reference(net):
+    joint, report = network_joint(net)
+    want, want_empty = pairwise_joint(net)
+    assert set(joint.entries) == set(want)
+    assert max(abs(joint.entries[k] - v) for k, v in want.items()) <= TOL
+    assert abs(joint.empty_mass - want_empty) <= TOL
+    assert report.empty_mass == joint.empty_mass
+    return joint
 
-    def rand_joint():
-        vals = rng.uniform(-1, 1, size=9)
-        return JointMass(frames, dict(zip(keys, vals)), float(rng.uniform(0, 0.2)))
 
-    p, q, r = rand_joint(), rand_joint(), rand_joint()
-    pq = conjunctive_combine(p, q)
-    qp = conjunctive_combine(q, p)
-    for k in set(pq.entries) | set(qp.entries):
-        assert abs(pq.entries.get(k, 0.0) - qp.entries.get(k, 0.0)) <= 1e-12
-    left = conjunctive_combine(pq, r)
-    right = conjunctive_combine(p, conjunctive_combine(q, r))
-    for k in set(left.entries) | set(right.entries):
-        assert abs(left.entries.get(k, 0.0) - right.entries.get(k, 0.0)) <= 1e-12
-    assert left.total() == pytest.approx(p.total() * q.total() * r.total(), abs=1e-12)
-    assert pq.total() == pytest.approx(p.total() * q.total(), abs=1e-12)
+def _two_node_net(root_rows, cond_rows):
+    lines = ["var X1 : a b", "var X2 : a b", "edge X1 -> X2", "table X1 | kind=m"]
+    lines += [f"  {lit} : {v!r}" for lit, v in root_rows.items()]
+    lines += ["end", "table X2 | X1 kind=m"]
+    lines += [f"  {child} | {cfg} : {v!r}" for (child, cfg), v in cond_rows.items()]
+    lines += ["end"]
+    return parse_network("\n".join(lines))
+
+
+class TestCylindricalExtension:
+    """A table's extension to the scope, seen through vacuous co-tables."""
+
+    def test_extension_to_own_scope_is_identity(self):
+        # the conditional spans (X1, X2); a vacuous root leaves it as it is
+        net = _two_node_net({"{a,b}": 1.0}, LOOSE_ROWS)
+        joint, _ = network_joint(net)
+        for cfg, child, v in net.node("X2").table.items():
+            assert joint.get((cfg[0], child)) == pytest.approx(v, abs=1e-15)
+        assert joint.empty_mass == 0.0
+
+    def test_total_mass_unchanged(self, loose_cond):
+        net = parse_network(
+            "\n".join(
+                ["var X1 : a b", "var X2 : a b", "var X3 : a b", "edge X1 -> X2"]
+                + ["table X1 | kind=m", "  {a,b} : 1.0", "end", "table X2 | X1 kind=m"]
+                + [f"  {c} | {cfg} : {v!r}" for (c, cfg), v in LOOSE_ROWS.items()]
+                + ["end", "table X3 | kind=m", "  {a,b} : 1.0", "end"]
+            )
+        )
+        joint, _ = network_joint(net)
+        assert joint.total() == pytest.approx(loose_cond.values.sum(), abs=1e-12)
+
+
+class TestConjunctiveCombine:
+    """The combination of the network's tables, one node at a time."""
+
+    def test_vacuous_is_neutral(self):
+        text = (FIXTURES / "chain4_negjoint.dsn").read_text(encoding="utf-8")
+        base, _ = network_joint(parse_network(text))
+        joint, report = network_joint(
+            parse_network(text + "\nvar Z : a b\ntable Z | kind=m\n  {a,b} : 1.0\nend\n")
+        )
+        assert joint.scope == base.scope + ("Z",)
+        assert len(joint.entries) == 3 * len(base.entries)
+        for bits, v in joint.entries.items():
+            want = base.entries[bits[:-1]] if bits[-1] == 0b11 else 0.0
+            assert abs(v - want) <= TOL
+        assert abs(joint.empty_mass - base.empty_mass) <= TOL
 
 
 class TestNetworkJoint:
@@ -188,7 +184,135 @@ class TestNetworkJoint:
         lines += [
             f"table X{i} | kind=m\n  {{a,b}} : 1\nend" for i in range(7)
         ]
-        from belnet import parse_network
-
         with pytest.raises(SizeGuardError, match="at most 6"):
             network_joint(parse_network("\n".join(lines)))
+
+    def test_focal_guard(self, monkeypatch):
+        lines = [f"var X{i} : a b c d" for i in range(6)]
+        lines += [f"table X{i} | kind=m\n  {{a,b,c,d}} : 1\nend" for i in range(6)]
+        # 15^6 products of nonempty subsets: refused before any array is built
+        with pytest.raises(SizeGuardError, match="11390625 focal elements"):
+            network_joint(parse_network("\n".join(lines)))
+        net = load("chain4_negjoint.dsn")  # 3^4 = 81 focal elements
+        monkeypatch.setattr(fusion_mod, "MAX_FOCAL", 82)
+        assert len(network_joint(net)[0].entries) == 81
+        monkeypatch.setattr(fusion_mod, "MAX_FOCAL", 81)
+        with pytest.raises(SizeGuardError, match="focal elements"):
+            network_joint(net)
+
+    def test_hand_expanded_entry(self):
+        net = _two_node_net(ROOT_ROWS, LOOSE_ROWS)
+        joint, _ = network_joint(net)
+        # three contributing pairs: 0.4*(-1/12) + 0.2*(-1/12) + 0.4*0.35
+        assert _entry(joint, net, "{a}", "{b}") == pytest.approx(0.09, abs=1e-9)
+
+    def test_root_extends_with_full_sets(self):
+        vacuous = {("{a,b}", "{a,b}"): 1.0}
+        net = _two_node_net(ROOT_ROWS, vacuous)
+        joint, _ = network_joint(net)
+        for lit, v in ROOT_ROWS.items():
+            assert _entry(joint, net, lit, "{a,b}") == pytest.approx(v, abs=1e-15)
+            for child in ("{a}", "{b}"):
+                assert _entry(joint, net, lit, child) == 0.0
+
+    def test_declaration_order_does_not_matter(self):
+        text = (FIXTURES / "star5_negjoint.dsn").read_text(encoding="utf-8")
+        var_lines = [l for l in text.splitlines() if l.startswith("var ")]
+        others = [l for l in text.splitlines() if not l.startswith("var ")]
+        forward = parse_network(text)
+        backward = parse_network("\n".join(var_lines[::-1] + others))
+        a, _ = network_joint(forward)
+        b, _ = network_joint(backward)
+        assert len(a.entries) == len(b.entries)
+        for bits, v in a.entries.items():
+            assert abs(b.entries[bits[::-1]] - v) <= TOL
+
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in Path(FIXTURES).glob("*.dsn")))
+    def test_matches_pairwise_reference(self, fixture):
+        _assert_matches_reference(load(fixture))
+
+
+def _random_net_text(rng, shape, sizes, kinds, convention):
+    """The lines of a chain, star or collider over len(sizes) nodes with random tables.
+    Full-parent rows are distributions; with ``convention`` the other rows sum
+    to zero, otherwise mass also lands on empty intersections.  A node whose
+    kind is "k" gets its table's commonality form instead, as superset sums
+    written out here."""
+    names = [f"V{i}" for i in range(len(sizes))]
+    edges = {
+        "chain": list(zip(names, names[1:])),
+        "star": [(names[0], v) for v in names[1:]],
+        "collider": [(v, names[-1]) for v in names[:-1]],
+    }[shape]
+    frames = {v: Frame(v, tuple("abc"[:k])) for v, k in zip(names, sizes)}
+    lines = [f"var {v} : {' '.join(f.values)}" for v, f in frames.items()]
+    lines += [f"edge {a} -> {b}" for a, b in edges]
+    for v, kind in zip(names, kinds):
+        parents = [a for a, b in edges if b == v]
+        configs = list(itertools.product(*(subsets_of(frames[p]) for p in parents)))
+        children = subsets_of(frames[v])
+        mass = {}
+        for cfg in configs:
+            if all(s.is_full for s in cfg):
+                row = rng.dirichlet(np.ones(len(children)))
+            else:
+                row = rng.uniform(-0.5, 0.5, len(children))
+                if convention:
+                    row -= row.mean()
+            mass.update(((cfg, c), float(x)) for c, x in zip(children, row))
+        lines.append(f"table {v} | {' '.join(parents)} kind={kind}")
+        for cfg in configs:
+            for c in children:
+                if kind == "m":
+                    value = mass[cfg, c]
+                else:
+                    value = sum(
+                        mass[sup, c]
+                        for sup in configs
+                        if all(a.issubset(b) for a, b in zip(cfg, sup))
+                    )
+                cfg_text = " ".join(str(s) for s in cfg)
+                lines.append(f"  {c} | {cfg_text} : {value!r}" if cfg else f"  {c} : {value!r}")
+        lines.append("end")
+    return lines
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["chain", "star", "collider"]),
+    st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4),
+    st.lists(st.sampled_from("mk"), min_size=4, max_size=4),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_matches_pairwise_reference_on_random_networks(seed, shape, sizes, kinds, convention):
+    assume(math.prod((1 << k) - 1 for k in sizes) <= 343)
+    lines = _random_net_text(np.random.default_rng(seed), shape, sizes, kinds, convention)
+    net = parse_network("\n".join(lines))
+    joint = _assert_matches_reference(net)
+    # total mass (empty included) is the product of the tables' totals
+    totals = [sum(v for _, _, v in _mass_rows(net.node(n).table)) for n in net.variables]
+    assert joint.total() == pytest.approx(math.prod(totals), abs=TOL)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["chain", "star", "collider"]),
+    st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4),
+    st.lists(st.sampled_from("mk"), min_size=4, max_size=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_algebraic_properties_on_random_tables(seed, shape, sizes, kinds):
+    """Combination is commutative and associative: declaring the variables in
+    reverse changes the order the tables are folded in, not the joint."""
+    assume(math.prod((1 << k) - 1 for k in sizes) <= 343)
+    lines = _random_net_text(np.random.default_rng(seed), shape, sizes, kinds, False)
+    var_lines = [l for l in lines if l.startswith("var ")]
+    others = [l for l in lines if not l.startswith("var ")]
+    forward, _ = network_joint(parse_network("\n".join(lines)))
+    backward, _ = network_joint(parse_network("\n".join(var_lines[::-1] + others)))
+    assert backward.scope == forward.scope[::-1]
+    assert {bits[::-1] for bits in backward.entries} == set(forward.entries)
+    for bits, v in forward.entries.items():
+        assert abs(backward.entries[bits[::-1]] - v) <= TOL
+    assert abs(backward.empty_mass - forward.empty_mass) <= TOL

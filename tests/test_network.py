@@ -94,6 +94,12 @@ class TestParse:
         with pytest.raises(NetworkParseError, match="unknown label"):
             parse_network(base + "  {z} : 0.5\nend\n")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, text):
+        net = f"var X1 : a b\ntable X1 | kind=m\n  {{a}} : 0.5\n  {{b}} : {text}\nend\n"
+        with pytest.raises(NetworkParseError, match=f"line 4: non-finite value '{text}'"):
+            parse_network(net)
+
     def test_one_value_variable_rejected(self):
         with pytest.raises(NetworkParseError, match="at least two"):
             parse_network("var X1 : a\n")
@@ -186,9 +192,13 @@ def test_topological_order_on_random_dags(seed, n):
         lines += [head, row, "end"]
     net = parse_network("\n".join(lines))
     order = topological_order(net)
-    pos = {v: i for i, v in enumerate(order)}
-    for a, b in edges:
-        assert pos[a] < pos[b]
+    # each step takes the earliest-declared node whose parents are all placed
+    placed: list[str] = []
+    while len(placed) < n:
+        placed.append(
+            next(v for v in declared if v not in placed and all(p in placed for p in parents[v]))
+        )
+    assert order == tuple(placed)
     # vector coordinates are a bijection onto 1..n per parent
     for v in net.variables:
         succ = net.node(v).successors

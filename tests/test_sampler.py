@@ -13,7 +13,6 @@ from belnet import (
     ExtVector,
     Frame,
     build_network_cpts,
-    collapse,
     component,
     edge_index,
     generate,
@@ -126,7 +125,7 @@ class TestRecords:
     def test_collapse_is_coordinatewise_own(self, sampling_net):
         s = generate(sampling_net, 50, seed=1)
         rec = s[9]
-        assert collapse(rec) == tuple(
+        assert rec.collapsed == tuple(
             v.own if isinstance(v, ExtVector) else v for v in rec.extended
         )
 

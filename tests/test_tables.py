@@ -17,6 +17,7 @@ from belnet import (
     subsets_of,
     validate_table,
 )
+from belnet.tables import bit_ordered, superset_sums
 
 from conftest import LOOSE_ROWS, TIGHT_ROWS, bframe, cond_table, mask
 
@@ -149,12 +150,30 @@ def test_roundtrip_on_random_tables(seed, n_parents, sizes):
 
 def _apply_roundtrip(t):
     # commonality may be negative for arbitrary tables, so invert the raw
-    # superset accumulation rather than going through the checked constructor
-    from belnet.tables import _apply_parent_axes, _inversion_matrix, _superset_matrix
+    # superset sums rather than going through the checked constructors
+    dense = superset_sums(bit_ordered(t), range(len(t.parent_frames)))
+    superset_sums(dense, range(len(t.parent_frames)), inverse=True)
+    frames = t.parent_frames + (t.child_frame,)
+    bits = [[s.bits for s in subsets_of(f)] for f in frames]
+    return dense[np.ix_(*bits)].reshape(t.values.shape)
 
-    k_vals = _apply_parent_axes(t, _superset_matrix)
-    holder = CondMassTable(t.child_frame, t.parent_frames, k_vals)
-    return _apply_parent_axes(holder, _inversion_matrix)
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 3), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_superset_sums_match_definition(seed, widths):
+    """Zeta: out[A] = sum of a[B] over B containing A on every transformed axis;
+    the last axis is left alone.  The inverse undoes it."""
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, [1 << w for w in widths] + [3])
+    axes = range(len(widths))
+    out = superset_sums(a.copy(), axes)
+    for idx in np.ndindex(*a.shape[:-1]):
+        want = sum(
+            a[sup]
+            for sup in np.ndindex(*a.shape[:-1])
+            if all(i & j == i for i, j in zip(idx, sup))
+        )
+        assert np.allclose(out[idx], want, atol=1e-12, rtol=0.0)
+    assert np.allclose(superset_sums(out, axes, inverse=True), a, atol=1e-12, rtol=0.0)
 
 
 def test_convention_tables_give_unit_commonality_rows():

@@ -7,11 +7,14 @@ from belnet import (
     SizeGuardError,
     build_network_cpts,
     compare_empirical,
+    component,
+    edge_index,
     exact_collapsed_joint,
     exact_extended_joint,
     generate,
     network_joint,
     parse_network,
+    topological_order,
 )
 
 from conftest import load
@@ -40,7 +43,51 @@ end
 """
 
 
+FEASIBLE = [
+    "chain3_ternary.dsn",
+    "chain4_sampling.dsn",
+    "collider3.dsn",
+    "star4_proper.dsn",
+    "star5_negjoint.dsn",
+    "vacuous1.dsn",
+]
+
+
+def recursive_extended_joint(net, cpts):
+    """Reference enumeration: depth first over every positive CPT cell in
+    topological order, multiplying the chain-rule factors along the way."""
+    topo = topological_order(net)
+    out = {}
+
+    def rec(values, acc):
+        if len(values) == len(topo):
+            out[tuple(values[name] for name in net.variables)] = acc
+            return
+        name = topo[len(values)]
+        cpt = cpts[name]
+        cfg = tuple(component(values[p], edge_index(net, p, name)) for p in cpt.parent_names)
+        row = cpt.row(cfg)
+        for c in np.nonzero(row)[0]:
+            rec({**values, name: cpt.child_domain[c]}, acc * float(row[c]))
+
+    rec({}, 1.0)
+    return out
+
+
 class TestExactExtended:
+    @pytest.mark.parametrize("fixture", FEASIBLE)
+    def test_matches_recursive_enumeration(self, fixture):
+        net = load(fixture)
+        cpts = build_network_cpts(net)
+        want = recursive_extended_joint(net, cpts)
+        ext = exact_extended_joint(net, cpts)
+        assert set(ext.probs) == set(want)
+        for key, p in want.items():
+            assert ext.probs[key] == pytest.approx(p, abs=1e-15)
+        collapsed = {tuple(getattr(v, "own", v) for v in key) for key in want}
+        assert set(exact_collapsed_joint(net, cpts).probs) == collapsed
+
+
     def test_degenerate_network_unit_mass(self):
         net = load("vacuous1.dsn")
         ext = exact_extended_joint(net)
