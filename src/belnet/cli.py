@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Exit codes: 0 success, 1 parse/size/I-O error, 2 model infeasibility
+Exit codes: 0 success, 1 parse/size/I-O/out-of-memory error, 2 model infeasibility
 (negative commonality or probability), 3 validation or verification failure.
 """
 
@@ -37,6 +37,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (BelnetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

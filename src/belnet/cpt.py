@@ -1,33 +1,36 @@
 """Conditional probability tables over extended domains.
 
-A node's commonality table is turned into a proper CPT in two steps:
+A node's CPT is built as a tensor with one axis per parent, over its extended
+values, and a last axis over the child domain, in two steps:
 
-1. For every plain parent configuration, the commonality of each child subset
-   is split across the subset's extended class: every family that refines the
-   subset from a coarser value receives that coarser value's plain-vector
-   probability, divided equally among its members, and the plain vector keeps
-   the remainder.  Coarser values are resolved first, so nested splits always
-   refer to already-assigned probabilities.
-2. Rows for compound parent configurations are derived coordinatewise: an
-   ``o`` coordinate defers to the row of its superset value, and an ``@``
-   coordinate is resolved by inclusion-exclusion (twice the row of its own
-   subset minus the row of its superset value), so that the average of the
-   two substitution choices reproduces the plain row.
+1. The plain block: for all plain parent configurations at once, the
+   commonality of each child subset is split across the subset's extended
+   class.  Every family that refines the subset from a coarser value receives
+   that value's plain-vector probability, divided equally among its members,
+   and the plain vector keeps the remainder.  Coarser values are split first.
+2. The parent axes are extended one at a time, from the last to the first.
+   Along an axis, an ``o`` value copies the slice of its superset value, and
+   an ``@`` value takes twice the slice of its own subset minus that of its
+   superset value (inclusion-exclusion), so that the average of the two
+   substitution choices reproduces the plain slice.  Each row is so derived
+   on its first compound coordinate.
 
-Every entry of the result must be nonnegative; otherwise the model admits no
-such CPT and construction fails with the offending row.
+Every entry must be nonnegative; otherwise the model admits no such CPT and
+construction fails with the offending row.  ``check_feasibility`` verifies a
+CPT independently, checking both identities along every parent axis, slice
+against slice.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InfeasibleModelError, SizeGuardError
-from .extvals import OP_AT, OP_DOT, ExtValue, ExtVector, ext_values, ext_vectors
+from .extvals import OP_AT, OP_DOT, ExtValue, ExtVector, ext_value_index, ext_values, ext_vectors
 from .network import Network, topological_order, validate_structure
 from .tables import (
     EXACT_TOL,
@@ -37,9 +40,9 @@ from .tables import (
     Frame,
     SubsetMask,
     ValidationReport,
+    cfg_text,
     mass_to_commonality,
     subsets_of,
-    _subset_pos,
 )
 
 MAX_CPT_CELLS = 10_000_000
@@ -84,47 +87,38 @@ class ExtCPT:
         return float(self.row(cfg)[self._child_pos[child]])
 
 
-@lru_cache(maxsize=None)
-def _coarser_values(frame: Frame) -> dict[int, tuple[ExtValue, ...]]:
-    """For each subset, the extended values it can be split from."""
-    out: dict[int, list[ExtValue]] = {s.bits: [] for s in subsets_of(frame)}
-    for v in ext_values(frame):
-        vb = v.own.bits
-        for s in subsets_of(frame):
-            if s.bits & vb == s.bits and s.bits != vb:
-                out[s.bits].append(v)
-    return {b: tuple(vs) for b, vs in out.items()}
-
-
-def _plain_row(krow: np.ndarray, frame: Frame, n: int) -> tuple[np.ndarray, dict[ExtValue, float]]:
-    """Split one commonality row over the extended child domain (n >= 1)."""
-    pos = _subset_pos(frame)
-    coarser = _coarser_values(frame)
+def _plain_rows(krows: np.ndarray, frame: Frame, n: int) -> np.ndarray:
+    """Split commonality rows (configurations x subsets) over the extended
+    child domain of a node with n >= 1 successors, one column at a time."""
+    values = ext_values(frame)  # the plain values first, in the table's column order
     share = 1.0 / ((1 << n) - 1)
-    vec_p: dict[ExtValue, float] = {}
-    for v in sorted(ext_values(frame), key=lambda v: -v.own.size):
+    # per extended value: its plain vector's probability, or a family member's
+    vec_p = np.zeros((len(krows), len(values)))
+    for j in sorted(range(len(values)), key=lambda j: -values[j].own.size):
+        v = values[j]
         if v.is_plain:
-            vec_p[v] = krow[pos[v.own.bits]] - sum(vec_p[w] for w in coarser[v.own.bits])
+            coarser = [w for w, u in enumerate(values) if v.own.issubset(u.own) and u.own != v.own]
+            vec_p[:, j] = krows[:, j] - sum(vec_p[:, w] for w in coarser)
         elif v.op == OP_AT:
-            vec_p[v] = vec_p[v.sup] * share
-        else:
-            vec_p[v] = 0.0
-    domain = ext_vectors(frame, n)
-    row = np.empty(len(domain))
-    for i, x in enumerate(domain):
-        row[i] = vec_p[ExtValue(x.own)] if x.is_plain else vec_p[x.sup] * share
-    return row, vec_p
+            vec_p[:, j] = vec_p[:, ext_value_index(v.sup)] * share
+    # the plain vectors, then per superset value a family for each proper subset
+    family = [((1 << v.own.size) - 2) * ((1 << n) - 1) for v in values]
+    return np.hstack([vec_p[:, : krows.shape[1]], np.repeat(vec_p, family, axis=1) * share])
 
 
-def _check_row(node: str, cfg, domain, row: np.ndarray) -> np.ndarray:
-    low = row.min() if row.size else 0.0
-    if low < -EXACT_TOL:
-        c = int(row.argmin())
-        raise InfeasibleModelError(
-            f"node {node}: P({_child_text(domain[c])}|{_cfg_text(cfg)}) = {low:.6g} is negative"
-        )
-    np.clip(row, 0.0, None, out=row)
-    return row
+def _clip_checked(node: str, rows: np.ndarray, child_domain, where) -> None:
+    """Clip ``rows`` (..., child) to nonnegative in place.  An entry below
+    -EXACT_TOL fails instead, naming the first such row in row order; ``where``
+    turns that row's index tuple into its configuration text."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    low = flat.min(axis=1)
+    bad = np.flatnonzero(low < -EXACT_TOL)
+    if bad.size:
+        r = int(bad[0])
+        child = _child_text(child_domain[int(flat[r].argmin())])
+        cfg = where(np.unravel_index(r, rows.shape[:-1]))
+        raise InfeasibleModelError(f"node {node}: P({child}|{cfg}) = {low[r]:.6g} is negative")
+    np.clip(rows, 0.0, None, out=rows)
 
 
 def _child_text(child) -> str:
@@ -135,10 +129,6 @@ def _child_text(child) -> str:
     return str(child)
 
 
-def _cfg_text(cfg) -> str:
-    return ",".join(str(v) for v in cfg) if cfg else "()"
-
-
 def build_node_cpt(node: str, ktable: CondCommonalityTable, n_successors: int) -> ExtCPT:
     """Build the extended CPT of one node from its commonality table."""
     frame = ktable.child_frame
@@ -147,46 +137,40 @@ def build_node_cpt(node: str, ktable: CondCommonalityTable, n_successors: int) -
     else:
         child_domain = ext_vectors(frame, n_successors)
     parent_domains = tuple(ext_values(f) for f in ktable.parent_frames)
-    rows = 1
-    for d in parent_domains:
-        rows *= len(d)
-    if rows * len(child_domain) > MAX_CPT_CELLS:
+    shape = tuple(map(len, parent_domains)) + (len(child_domain),)
+    if math.prod(shape) > MAX_CPT_CELLS:
         raise SizeGuardError(
-            f"node {node}: extended CPT would hold {rows * len(child_domain)} cells "
+            f"node {node}: extended CPT would hold {math.prod(shape)} cells "
             f"(limit {MAX_CPT_CELLS})"
         )
 
-    resolved: dict[tuple[ExtValue, ...], np.ndarray] = {}
-    for cfg in ktable.configs():
-        krow = ktable.row(cfg)
-        if n_successors == 0:
-            row = krow.copy()
-        else:
-            row, _ = _plain_row(krow, frame, n_successors)
-        key = tuple(ExtValue(m) for m in cfg)
-        resolved[key] = _check_row(node, key, child_domain, row)
+    def where(idx) -> str:
+        return cfg_text(tuple(d[i] for d, i in zip(parent_domains, idx)))
 
-    def resolve(cfg: tuple[ExtValue, ...]) -> np.ndarray:
-        row = resolved.get(cfg)
-        if row is not None:
-            return row
-        for i, v in enumerate(cfg):
-            if v.is_plain:
-                continue
+    plain_dims = tuple(len(subsets_of(f)) for f in ktable.parent_frames)
+    if n_successors == 0:
+        plain = ktable.values.copy()
+    else:
+        plain = _plain_rows(ktable.values, frame, n_successors)
+    plain = plain.reshape(plain_dims + (-1,))
+    _clip_checked(node, plain, child_domain, where)
+    probs = np.empty(shape)
+    probs[tuple(map(slice, plain_dims))] = plain
+    # rows whose first compound coordinate is on this axis, last axis first
+    for axis in reversed(range(len(parent_domains))):
+        head = tuple(map(slice, plain_dims[:axis]))
+        for j in range(plain_dims[axis], shape[axis]):
+            v = parent_domains[axis][j]
+            sup = probs[head + (ext_value_index(v.sup),)]
             if v.op == OP_DOT:
-                # defers to the superset value's row, shared by reference
-                row = resolve(cfg[:i] + (v.sup,) + cfg[i + 1 :])
-            else:
-                own_row = resolve(cfg[:i] + (ExtValue(v.own),) + cfg[i + 1 :])
-                sup_row = resolve(cfg[:i] + (v.sup,) + cfg[i + 1 :])
-                row = _check_row(node, cfg, child_domain, 2.0 * own_row - sup_row)
-            resolved[cfg] = row
-            return row
-        raise AssertionError("unreachable: plain configurations are pre-seeded")
-
-    probs = np.empty((rows, len(child_domain)))
-    for r, cfg in enumerate(itertools.product(*parent_domains) if parent_domains else [()]):
-        probs[r] = resolve(cfg)
+                probs[head + (j,)] = sup
+                continue
+            rows = 2.0 * probs[head + (ext_value_index(ExtValue(v.own)),)] - sup
+            _clip_checked(
+                node, rows, child_domain, lambda idx: where(idx[:axis] + (j,) + idx[axis:])
+            )
+            probs[head + (j,)] = rows
+    probs = probs.reshape(-1, len(child_domain))
     probs.setflags(write=False)
     return ExtCPT(
         node=node,
@@ -233,76 +217,65 @@ def _check_row_sums(node: str, table: CondCommonalityTable) -> None:
         r = int(bad[0])
         cfg = next(itertools.islice(table.configs(), r, None))
         raise InfeasibleModelError(
-            f"node {node}: commonality row {_cfg_text(cfg)} sums to {sums[r]:.9f}, expected 1"
+            f"node {node}: commonality row {cfg_text(cfg)} sums to {sums[r]:.9f}, expected 1"
         )
 
 
 def check_feasibility(cpt: ExtCPT) -> ValidationReport:
     """Verify every CPT contract: nonnegativity, unit row sums, class sums
-    matching the commonality table, deferral rows identical to their superset
-    rows, and the substitution-average identity for ``@`` coordinates."""
+    matching the commonality table, and along every parent axis, deferral
+    slices identical to their superset slices and the substitution average of
+    each ``@`` slice and its superset slice reproducing its own-subset slice."""
     report = ValidationReport()
-    probs = cpt.probs
-    if probs.min(initial=0.0) < 0.0:
-        for r, cfg in enumerate(cpt.configs()):
-            for c in np.nonzero(probs[r] < 0.0)[0]:
-                report.errors.append(
-                    f"node {cpt.node}: negative P({_child_text(cpt.child_domain[c])}"
-                    f"|{_cfg_text(cfg)}) = {probs[r, c]:.6g}"
-                )
+    node, domains, probs = cpt.node, cpt.parent_domains, cpt.probs
+    dims = tuple(map(len, domains))
+
+    def cfg(idx) -> str:
+        return cfg_text(tuple(d[i] for d, i in zip(domains, idx)))
+
+    for r, c in zip(*np.nonzero(probs < 0.0)):
+        report.errors.append(
+            f"node {node}: negative P({_child_text(cpt.child_domain[c])}"
+            f"|{cfg(np.unravel_index(r, dims))}) = {probs[r, c]:.6g}"
+        )
     sums = probs.sum(axis=1)
-    for r, cfg in enumerate(cpt.configs()):
-        if abs(sums[r] - 1.0) > ROWSUM_TOL:
-            report.errors.append(
-                f"node {cpt.node}: row {_cfg_text(cfg)} sums to {sums[r]:.12f}"
-            )
+    for r in np.flatnonzero(np.abs(sums - 1.0) > ROWSUM_TOL):
+        report.errors.append(
+            f"node {node}: row {cfg(np.unravel_index(r, dims))} sums to {sums[r]:.12f}"
+        )
 
     # class sums against the source table on plain configurations
-    frame = cpt.source.child_frame
-    own_of = [
-        (c if isinstance(c, SubsetMask) else c.own).bits for c in cpt.child_domain
-    ]
-    class_cols = {
-        s.bits: [i for i, b in enumerate(own_of) if b == s.bits] for s in subsets_of(frame)
-    }
-    for cfg in cpt.source.configs():
-        key = tuple(ExtValue(m) for m in cfg)
-        row = cpt.row(key)
-        krow = cpt.source.row(cfg)
-        for s in subsets_of(frame):
-            got = float(row[class_cols[s.bits]].sum())
-            want = float(krow[_subset_pos(frame)[s.bits]])
-            if abs(got - want) > ROWSUM_TOL:
-                report.errors.append(
-                    f"node {cpt.node}: class {s} of row {_cfg_text(key)} sums to "
-                    f"{got:.12f}, table says {want:.12f}"
-                )
+    tensor = probs.reshape(dims + (-1,))
+    plain_dims = tuple(len(subsets_of(f)) for f in cpt.source.parent_frames)
+    classes = subsets_of(cpt.source.child_frame)
+    members = np.equal.outer(
+        [(c if isinstance(c, SubsetMask) else c.own).bits for c in cpt.child_domain],
+        [s.bits for s in classes],
+    )
+    got = tensor[tuple(map(slice, plain_dims))].reshape(-1, len(members)) @ members
+    want = cpt.source.values
+    for r, s in zip(*np.nonzero(np.abs(got - want) > ROWSUM_TOL)):
+        report.errors.append(
+            f"node {node}: class {classes[s]} of row {cfg(np.unravel_index(r, plain_dims))} "
+            f"sums to {got[r, s]:.12f}, table says {want[r, s]:.12f}"
+        )
 
-    for cfg in cpt.configs():
-        dots = [i for i, v in enumerate(cfg) if (not v.is_plain) and v.op == OP_DOT]
-        if dots:
-            i = dots[0]
-            alt = cfg[:i] + (cfg[i].sup,) + cfg[i + 1 :]
-            if not np.array_equal(cpt.row(cfg), cpt.row(alt)):
-                report.errors.append(
-                    f"node {cpt.node}: deferral row {_cfg_text(cfg)} differs from {_cfg_text(alt)}"
-                )
-        ats = [i for i, v in enumerate(cfg) if (not v.is_plain) and v.op == OP_AT]
-        if ats:
-            base = list(cfg)
-            for i in ats:
-                base[i] = ExtValue(cfg[i].own)
-            mean = np.zeros_like(probs[0])
-            for choice in itertools.product((0, 1), repeat=len(ats)):
-                sub = list(cfg)
-                for pick, i in zip(choice, ats):
-                    if pick:
-                        sub[i] = cfg[i].sup
-                mean += cpt.row(tuple(sub))
-            mean /= 2 ** len(ats)
-            if not np.allclose(mean, cpt.row(tuple(base)), atol=ROWSUM_TOL, rtol=0.0):
-                report.errors.append(
-                    f"node {cpt.node}: substitution average of {_cfg_text(cfg)} "
-                    f"does not reproduce {_cfg_text(tuple(base))}"
-                )
+    # per axis, every compound slice against the slices it is defined by
+    for axis, domain in enumerate(domains):
+        pos = {v: i for i, v in enumerate(domain)}
+        lead = (slice(None),) * axis
+        for j, v in enumerate(domain):
+            if v.is_plain:
+                continue
+            sup, own = pos[v.sup], pos[ExtValue(v.own)]
+            mine, theirs, base = (tensor[lead + (slice(i, i + 1),)] for i in (j, sup, own))
+            if v.op == OP_DOT:
+                bad = mine != theirs
+                text = "deferral row {0} differs from {1}"
+            else:
+                bad = np.abs((mine + theirs) / 2.0 - base) > ROWSUM_TOL
+                text = "substitution average of {0} and {1} does not reproduce {2}"
+            for idx in zip(*np.nonzero(bad.any(axis=-1))):
+                at = [cfg(idx[:axis] + (i,) + idx[axis + 1 :]) for i in (j, sup, own)]
+                report.errors.append(f"node {node}: " + text.format(*at))
     return report

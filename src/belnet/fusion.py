@@ -74,9 +74,11 @@ class JointMass:
 
 @dataclass
 class NegativityReport:
-    """Entries of a joint mass function below tolerance, plus bookkeeping totals."""
+    """Entries of a joint mass function below tolerance, keyed like
+    ``JointMass.entries``, plus bookkeeping totals."""
 
-    negatives: list[tuple[ProductFocal, float]]
+    frames: tuple[Frame, ...]
+    negatives: list[tuple[tuple[int, ...], float]]
     min_entry: float
     total_nonempty: float
     empty_mass: float
@@ -93,7 +95,11 @@ class NegativityReport:
             f"total nonempty mass: {self.total_nonempty:.9f}",
             f"empty-intersection mass: {self.empty_mass:.9f}",
         ]
-        lines += [f"  {focal} : {v:.9f}" for focal, v in self.negatives]
+        literals = [{s.bits: str(s) for s in subsets_of(f)} for f in self.frames]
+        lines += [
+            f"  ({','.join(lit[b] for lit, b in zip(literals, bits))}) : {v:.9f}"
+            for bits, v in self.negatives
+        ]
         lines += [f"warning: {w}" for w in self.warnings]
         return "\n".join(lines)
 
@@ -131,11 +137,13 @@ def network_joint(net: Network) -> tuple[JointMass, NegativityReport]:
         dict(zip(keys, nonempty.ravel().tolist())),
         float(mass.sum() - nonempty.sum()),
     )
-    # entries run in key order, so the negatives come sorted
-    negatives = [(joint.focal(bits), v) for bits, v in joint.entries.items() if v < -EXACT_TOL]
+    # argwhere runs in key order, so the negatives come sorted
+    negative = nonempty < -EXACT_TOL
+    keys = map(tuple, (np.argwhere(negative) + 1).tolist())
     total = float(nonempty.sum())
     report = NegativityReport(
-        negatives=negatives,
+        frames=frames,
+        negatives=list(zip(keys, nonempty[negative].tolist())),
         min_entry=float(nonempty.min()),
         total_nonempty=total,
         empty_mass=joint.empty_mass,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -197,35 +197,20 @@ def generate(
     return Sample(variables, [cpts[name].child_domain for name in variables], codes)
 
 
-def write_csv(
-    sample: Sample | Iterable[SampleRecord],
-    dest: str | IO[str],
-    variables: Sequence[str] | None = None,
-) -> None:
+def write_csv(sample: Sample, dest: str | IO[str]) -> None:
     """Write collapsed records as CSV: header of variable names, canonical
     subset literals as cells, newline-terminated rows."""
     if hasattr(dest, "write"):
-        _write_csv_stream(sample, dest, variables)
+        _write_csv_stream(sample, dest)
     else:
         with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write_csv_stream(sample, fh, variables)
+            _write_csv_stream(sample, fh)
 
 
-def _write_csv_stream(sample, stream, variables) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    if isinstance(sample, Sample):
-        writer.writerow(sample.variables)
-        cells = [np.array(csv_cells(subs), dtype=object) for subs in sample._subsets]
-        for inv, own in sample._chunk_classes():
-            cols = [c[own[:, j]] for j, c in enumerate(cells)]
-            lines = np.array([",".join(row) + "\n" for row in zip(*cols)], dtype=object)
-            stream.write("".join(lines[inv]))
-        return
-    records = list(sample)
-    if variables is None:
-        if not records:
-            raise ValueError("variables are required to write an empty record list")
-        variables = records[0].variables
-    writer.writerow(list(variables))
-    for rec in records:
-        writer.writerow([str(m) for m in rec.collapsed])
+def _write_csv_stream(sample: Sample, stream: IO[str]) -> None:
+    csv.writer(stream, lineterminator="\n").writerow(sample.variables)
+    cells = [np.array(csv_cells(subs), dtype=object) for subs in sample._subsets]
+    for inv, own in sample._chunk_classes():
+        cols = [c[own[:, j]] for j, c in enumerate(cells)]
+        lines = np.array([",".join(row) + "\n" for row in zip(*cols)], dtype=object)
+        stream.write("".join(lines[inv]))

@@ -333,20 +333,20 @@ def validate_table(t: _CondTable) -> ValidationReport:
         for r, cfg in enumerate(t.configs()):
             if abs(sums[r] - 1.0) > REPORT_TOL:
                 report.errors.append(
-                    f"{t.child_frame.name}: row {_fmt_cfg(cfg)} sums to {sums[r]:.9f}, expected 1"
+                    f"{t.child_frame.name}: row {cfg_text(cfg)} sums to {sums[r]:.9f}, expected 1"
                 )
         if t.values.min(initial=0.0) < -EXACT_TOL:
             for cfg, child, v in t.items():
                 if v < -EXACT_TOL:
                     report.errors.append(
-                        f"{t.child_frame.name}: negative value {v:.6g} at ({_fmt_cfg(cfg)} ; {child})"
+                        f"{t.child_frame.name}: negative value {v:.6g} at ({cfg_text(cfg)} ; {child})"
                     )
     else:
         for r, cfg in enumerate(t.configs()):
             want = 1.0 if all(c.is_full for c in cfg) else 0.0
             if abs(sums[r] - want) > CONVENTION_TOL:
                 report.warnings.append(
-                    f"{t.child_frame.name}: mass row {_fmt_cfg(cfg)} sums to {sums[r]:.9f}, "
+                    f"{t.child_frame.name}: mass row {cfg_text(cfg)} sums to {sums[r]:.9f}, "
                     f"convention expects {want:g}"
                 )
     return report
@@ -360,5 +360,6 @@ def csv_cells(values: Iterable) -> list[str]:
     return buf.getvalue().split("\n")[:-1]
 
 
-def _fmt_cfg(cfg: tuple[SubsetMask, ...]) -> str:
+def cfg_text(cfg: tuple) -> str:
+    """A parent configuration as comma-joined literals, ``()`` when empty."""
     return ",".join(str(c) for c in cfg) if cfg else "()"

@@ -6,6 +6,7 @@ import io
 import pytest
 
 from belnet import load_network, mass_to_commonality
+import belnet.cli as cli_mod
 from belnet.cli import main
 
 from conftest import fixture_path
@@ -169,6 +170,24 @@ class TestSample:
             capsys, "sample", fixture_path("chain4_sampling.dsn"), "-n", "-5"
         )
         assert code == 1 and "count" in err
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (
+                MemoryError("Unable to allocate 8.00 EiB"),
+                "error: out of memory: Unable to allocate 8.00 EiB\n",
+            ),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+    )
+    def test_memory_error_exits_1(self, capsys, monkeypatch, exc, line):
+        def generate(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "generate", generate)
+        code, out, err = run(capsys, "sample", fixture_path("chain4_sampling.dsn"), "-n", "10")
+        assert code == 1 and out == "" and err == line
 
     def test_stdout_output(self, capsys):
         code, out, _ = run(

@@ -1,7 +1,11 @@
 """Extended-domain CPT construction and its identities."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belnet import (
     CondCommonalityTable,
@@ -20,7 +24,9 @@ from belnet import (
     parse_ext_value,
     parse_network,
     subsets_of,
+    topological_order,
 )
+from belnet.tables import EXACT_TOL
 
 from conftest import bframe, cond_table, load, mask, LOOSE_ROWS, TIGHT_ROWS
 
@@ -44,6 +50,95 @@ LEAF_AT_ROW = (41 / 60, 11 / 60, E)  # 2*row({a}) - row({a,b}) of the commonalit
 
 def _mid_cpt(loose_cond):
     return build_node_cpt("X2", mass_to_commonality(loose_cond), 1)
+
+
+class CompoundRowError(InfeasibleModelError):
+    """The reference failed on a row with a compound parent coordinate."""
+
+
+def recursive_probs(node, ktable, n_successors):
+    """Reference construction, row by row: each plain row is split on its own,
+    and each compound row is resolved on its first compound coordinate from
+    memoized rows (own subset's row first, then the superset value's)."""
+    frame = ktable.child_frame
+    domain = subsets_of(frame) if n_successors == 0 else ext_vectors(frame, n_successors)
+
+    def split(krow):
+        share = 1.0 / ((1 << n_successors) - 1)
+        vec_p = {}
+        for v in sorted(ext_values(frame), key=lambda v: -v.own.size):
+            if v.is_plain:
+                coarser = [
+                    w
+                    for w in ext_values(frame)
+                    if v.own.issubset(w.own) and w.own.bits != v.own.bits
+                ]
+                vec_p[v] = krow[subsets_of(frame).index(v.own)] - sum(vec_p[w] for w in coarser)
+            else:
+                vec_p[v] = vec_p[v.sup] * share if v.op == "@" else 0.0
+        return np.array(
+            [vec_p[ExtValue(x.own)] if x.is_plain else vec_p[x.sup] * share for x in domain]
+        )
+
+    def checked(cfg, row, error):
+        if row.min() < -EXACT_TOL:
+            x = domain[int(row.argmin())]
+            child = x.own if isinstance(x, ExtVector) and x.is_plain else x
+            text = ",".join(map(str, cfg)) if cfg else "()"
+            raise error(f"node {node}: P({child}|{text}) = {row.min():.6g} is negative")
+        return np.clip(row, 0.0, None)
+
+    resolved = {}
+    for cfg in ktable.configs():
+        row = ktable.row(cfg).copy() if n_successors == 0 else split(ktable.row(cfg))
+        key = tuple(ExtValue(m) for m in cfg)
+        resolved[key] = checked(key, row, InfeasibleModelError)
+
+    def resolve(cfg):
+        if cfg in resolved:
+            return resolved[cfg]
+        i = next(i for i, v in enumerate(cfg) if not v.is_plain)
+        v = cfg[i]
+        if v.op == "o":
+            row = resolve(cfg[:i] + (v.sup,) + cfg[i + 1 :])
+        else:
+            own = resolve(cfg[:i] + (ExtValue(v.own),) + cfg[i + 1 :])
+            sup = resolve(cfg[:i] + (v.sup,) + cfg[i + 1 :])
+            row = checked(cfg, 2.0 * own - sup, CompoundRowError)
+        resolved[cfg] = row
+        return row
+
+    configs = itertools.product(*map(ext_values, ktable.parent_frames))
+    return np.array([resolve(cfg) for cfg in configs])
+
+
+def _random_net(rng, shape, sizes, spread):
+    """A 3-node chain, star or collider with commonality tables: per node, a
+    base row decaying with subset size, every row a relative perturbation of
+    it by up to ``spread``, renormalized."""
+    names = ["V0", "V1", "V2"]
+    edges = {
+        "chain": [("V0", "V1"), ("V1", "V2")],
+        "star": [("V0", "V1"), ("V0", "V2")],
+        "collider": [("V0", "V2"), ("V1", "V2")],
+    }[shape]
+    frames = {v: Frame(v, tuple("abc"[:k])) for v, k in zip(names, sizes)}
+    lines = [f"var {v} : {' '.join(f.values)}" for v, f in frames.items()]
+    lines += [f"edge {a} -> {b}" for a, b in edges]
+    for v in names:
+        parents = [a for a, b in edges if b == v]
+        children = subsets_of(frames[v])
+        decay = rng.uniform(0.05, 0.5) ** np.array([c.size - 1 for c in children])
+        base = rng.uniform(0.5, 1.5, len(children)) * decay
+        lines.append(f"table {v} | {' '.join(parents)} kind=k")
+        for cfg in itertools.product(*(subsets_of(frames[p]) for p in parents)):
+            row = base * (1 + spread * rng.uniform(-1, 1, len(children)))
+            row /= row.sum()
+            for c, x in zip(children, row):
+                left = f"{c} | {' '.join(map(str, cfg))}" if cfg else str(c)
+                lines.append(f"  {left} : {float(x)!r}")
+        lines.append("end")
+    return parse_network("\n".join(lines))
 
 
 class TestSplitRows:
@@ -119,6 +214,16 @@ class TestExtensionRows:
         cpt = build_node_cpt("C", CondCommonalityTable(child, (parent,), vals), 0)
         rows = {str(cfg[0]): cpt.row(cfg) for cfg in cpt.configs()}
         assert np.array_equal(rows["{a}@{a,b}"], rows["{a}"])
+
+    def test_rounding_negatives_clip_to_zero(self):
+        # 2 * 0.1 - 0.2000000000000001 is about -3e-17, inside EXACT_TOL
+        child, parent = bframe("C"), bframe("P")
+        vals = np.array([[0.1, 0.6, 0.3], [0.1, 0.6, 0.3], [0.2000000000000001, 0.5, 0.3]])
+        cpt = build_node_cpt("C", CondCommonalityTable(child, (parent,), vals), 0)
+        at = (parse_ext_value("{a}@{a,b}", parent),)
+        assert 2 * 0.1 - 0.2000000000000001 < 0.0
+        assert cpt.get(at, mask(child, "{a}")) == 0.0
+        assert cpt.probs.min() == 0.0
 
     def test_two_at_coordinates_resolve_per_coordinate(self):
         net = load("collider3.dsn")
@@ -222,20 +327,89 @@ class TestFeasibility:
 
     def test_check_reports_bad_rows(self, loose_cond):
         cpt = _mid_cpt(loose_cond)
-        probs = cpt.probs.copy()
-        probs[0, 0] += 0.5
-        bad = ExtCPT(
-            node=cpt.node,
-            n_successors=cpt.n_successors,
-            child_domain=cpt.child_domain,
-            parent_names=cpt.parent_names,
-            parent_domains=cpt.parent_domains,
-            probs=probs,
-            source=cpt.source,
-        )
-        report = check_feasibility(bad)
-        assert any("sums to" in e for e in report.errors)
-        assert any("class" in e for e in report.errors)
+
+        def errors(row, moves):
+            probs = cpt.probs.copy()
+            for c, delta in moves:
+                probs[row, c] += delta
+            bad = ExtCPT(
+                node=cpt.node,
+                n_successors=cpt.n_successors,
+                child_domain=cpt.child_domain,
+                parent_names=cpt.parent_names,
+                parent_domains=cpt.parent_domains,
+                probs=probs,
+                source=cpt.source,
+            )
+            return check_feasibility(bad).errors
+
+        plain = errors(0, [(0, 0.5)])
+        assert any("sums to" in e for e in plain)
+        assert any("class" in e for e in plain)
+        # mass moved within a compound row keeps its row sum and every class sum
+        assert errors(3, [(2, -0.1), (0, 0.1)]) == [
+            "node X2: deferral row {a}o{a,b} differs from {a,b}"
+        ]
+        assert errors(5, [(0, -0.1), (1, 0.1)]) == [
+            "node X2: substitution average of {a}@{a,b} and {a,b} does not reproduce {a}"
+        ]
+        assert "node X2: negative P({a}|{b}@{a,b}) = -0.05" in errors(6, [(0, -0.1), (1, 0.1)])
+
+
+class TestAgainstRecursion:
+    @pytest.mark.parametrize(
+        "fixture",
+        [
+            "chain3_ternary.dsn",
+            "chain4_sampling.dsn",
+            "collider3.dsn",
+            "star4_proper.dsn",
+            "star5_negjoint.dsn",
+            "vacuous1.dsn",
+        ],
+    )
+    def test_bitwise_equal_on_feasible_fixtures(self, fixture):
+        net = load(fixture)
+        for name, cpt in build_network_cpts(net).items():
+            want = recursive_probs(name, cpt.source, cpt.n_successors)
+            assert cpt.probs.tobytes() == want.tobytes(), name
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["chain", "star", "collider"]),
+        st.lists(st.sampled_from([2, 3]), min_size=3, max_size=3),
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_networks_agree(self, seed, shape, sizes, spread):
+        net = _random_net(np.random.default_rng(seed), shape, sizes, spread)
+        try:
+            cpts = build_network_cpts(net)
+        except InfeasibleModelError as err:
+            got = str(err)
+        else:
+            got = None
+        want, failure = {}, None
+        for name in topological_order(net):
+            try:
+                want[name] = recursive_probs(
+                    name, net.node(name).table, len(net.node(name).successors)
+                )
+            except InfeasibleModelError as err:
+                failure = err
+                break
+        if isinstance(failure, CompoundRowError):
+            # another failing row may be named, but of the same node
+            node = str(failure).split(":")[0]
+            assert got is not None and got.startswith(f"{node}: P(")
+        elif failure is not None:
+            assert got == str(failure)
+        else:
+            assert got is None, got
+            for name, probs in want.items():
+                assert cpts[name].probs.tobytes() == probs.tobytes(), name
+                report = check_feasibility(cpts[name])
+                assert report.ok, report
 
 
 class TestNestedFrames:

@@ -170,6 +170,17 @@ class TestNetworkJoint:
         assert report.proper
         assert min(joint.entries.values()) >= -1e-12
 
+    @pytest.mark.parametrize("fixture", ["chain4_negjoint.dsn", "star5_negjoint.dsn"])
+    def test_report_lists_negative_entries(self, fixture):
+        joint, report = network_joint(load(fixture))
+        want = [
+            (f"  {joint.focal(bits)} : {v:.9f}", bits)
+            for bits, v in sorted(joint.entries.items())
+            if v < -1e-12
+        ]
+        assert want and [bits for _, bits in want] == [bits for bits, _ in report.negatives]
+        assert str(report).splitlines()[4:] == [line for line, _ in want]
+
     def test_empty_mass_measured_not_assumed(self):
         for fixture in ("chain4_negjoint.dsn", "star5_negjoint.dsn"):
             _, report = network_joint(load(fixture))

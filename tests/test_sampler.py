@@ -1,5 +1,6 @@
 """Forward sampling: determinism, support, collapse, CSV output."""
 
+import csv
 import io
 
 import numpy as np
@@ -138,6 +139,14 @@ class TestRecords:
         assert freqs["{a,b}"] == pytest.approx(0.2, abs=0.02)
 
 
+def write_records(records, stream):
+    """Reference CSV writer: one csv row per record, in record order."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(records.variables)
+    for rec in records:
+        writer.writerow([str(m) for m in rec.collapsed])
+
+
 class TestCsv:
     def test_single_record_two_lines(self, sampling_net):
         buf = io.StringIO()
@@ -146,14 +155,7 @@ class TestCsv:
         assert lines[0] == "X1,X2,X3,X4"
         assert len(lines) == 3 and lines[2] == ""
 
-    def test_empty_records_header_only(self):
-        buf = io.StringIO()
-        write_csv([], buf, variables=("X1", "X2"))
-        assert buf.getvalue() == "X1,X2\n"
-
     def test_cells_are_canonical_literals(self, sampling_net):
-        import csv
-
         buf = io.StringIO()
         write_csv(generate(sampling_net, 200, seed=4), buf)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
@@ -165,7 +167,7 @@ class TestCsv:
         s = generate(sampling_net, 40, seed=6)
         fast, slow = io.StringIO(), io.StringIO()
         write_csv(s, fast)
-        write_csv(list(s), slow)
+        write_records(s, slow)
         assert fast.getvalue() == slow.getvalue()
 
     def test_classes_beyond_int64_stay_distinct(self):
@@ -183,7 +185,7 @@ class TestCsv:
         )
         fast, slow = io.StringIO(), io.StringIO()
         write_csv(sample, fast)
-        write_csv(list(sample), slow)
+        write_records(sample, slow)
         assert fast.getvalue() == slow.getvalue()
         assert sorted(sample.collapsed_counts().values()) == [1, 2]
 
