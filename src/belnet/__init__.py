@@ -13,6 +13,7 @@ from .errors import (
     InfeasibleModelError,
     NetworkParseError,
     SizeGuardError,
+    StructureError,
     SubsetParseError,
 )
 from .extvals import (

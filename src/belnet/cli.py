@@ -7,13 +7,14 @@ Exit codes: 0 success, 1 parse/size/I-O/out-of-memory error, 2 model infeasibili
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import sys
-from typing import IO
+from typing import IO, Iterator
 
 from .cpt import build_network_cpts, check_feasibility
-from .errors import BelnetError, InfeasibleModelError, NetworkParseError, SizeGuardError
+from .errors import BelnetError, InfeasibleModelError, StructureError
 from .fusion import network_joint, write_joint_csv
 from .network import Network, load_network, validate_structure
 from .sampler import generate, write_csv
@@ -35,6 +36,9 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleModelError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
+    except StructureError as exc:
+        print(exc, file=sys.stderr)
+        return 3
     except (BelnetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -88,18 +92,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_stream(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[IO[str]]:
+    """The file at ``path``, closed on exit, or stdout, left open."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _structure_or_fail(net: Network) -> int | None:
-    report = validate_structure(net)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return 3
-    return None
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            yield stream
 
 
 def _cmd_validate(args) -> int:
@@ -114,12 +114,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_transform(args) -> int:
     net = load_network(args.path)
-    stream, owned = _out_stream(args.output)
-    try:
+    with _output(args.output) as stream:
         _emit_network(net, args.to, stream)
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -139,39 +135,28 @@ def _emit_network(net: Network, to_kind: str, stream: IO[str]) -> None:
         print(header, file=stream)
         for cfg, child, v in table.items():
             left = str(child) if not cfg else f"{child} | {' '.join(str(c) for c in cfg)}"
-            print(f"  {left} : {v:.9f}", file=stream)
+            print(f"  {left} : {v!r}", file=stream)
         print("end", file=stream)
 
 
 def _cmd_joint(args) -> int:
     net = load_network(args.path)
     joint, report = network_joint(net)
-    stream, owned = _out_stream(args.output)
-    try:
+    with _output(args.output) as stream:
         write_joint_csv(joint, stream)
-    finally:
-        if owned:
-            stream.close()
     print(report, file=sys.stderr)
     return 0
 
 
 def _cmd_cpt(args) -> int:
     net = load_network(args.path)
-    rc = _structure_or_fail(net)
-    if rc is not None:
-        return rc
     cpts = build_network_cpts(net)
     failures = ValidationReport()
     for name in net.variables:
         failures.extend(check_feasibility(cpts[name]))
-    stream, owned = _out_stream(args.output)
-    try:
+    with _output(args.output) as stream:
         for name in net.variables:
             _emit_cpt(cpts[name], stream)
-    finally:
-        if owned:
-            stream.close()
     if not failures.ok:
         print(failures, file=sys.stderr)
         return 3
@@ -190,9 +175,6 @@ def _emit_cpt(cpt, stream: IO[str]) -> None:
 
 def _cmd_sample(args) -> int:
     net = load_network(args.path)
-    rc = _structure_or_fail(net)
-    if rc is not None:
-        return rc
     sample = generate(net, args.count, seed=args.seed)
     if args.output is None:
         write_csv(sample, sys.stdout)
@@ -203,9 +185,6 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify(args) -> int:
     net = load_network(args.path)
-    rc = _structure_or_fail(net)
-    if rc is not None:
-        return rc
     cpts = build_network_cpts(net)
     sample = generate(net, args.count, seed=args.seed, cpts=cpts)
     exact = exact_collapsed_joint(net, cpts)

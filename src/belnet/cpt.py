@@ -29,18 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleModelError, SizeGuardError
+from .errors import InfeasibleModelError, SizeGuardError, StructureError
 from .extvals import OP_AT, OP_DOT, ExtValue, ExtVector, ext_value_index, ext_values, ext_vectors
 from .network import Network, topological_order, validate_structure
 from .tables import (
     EXACT_TOL,
-    REPORT_TOL,
     ROWSUM_TOL,
     CondCommonalityTable,
     Frame,
     SubsetMask,
     ValidationReport,
     cfg_text,
+    commonality_faults,
     mass_to_commonality,
     subsets_of,
 )
@@ -69,10 +69,7 @@ class ExtCPT:
         self._child_pos = {c: i for i, c in enumerate(self.child_domain)}
 
     def configs(self):
-        if not self.parent_domains:
-            yield ()
-            return
-        yield from itertools.product(*self.parent_domains)
+        return itertools.product(*self.parent_domains)
 
     def row_index(self, cfg: tuple[ExtValue, ...]) -> int:
         idx = 0
@@ -186,39 +183,27 @@ def build_node_cpt(node: str, ktable: CondCommonalityTable, n_successors: int) -
 def build_network_cpts(net: Network) -> dict[str, ExtCPT]:
     """Build every node's CPT; mass tables are converted to commonality first.
 
-    Requires a structurally valid network (no directly connected parents).
+    Raises StructureError when two parents of a node are directly connected,
+    and InfeasibleModelError naming the node and row when a commonality table,
+    given or derived, has a negative cell or a row not summing to one (a short
+    row would be drawn with its missing mass on its last positive cell).
     """
     structure = validate_structure(net)
     if not structure.ok:
-        raise ValueError("; ".join(structure.errors))
+        raise StructureError(str(structure))
     cpts: dict[str, ExtCPT] = {}
     for name in topological_order(net):
         node = net.node(name)
         table = node.table
         if table.kind == "m":
             table = mass_to_commonality(table)
-        else:
-            low = float(table.values.min()) if table.values.size else 0.0
-            if low < -EXACT_TOL:
-                raise InfeasibleModelError(
-                    f"node {name}: commonality table has negative value {low:.6g}"
-                )
-        _check_row_sums(name, table)
+        negatives, rows = commonality_faults(table)
+        if negatives:
+            raise InfeasibleModelError(f"node {name}: negative commonality {negatives[0]}")
+        if rows:
+            raise InfeasibleModelError(f"node {name}: commonality {rows[0]}")
         cpts[name] = build_node_cpt(name, table, len(node.successors))
     return cpts
-
-
-def _check_row_sums(node: str, table: CondCommonalityTable) -> None:
-    """Every commonality row must sum to one; a short row would be drawn with its
-    missing mass on the row's last positive cell."""
-    sums = table.values.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > REPORT_TOL)
-    if bad.size:
-        r = int(bad[0])
-        cfg = next(itertools.islice(table.configs(), r, None))
-        raise InfeasibleModelError(
-            f"node {node}: commonality row {cfg_text(cfg)} sums to {sums[r]:.9f}, expected 1"
-        )
 
 
 def check_feasibility(cpt: ExtCPT) -> ValidationReport:

@@ -22,6 +22,11 @@ class NetworkParseError(BelnetError, ValueError):
         super().__init__(message)
 
 
+class StructureError(BelnetError, ValueError):
+    """A node has two parents that are directly connected; the message is the
+    structure report's text, one ``error:`` line per violating pair."""
+
+
 class InfeasibleModelError(BelnetError):
     """The model cannot be turned into proper probabilities.
 

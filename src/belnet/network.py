@@ -16,6 +16,7 @@ Missing table rows default to zero mass.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -63,7 +64,7 @@ def parse_network(text: str, name_hint: str = "net") -> Network:
     """Parse a network definition; raises NetworkParseError with a line number."""
     net = Network(name_hint)
     edges: list[tuple[str, str]] = []
-    pending: dict[str, tuple[int, tuple[str, ...], str, dict]] = {}
+    pending: dict[str, int] = {}  # line of each table header
     cur: dict | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -72,7 +73,7 @@ def parse_network(text: str, name_hint: str = "net") -> Network:
             continue
         if cur is not None:
             if line == "end":
-                _finish_table(net, pending, cur)
+                _finish_table(net, cur)
                 cur = None
             else:
                 _parse_table_row(net, cur, line, lineno)
@@ -101,12 +102,12 @@ def parse_network(text: str, name_hint: str = "net") -> Network:
     for name, node in net.nodes.items():
         if node.table is None:
             raise NetworkParseError(f"no table declared for variable {name!r}")
-        declared = pending[name][1]
+        declared = tuple(f.name for f in node.table.parent_frames)
         if set(declared) != set(node.parents):
             raise NetworkParseError(
                 f"table for {name!r} conditions on ({', '.join(declared) or 'nothing'}) "
                 f"but its incoming edges are ({', '.join(node.parents) or 'none'})",
-                pending[name][0],
+                pending[name],
             )
         # the table's declared parent order is authoritative
         node.parents = declared
@@ -154,15 +155,12 @@ def _parse_edge(net: Network, line: str, lineno: int) -> tuple[str, str]:
 
 
 def _parse_table_header(net: Network, pending: dict, line: str, lineno: int) -> dict:
-    body = line[5:].strip()
-    kind = "m"
-    if "kind=" in body:
-        body, _, kindpart = body.rpartition("kind=")
-        kind = kindpart.strip()
-        if kind not in ("m", "k"):
-            raise NetworkParseError(f"kind must be 'm' or 'k', got {kind!r}", lineno)
-    else:
+    body, found, kind = line[5:].strip().rpartition("kind=")
+    if not found:
         raise NetworkParseError("table header needs kind=m or kind=k", lineno)
+    kind = kind.strip()
+    if kind not in ("m", "k"):
+        raise NetworkParseError(f"kind must be 'm' or 'k', got {kind!r}", lineno)
     if "|" in body:
         childpart, parentpart = body.split("|", 1)
         parents = tuple(parentpart.split())
@@ -181,7 +179,7 @@ def _parse_table_header(net: Network, pending: dict, line: str, lineno: int) -> 
     if child in pending:
         raise NetworkParseError(f"duplicate table for {child!r}", lineno)
     cur = {"child": child, "parents": parents, "kind": kind, "line": lineno, "entries": {}}
-    pending[child] = (lineno, parents, kind, cur["entries"])
+    pending[child] = lineno
     return cur
 
 
@@ -219,16 +217,16 @@ def _parse_table_row(net: Network, cur: dict, line: str, lineno: int) -> None:
     cur["entries"][key] = value
 
 
-def _finish_table(net: Network, pending: dict, cur: dict) -> None:
+def _finish_table(net: Network, cur: dict) -> None:
     child = cur["child"]
     frames = tuple(net.nodes[p].frame for p in cur["parents"])
     cls = CondMassTable if cur["kind"] == "m" else CondCommonalityTable
     net.nodes[child].table = cls.from_entries(net.nodes[child].frame, frames, cur["entries"])
 
 
-def _kahn_order(net: Network) -> list[str]:
-    """Parents-first order that takes, at each step, the earliest-declared node
-    whose parents are all placed; shorter than the network on a cycle."""
+def topological_order(net: Network) -> tuple[str, ...]:
+    """Parents-first node order that takes, at each step, the earliest-declared
+    node whose parents are all placed; raises NetworkParseError on a cycle."""
     names = list(net.nodes)
     index = {n: i for i, n in enumerate(names)}
     indeg = [0] * len(names)
@@ -245,14 +243,8 @@ def _kahn_order(net: Network) -> list[str]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(ready, c)
-    return order
-
-
-def topological_order(net: Network) -> tuple[str, ...]:
-    """Parents-first node order, stable with respect to declaration order."""
-    order = _kahn_order(net)
-    if len(order) != len(net.nodes):
-        stuck = [n for n in net.nodes if n not in order]
+    if len(order) != len(names):
+        stuck = [n for n in names if n not in order]
         raise NetworkParseError(f"cycle involving {', '.join(sorted(stuck))}")
     return tuple(order)
 
@@ -266,17 +258,11 @@ def edge_index(net: Network, parent: str, child: str) -> int:
 
 
 def validate_structure(net: Network) -> ValidationReport:
-    """Report cycles and directly-connected parent pairs."""
+    """Report directly-connected parent pairs (the parser rejects cycles)."""
     report = ValidationReport()
-    if len(_kahn_order(net)) != len(net.nodes):
-        report.errors.append("network contains a cycle")
     edge_set = set(net.edges)
     for name, node in net.nodes.items():
-        ps = node.parents
-        for i, u in enumerate(ps):
-            for v in ps[i + 1 :]:
-                if (u, v) in edge_set or (v, u) in edge_set:
-                    report.errors.append(
-                        f"parents {u!r} and {v!r} of {name!r} are directly connected"
-                    )
+        for u, v in itertools.combinations(node.parents, 2):
+            if (u, v) in edge_set or (v, u) in edge_set:
+                report.errors.append(f"parents {u!r} and {v!r} of {name!r} are directly connected")
     return report

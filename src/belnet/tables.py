@@ -128,9 +128,6 @@ class ProductFocal:
     def frames(self) -> tuple[Frame, ...]:
         return tuple(m.frame for m in self.masks)
 
-    def project(self, positions: tuple[int, ...]) -> "ProductFocal":
-        return ProductFocal(tuple(self.masks[i] for i in positions))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(m) for m in self.masks) + ")"
 
@@ -175,16 +172,14 @@ class _CondTable:
             vals[_config_index(parent_frames, cfg), _subset_pos(child_frame)[child.bits]] = v
         return cls(child_frame, parent_frames, vals)
 
-    @property
-    def row_count(self) -> int:
-        return self.values.shape[0]
-
     def configs(self) -> Iterator[tuple[SubsetMask, ...]]:
         """Parent configurations in row order."""
-        if not self.parent_frames:
-            yield ()
-            return
-        yield from itertools.product(*(subsets_of(f) for f in self.parent_frames))
+        return itertools.product(*(subsets_of(f) for f in self.parent_frames))
+
+    def config(self, r: int) -> tuple[SubsetMask, ...]:
+        """The parent configuration of row ``r``."""
+        idx = np.unravel_index(r, self._dims)
+        return tuple(subsets_of(f)[i] for f, i in zip(self.parent_frames, idx))
 
     def row(self, cfg: tuple[SubsetMask, ...]) -> np.ndarray:
         return self.values[_config_index(self.parent_frames, cfg)]
@@ -284,8 +279,8 @@ def mass_to_commonality(m: CondMassTable) -> CondCommonalityTable:
     low = vals.min() if vals.size else 0.0
     if low < -EXACT_TOL:
         r, c = np.unravel_index(int(vals.argmin()), vals.shape)
-        cfg = next(itertools.islice(m.configs(), int(r), None))
-        child = subsets_of(m.child_frame)[int(c)]
+        cfg = m.config(r)
+        child = subsets_of(m.child_frame)[c]
         raise InfeasibleModelError(
             f"negative commonality value {low:.6g} at "
             f"({','.join(str(x) for x in cfg)} ; {child}) for child {m.child_frame.name!r}"
@@ -328,28 +323,38 @@ def validate_table(t: _CondTable) -> ValidationReport:
     otherwise; deviations are warnings, not errors.
     """
     report = ValidationReport()
-    sums = t.values.sum(axis=1)
+    name = t.child_frame.name
     if t.kind == "k":
-        for r, cfg in enumerate(t.configs()):
-            if abs(sums[r] - 1.0) > REPORT_TOL:
-                report.errors.append(
-                    f"{t.child_frame.name}: row {cfg_text(cfg)} sums to {sums[r]:.9f}, expected 1"
-                )
-        if t.values.min(initial=0.0) < -EXACT_TOL:
-            for cfg, child, v in t.items():
-                if v < -EXACT_TOL:
-                    report.errors.append(
-                        f"{t.child_frame.name}: negative value {v:.6g} at ({cfg_text(cfg)} ; {child})"
-                    )
+        negatives, rows = commonality_faults(t)
+        report.errors += [f"{name}: {row}" for row in rows]
+        report.errors += [f"{name}: negative value {cell}" for cell in negatives]
     else:
-        for r, cfg in enumerate(t.configs()):
-            want = 1.0 if all(c.is_full for c in cfg) else 0.0
-            if abs(sums[r] - want) > CONVENTION_TOL:
-                report.warnings.append(
-                    f"{t.child_frame.name}: mass row {cfg_text(cfg)} sums to {sums[r]:.9f}, "
-                    f"convention expects {want:g}"
-                )
+        sums = t.values.sum(axis=1)
+        want = np.zeros_like(sums)
+        want[-1] = 1.0  # the all-full-sets configuration is the last row
+        for r in np.flatnonzero(np.abs(sums - want) > CONVENTION_TOL):
+            report.warnings.append(
+                f"{name}: mass row {cfg_text(t.config(r))} sums to {sums[r]:.9f}, "
+                f"convention expects {want[r]:g}"
+            )
     return report
+
+
+def commonality_faults(t: _CondTable) -> tuple[list[str], list[str]]:
+    """Where ``t`` breaks the commonality-table contract: its cells below
+    -EXACT_TOL, as ``v at (cfg ; child)``, and its rows that do not sum to one
+    within REPORT_TOL, as ``row cfg sums to s, expected 1``; each in row order."""
+    children = subsets_of(t.child_frame)
+    negatives = [
+        f"{t.values[r, c]:.6g} at ({cfg_text(t.config(r))} ; {children[c]})"
+        for r, c in zip(*np.nonzero(t.values < -EXACT_TOL))
+    ]
+    sums = t.values.sum(axis=1)
+    rows = [
+        f"row {cfg_text(t.config(r))} sums to {sums[r]:.9f}, expected 1"
+        for r in np.flatnonzero(np.abs(sums - 1.0) > REPORT_TOL)
+    ]
+    return negatives, rows
 
 
 def csv_cells(values: Iterable) -> list[str]:

@@ -3,10 +3,12 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
-from belnet import load_network, mass_to_commonality
+from belnet import load_network, mass_to_commonality, validate_structure
 import belnet.cli as cli_mod
+import belnet.cpt as cpt_mod
 from belnet.cli import main
 
 from conftest import fixture_path
@@ -18,6 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# X3's parents X1 and X2 are joined by an edge
+CONNECTED_PARENTS = (
+    "var X1 : a b\nvar X2 : a b\nvar X3 : a b\n"
+    "edge X1 -> X2\nedge X1 -> X3\nedge X2 -> X3\n"
+    "table X1 | kind=m\n  {a,b} : 1\nend\n"
+    "table X2 | X1 kind=m\n  {a,b} | {a,b} : 1\nend\n"
+    "table X3 | X1 X2 kind=m\n  {a,b} | {a,b} {a,b} : 1\nend\n"
+)
+
+
 class TestValidate:
     def test_valid_network(self, capsys):
         code, out, _ = run(capsys, "validate", fixture_path("chain4_negjoint.dsn"))
@@ -25,13 +37,7 @@ class TestValidate:
 
     def test_structure_violation_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.dsn"
-        bad.write_text(
-            "var X1 : a b\nvar X2 : a b\nvar X3 : a b\n"
-            "edge X1 -> X2\nedge X1 -> X3\nedge X2 -> X3\n"
-            "table X1 | kind=m\n  {a,b} : 1\nend\n"
-            "table X2 | X1 kind=m\n  {a,b} | {a,b} : 1\nend\n"
-            "table X3 | X1 X2 kind=m\n  {a,b} | {a,b} {a,b} : 1\nend\n"
-        )
+        bad.write_text(CONNECTED_PARENTS)
         code, out, _ = run(capsys, "validate", str(bad))
         assert code == 3 and "directly connected" in out
 
@@ -88,7 +94,7 @@ class TestTransform:
                 want = mass_to_commonality(want)
             got = converted.node(name).table
             assert got.kind == "k"
-            assert abs(got.values - want.values).max() <= 1e-8
+            assert np.array_equal(got.values, want.values)
 
     def test_to_mass_is_identity_on_mass_input(self, capsys, tmp_path):
         dest = tmp_path / "as_m.dsn"
@@ -99,8 +105,21 @@ class TestTransform:
         converted = load_network(str(dest))
         original = load_network(fixture_path("chain4_sampling.dsn"))
         for name in original.variables:
-            diff = abs(converted.node(name).table.values - original.node(name).table.values)
-            assert diff.max() <= 1e-9
+            assert np.array_equal(
+                converted.node(name).table.values, original.node(name).table.values
+            )
+
+    @pytest.mark.parametrize("kind", ["k", "m"])
+    @pytest.mark.parametrize(
+        "fixture", ["chain4_sampling.dsn", "star4_proper.dsn", "star5_negjoint.dsn"]
+    )
+    def test_output_builds_cpts(self, capsys, tmp_path, fixture, kind):
+        # written values parse back exactly, so commonality rows still sum to one
+        dest = tmp_path / f"as_{kind}.dsn"
+        code, _, _ = run(capsys, "transform", fixture_path(fixture), "--to", kind, "-o", str(dest))
+        assert code == 0
+        code, _, err = run(capsys, "cpt", str(dest))
+        assert code == 0 and err == ""
 
 
 class TestCpt:
@@ -120,15 +139,49 @@ class TestCpt:
 
     def test_structure_violation_blocks_cpt(self, capsys, tmp_path):
         bad = tmp_path / "bad.dsn"
-        bad.write_text(
-            "var X1 : a b\nvar X2 : a b\nvar X3 : a b\n"
-            "edge X1 -> X2\nedge X1 -> X3\nedge X2 -> X3\n"
-            "table X1 | kind=m\n  {a,b} : 1\nend\n"
-            "table X2 | X1 kind=m\n  {a,b} | {a,b} : 1\nend\n"
-            "table X3 | X1 X2 kind=m\n  {a,b} | {a,b} {a,b} : 1\nend\n"
-        )
+        bad.write_text(CONNECTED_PARENTS)
         code, _, err = run(capsys, "cpt", str(bad))
         assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv", [["cpt"], ["sample", "-n", "10"], ["verify", "-n", "10", "--linf", "1"]],
+    ids=lambda a: a[0],
+)
+class TestBuildCommands:
+    """Every command that builds CPTs checks the model contracts in the build."""
+
+    def test_connected_parents_exit_3(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.dsn"
+        bad.write_text(CONNECTED_PARENTS)
+        code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+        assert code == 3 and out == ""
+        assert err == "error: parents 'X1' and 'X2' of 'X3' are directly connected\n"
+
+    def test_structure_checked_once(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def counted(net):
+            calls.append(net.name)
+            return validate_structure(net)
+
+        for module in (cli_mod, cpt_mod):
+            monkeypatch.setattr(module, "validate_structure", counted, raising=False)
+        code, _, _ = run(capsys, argv[0], fixture_path("chain4_sampling.dsn"), *argv[1:])
+        assert code == 0 and calls == ["chain4_sampling"]
+
+    def test_negative_commonality_exits_2_naming_the_cell(self, capsys, tmp_path, argv):
+        bad = tmp_path / "negative.dsn"
+        bad.write_text(
+            "var X1 : a b\nvar X2 : a b\nedge X1 -> X2\n"
+            "table X1 | kind=k\n  {a} : 0.5\n  {b} : 0.3\n  {a,b} : 0.2\nend\n"
+            "table X2 | X1 kind=k\n  {a} | {a} : 0.6\n  {b} | {a} : -0.1\n"
+            "  {a,b} | {a} : 0.5\n  {a} | {b} : 0.6\n  {b} | {b} : 0.4\n"
+            "  {a} | {a,b} : 0.6\n  {b} | {a,b} : 0.4\nend\n"
+        )
+        code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+        assert code == 2 and out == ""
+        assert err == "infeasible: node X2: negative commonality -0.1 at ({a} ; {b})\n"
 
 
 class TestSample:

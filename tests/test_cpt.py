@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belnet import (
+    BelnetError,
     CondCommonalityTable,
     ExtCPT,
     ExtValue,
@@ -15,6 +16,7 @@ from belnet import (
     Frame,
     InfeasibleModelError,
     SizeGuardError,
+    StructureError,
     build_network_cpts,
     build_node_cpt,
     check_feasibility,
@@ -270,6 +272,32 @@ class TestFeasibility:
             InfeasibleModelError, match=r"node X1: commonality row \(\) sums to 0\.500000000"
         ):
             build_network_cpts(parse_network(text))
+
+    def test_negative_commonality_named_before_short_rows(self):
+        # row {a} holds a negative cell, row {b} sums to 0.9; the cell is reported
+        text = (
+            "var X1 : a b\nvar X2 : a b\nedge X1 -> X2\n"
+            "table X1 | kind=k\n  {a} : 0.5\n  {b} : 0.3\n  {a,b} : 0.2\nend\n"
+            "table X2 | X1 kind=k\n  {a} | {a} : 0.6\n  {b} | {a} : -0.1\n"
+            "  {a,b} | {a} : 0.5\n  {a} | {b} : 0.5\n  {b} | {b} : 0.4\n"
+            "  {a} | {a,b} : 0.6\n  {b} | {a,b} : 0.4\nend\n"
+        )
+        with pytest.raises(InfeasibleModelError) as err:
+            build_network_cpts(parse_network(text))
+        assert str(err.value) == "node X2: negative commonality -0.1 at ({a} ; {b})"
+
+    def test_connected_parents_raise_structure_error(self):
+        text = (
+            "var X1 : a b\nvar X2 : a b\nvar X3 : a b\n"
+            "edge X1 -> X2\nedge X1 -> X3\nedge X2 -> X3\n"
+            "table X1 | kind=m\n  {a,b} : 1\nend\n"
+            "table X2 | X1 kind=m\n  {a,b} | {a,b} : 1\nend\n"
+            "table X3 | X1 X2 kind=m\n  {a,b} | {a,b} {a,b} : 1\nend\n"
+        )
+        with pytest.raises(StructureError) as err:
+            build_network_cpts(parse_network(text))
+        assert isinstance(err.value, ValueError) and isinstance(err.value, BelnetError)
+        assert str(err.value) == "error: parents 'X1' and 'X2' of 'X3' are directly connected"
 
     def test_derived_commonality_row_sum_checked(self):
         # mass rows {a}: 0.3 and {a,b}: 1 cumulate to a commonality row of 1.3

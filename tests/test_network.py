@@ -80,7 +80,28 @@ class TestParse:
             "table X1 | kind=m\n  {a,b} : 1\nend\n"
             "table X2 | kind=m\n  {a,b} : 1\nend\n"
         )
-        with pytest.raises(NetworkParseError, match="incoming edges"):
+        with pytest.raises(
+            NetworkParseError,
+            match=(
+                r"^line 7: table for 'X2' conditions on \(nothing\) "
+                r"but its incoming edges are \(X1\)$"
+            ),
+        ):
+            parse_network(text)
+
+    def test_table_conditions_on_a_non_parent(self):
+        text = (
+            "var X1 : a b\nvar X2 : a b\n"
+            "table X1 | kind=m\n  {a,b} : 1\nend\n"
+            "table X2 | X1 kind=m\n  {a,b} | {a,b} : 1\nend\n"
+        )
+        with pytest.raises(
+            NetworkParseError,
+            match=(
+                r"^line 6: table for 'X2' conditions on \(X1\) "
+                r"but its incoming edges are \(none\)$"
+            ),
+        ):
             parse_network(text)
 
     def test_error_carries_line_number(self):

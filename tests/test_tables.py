@@ -220,6 +220,35 @@ class TestValidateTable:
         report = validate_table(CondCommonalityTable(child, (parent,), vals))
         assert any("negative" in e for e in report.errors)
 
+    def test_commonality_report_text(self):
+        # row sums first, then negative cells, each in row order
+        child, parent = bframe("C"), bframe("P")
+        vals = np.array([[1.1, -0.1, 0.0], [0.5, 0.0, 0.0], [0.7, 0.5, -0.2]])
+        report = validate_table(CondCommonalityTable(child, (parent,), vals))
+        assert report.errors == [
+            "C: row {b} sums to 0.500000000, expected 1",
+            "C: negative value -0.1 at ({a} ; {b})",
+            "C: negative value -0.2 at ({a,b} ; {a,b})",
+        ]
+        assert not report.warnings
+
+    def test_faulty_row_names_its_two_parent_configuration(self):
+        child, p, q = bframe("C"), Frame("P", ("a", "b", "c")), bframe("Q")
+        vals = np.tile([1.0, 0.0, 0.0], (21, 1))
+        vals[13] = [0.5, 0.0, 0.0]  # P = {a,c} (index 4 of 7), Q = {b} (index 1 of 3)
+        report = validate_table(CondCommonalityTable(child, (p, q), vals))
+        assert report.errors == ["C: row {a,c},{b} sums to 0.500000000, expected 1"]
+
+    def test_mass_convention_report_text(self):
+        rows = dict(LOOSE_ROWS)
+        rows[("{a}", "{a}")] = 0.9
+        rows[("{a,b}", "{a,b}")] = 0.2
+        report = validate_table(cond_table(bframe("C"), bframe("P"), rows))
+        assert report.warnings == [
+            "C: mass row {a} sums to 0.733333333, convention expects 0",
+            "C: mass row {a,b} sums to 0.900000000, convention expects 1",
+        ]
+
     def test_mass_convention_violation_is_warning(self):
         rows = dict(LOOSE_ROWS)
         rows[("{a}", "{a}")] = 0.9

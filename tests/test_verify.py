@@ -1,11 +1,18 @@
 """Exhaustive oracle distributions and empirical comparison."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belnet import (
+    Frame,
+    InfeasibleModelError,
     SizeGuardError,
     build_network_cpts,
+    check_feasibility,
     compare_empirical,
     component,
     edge_index,
@@ -14,6 +21,7 @@ from belnet import (
     generate,
     network_joint,
     parse_network,
+    subsets_of,
     topological_order,
 )
 
@@ -163,12 +171,41 @@ class TestAgainstCombinationJoint:
         col = exact_collapsed_joint(net)
         joint, report = network_joint(net)
         assert report.proper
-        keys = set(col.probs)
-        for bits, v in joint.entries.items():
-            focal = joint.focal(bits)
-            assert col.probs.get(tuple(focal.masks), 0.0) == pytest.approx(v, abs=1e-12)
-            keys.discard(tuple(focal.masks))
-        assert all(col.probs[k] == pytest.approx(0.0, abs=1e-12) for k in keys)
+        _assert_collapsed_equals_joint(col, joint)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["chain2", "chain3", "chain4", "collider"]),
+        st.lists(st.sampled_from([2, 3]), min_size=4, max_size=4),
+        st.sampled_from([0.02, 0.2, 0.5]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_one_successor_networks(self, seed, shape, sizes, spread):
+        net = one_successor_net(np.random.default_rng(seed), shape, sizes, spread)
+        try:
+            cpts = build_network_cpts(net)
+        except InfeasibleModelError as err:
+            assert str(err).startswith(tuple(f"node {v}: " for v in net.variables)), err
+            return
+        for cpt in cpts.values():
+            assert check_feasibility(cpt).ok
+        joint, report = network_joint(net)
+        if report.proper:
+            _assert_collapsed_equals_joint(exact_collapsed_joint(net, cpts), joint)
+
+    def test_one_successor_networks_are_mostly_feasible(self):
+        # the property above must see both outcomes, and mostly proper joints
+        outcomes = []
+        for seed in range(40):
+            shape = ["chain2", "chain3", "chain4", "collider"][seed % 4]
+            net = one_successor_net(np.random.default_rng(seed), shape, [3, 2, 3, 2], 0.2)
+            try:
+                build_network_cpts(net)
+            except InfeasibleModelError:
+                outcomes.append("infeasible")
+            else:
+                outcomes.append("proper" if network_joint(net)[1].proper else "improper")
+        assert "infeasible" in outcomes and outcomes.count("proper") > len(outcomes) / 2
 
     def test_star_deviates_but_keeps_marginals(self):
         # multi-successor splitting trades joint faithfulness for feasibility:
@@ -188,6 +225,46 @@ class TestAgainstCombinationJoint:
         assert _joint_marginal(joint, "X2", "{a,b}") == pytest.approx(0.2, abs=1e-9)
         leaf = {str(k): p for k, p in col.marginal("X2").items()}
         assert leaf["{a,b}"] == pytest.approx(0.2286, abs=1e-4)
+
+
+def one_successor_net(rng, shape, sizes, spread):
+    """A 2- to 4-node chain or a 3-node collider with commonality tables.
+
+    Per node, a base row shrinks by a factor per extra subset member, 0.1 on a
+    node with a successor and 0.5 on a leaf; every row is the base perturbed
+    by up to ``spread`` (relative, per cell) and renormalized.
+    """
+    if shape == "collider":
+        names, edges = ["X1", "X2", "X3"], [("X1", "X3"), ("X2", "X3")]
+    else:
+        names = [f"X{i}" for i in range(1, int(shape[-1]) + 1)]
+        edges = list(zip(names, names[1:]))
+    frames = {v: Frame(v, tuple("abc"[:k])) for v, k in zip(names, sizes)}
+    lines = [f"var {v} : {' '.join(f.values)}" for v, f in frames.items()]
+    lines += [f"edge {a} -> {b}" for a, b in edges]
+    for v in names:
+        parents = [a for a, b in edges if b == v]
+        children = subsets_of(frames[v])
+        decay = 0.1 if any(a == v for a, _ in edges) else 0.5
+        base = decay ** np.array([c.size - 1.0 for c in children])
+        lines.append(f"table {v} | {' '.join(parents)} kind=k")
+        for cfg in itertools.product(*(subsets_of(frames[p]) for p in parents)):
+            row = base * (1 + spread * rng.uniform(-1, 1, len(children)))
+            row /= row.sum()
+            for c, x in zip(children, row):
+                left = f"{c} | {' '.join(map(str, cfg))}" if cfg else str(c)
+                lines.append(f"  {left} : {float(x)!r}")
+        lines.append("end")
+    return parse_network("\n".join(lines))
+
+
+def _assert_collapsed_equals_joint(col, joint):
+    keys = set(col.probs)
+    for bits, v in joint.entries.items():
+        focal = joint.focal(bits)
+        assert col.probs.get(tuple(focal.masks), 0.0) == pytest.approx(v, abs=1e-12)
+        keys.discard(tuple(focal.masks))
+    assert all(col.probs[k] == pytest.approx(0.0, abs=1e-12) for k in keys)
 
 
 def _joint_marginal(joint, variable, literal) -> float:
