@@ -54,10 +54,6 @@ class ExtValue:
     def frame(self) -> Frame:
         return self.own.frame
 
-    @property
-    def depth(self) -> int:
-        return 0 if self.sup is None else 1 + self.sup.depth
-
     def __str__(self) -> str:
         if self.is_plain:
             return str(self.own)

@@ -20,7 +20,7 @@ from .extvals import component, ext_value_index
 from .network import Network, edge_index, topological_order
 
 _CHUNK = 1 << 18
-_INT64_MAX = np.iinfo(np.int64).max
+_GUIDE_CELLS = 1 << 21  # guide entries per node, at most
 
 
 @dataclass(frozen=True)
@@ -49,22 +49,50 @@ def row_offsets(net: Network, cpts: dict[str, ExtCPT], name: str) -> list[tuple[
 
 
 class _NodeDraw:
-    """One node's drawing tables: the cumulative CPT rows, the last positive
-    cell of each row, and the row offsets of the parents' record columns."""
+    """One node's drawing tables: the cumulative CPT rows, the last positive cell
+    of each row, a guide of ``k`` buckets per row, and per parent, its record
+    column and its ``row_offsets`` pre-multiplied by ``k``."""
 
-    def __init__(self, net: Network, cpts: dict[str, ExtCPT], name: str, column: dict[str, int]):
-        probs = cpts[name].probs
+    def __init__(self, probs: np.ndarray, parents: list[tuple[int, np.ndarray]]):
         # rows of nonnegative cells, so every CDF row is nondecreasing
         self.cdf = np.cumsum(probs, axis=1)
         self.top = np.where(probs > 0.0, np.arange(probs.shape[1]), -1).max(axis=1)
-        self.parents = [(column[p], offsets) for p, offsets in row_offsets(net, cpts, name)]
+        self.k = 1 << max(4, (8 * probs.shape[1] - 1).bit_length())
+        while self.k > 1 and probs.shape[0] * self.k > _GUIDE_CELLS:
+            self.k >>= 1
+        self.guide = _guide(self.cdf, self.top, self.k)
+        self.parents = [(col, offsets * self.k) for col, offsets in parents]
 
     def draw(self, records: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Child index per record, given its parents' columns in ``records``."""
-        rows = np.zeros(len(u), dtype=np.int64)
+        """Child index per record, given its parents' columns in ``records``:
+        one guide lookup, and a binary search where the bucket holds a CDF entry."""
+        cell = (u * self.k).astype(np.int64)
         for col, offsets in self.parents:
-            rows += offsets[records[:, col]]
-        return _draw_cells(self.cdf, self.top, rows, u)
+            cell += offsets[records[:, col]]
+        out = self.guide[cell]
+        miss = np.flatnonzero(out < 0)
+        if len(miss):
+            out[miss] = _draw_cells(self.cdf, self.top, cell[miss] // self.k, u[miss])
+        return out
+
+
+def _guide(cdf: np.ndarray, top: np.ndarray, k: int) -> np.ndarray:
+    """Per row r and bucket b, flattened: ``min(#{c : cdf[r, c] <= u}, top[r])``,
+    the same for every u in ``[b/k, (b+1)/k)``, or -1 where a CDF entry lies
+    inside the bucket.  ``k`` is a power of two, so ``cdf * k`` and ``u * k``
+    are exact, and the cells <= u are those with ``ceil(cdf * k) <= b``."""
+    scaled = cdf * k
+    ceil = np.ceil(scaled)
+    guide = np.zeros(cdf.shape[:1] + (k,), dtype=np.min_scalar_type(-cdf.shape[1] - 1))
+    # the last cell of each run of equal ceilings sets the count from its bucket on
+    last = np.diff(ceil, axis=1, append=np.inf) != 0
+    r, c = np.nonzero(last & (ceil < k))
+    guide[r, ceil[r, c].astype(np.intp)] = c + 1
+    np.maximum.accumulate(guide, axis=1, out=guide)
+    np.minimum(guide, top[:, None].astype(guide.dtype), out=guide)
+    r, c = np.nonzero((scaled != ceil) & (scaled < k))
+    guide[r, scaled[r, c].astype(np.intp)] = -1
+    return guide.ravel()
 
 
 def _draw_cells(cdf: np.ndarray, top: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -90,14 +118,14 @@ class Sample(Sequence[SampleRecord]):
     """A drawn sample; indexable as SampleRecord objects.
 
     ``codes`` holds the per-variable child-domain indices (records x variables,
-    declaration order).
+    declaration order); ``generate`` stores contiguous columns of a narrow unsigned type.
     """
 
     def __init__(self, variables: tuple[str, ...], domains: list, codes: np.ndarray):
         self.variables = variables
         self.domains = domains
         self.codes = codes
-        self._subsets = [_subsets_cache(domain) for domain in domains]
+        self._subsets = [subsets_of(_own(domain[0]).frame) for domain in domains]
         self._own_index = [own_index(domain) for domain in domains]
 
     def __len__(self) -> int:
@@ -109,9 +137,6 @@ class Sample(Sequence[SampleRecord]):
         row = self.codes[i]
         extended = tuple(domain[c] for domain, c in zip(self.domains, row))
         return SampleRecord(self.variables, extended, tuple(_own(v) for v in extended))
-
-    def __iter__(self) -> Iterator[SampleRecord]:
-        return (self[i] for i in range(len(self)))
 
     def collapsed_counts(self) -> dict[tuple[SubsetMask, ...], int]:
         """Counts of collapsed records, keyed by per-variable subsets."""
@@ -140,14 +165,20 @@ class Sample(Sequence[SampleRecord]):
             key = np.zeros(len(codes), dtype=np.int64)
             bound = 1
             for j, subs in enumerate(self._subsets):
-                if bound > _INT64_MAX // len(subs):
+                if bound > np.iinfo(np.int64).max // len(subs):
                     uniq, key = np.unique(key, return_inverse=True)
                     bound = len(uniq)
                 key = key * len(subs) + self._own_index[j][codes[:, j]]
                 bound *= len(subs)
-            uniq, inv = np.unique(key, return_inverse=True)
+            if bound <= 4 * len(key) + 1024:
+                # dense presence: ranks in key order, as np.unique gives them
+                seen = np.zeros(bound, dtype=bool)
+                seen[key] = True
+                inv = (np.cumsum(seen) - 1)[key]
+            else:
+                inv = np.unique(key, return_inverse=True)[1]
             # one record standing for each class
-            rep = np.empty(len(uniq), dtype=np.int64)
+            rep = np.empty(inv.max() + 1, dtype=np.int64)
             rep[inv] = np.arange(len(inv))
             own = np.stack([m[codes[rep, j]] for j, m in enumerate(self._own_index)], axis=1)
             yield inv, own
@@ -162,10 +193,6 @@ def own_index(domain) -> np.ndarray:
     ``subsets_of`` order."""
     pos = _subset_pos(_own(domain[0]).frame)
     return np.array([pos[_own(v).bits] for v in domain], dtype=np.int64)
-
-
-def _subsets_cache(domain) -> tuple[SubsetMask, ...]:
-    return subsets_of(_own(domain[0]).frame)
 
 
 def generate(
@@ -185,15 +212,18 @@ def generate(
     variables = tuple(net.variables)
     column = {name: j for j, name in enumerate(variables)}
     topo = topological_order(net)
-    nodes = [(column[name], _NodeDraw(net, cpts, name, column)) for name in topo]
-    codes = np.empty((count, len(topo)), dtype=np.int64)
+    parents = {name: [(column[p], o) for p, o in row_offsets(net, cpts, name)] for name in topo}
+    nodes = [(column[name], _NodeDraw(cpts[name].probs, parents[name])) for name in topo]
+    widest = max(len(cpts[name].child_domain) for name in topo)
+    # one contiguous column per variable, in the narrowest unsigned type
+    codes = np.empty((count, len(topo)), dtype=np.min_scalar_type(widest - 1), order="F")
     rng = np.random.Generator(np.random.Philox(seed))
     for lo in range(0, count, _CHUNK):
         chunk = codes[lo : lo + _CHUNK]
-        # one variate per record per node, in topological order
-        u = rng.random((len(chunk), len(topo)))
+        # one variate per record per node, in topological order; a row per node
+        u = rng.random((len(chunk), len(topo))).T.copy()
         for t, (col, node) in enumerate(nodes):
-            chunk[:, col] = node.draw(chunk, u[:, t])
+            chunk[:, col] = node.draw(chunk, u[t])
     return Sample(variables, [cpts[name].child_domain for name in variables], codes)
 
 

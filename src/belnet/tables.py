@@ -273,20 +273,14 @@ def mass_to_commonality(m: CondMassTable) -> CondCommonalityTable:
 
     The result is nonnegative with unit row sums for well-formed inputs.
     Values in [-EXACT_TOL, 0] are clamped to zero; anything lower raises
-    InfeasibleModelError (the input has no such representation).
+    InfeasibleModelError naming the node and the first such cell, as for a
+    given commonality table (the input has no such representation).
     """
     vals = _parent_superset_sums(m, inverse=False)
-    low = vals.min() if vals.size else 0.0
-    if low < -EXACT_TOL:
-        r, c = np.unravel_index(int(vals.argmin()), vals.shape)
-        cfg = m.config(r)
-        child = subsets_of(m.child_frame)[c]
-        raise InfeasibleModelError(
-            f"negative commonality value {low:.6g} at "
-            f"({','.join(str(x) for x in cfg)} ; {child}) for child {m.child_frame.name!r}"
-        )
-    vals = np.clip(vals, 0.0, None)
-    return CondCommonalityTable(m.child_frame, m.parent_frames, vals)
+    negatives, _ = commonality_faults(CondCommonalityTable(m.child_frame, m.parent_frames, vals))
+    if negatives:
+        raise InfeasibleModelError(f"node {m.child_frame.name}: negative commonality {negatives[0]}")
+    return CondCommonalityTable(m.child_frame, m.parent_frames, np.clip(vals, 0.0, None))
 
 
 def commonality_to_mass(k: CondCommonalityTable) -> CondMassTable:

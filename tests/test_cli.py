@@ -183,6 +183,13 @@ class TestBuildCommands:
         assert code == 2 and out == ""
         assert err == "infeasible: node X2: negative commonality -0.1 at ({a} ; {b})\n"
 
+    def test_mass_table_negative_commonality_names_node_and_cell(self, capsys, tmp_path, argv):
+        bad = tmp_path / "negative.dsn"
+        bad.write_text("var X1 : a b\ntable X1 | kind=m\n  {a} : 1.2\n  {b} : -0.2\nend\n")
+        code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+        assert code == 2 and out == ""
+        assert err == "infeasible: node X1: negative commonality -0.2 at (() ; {b})\n"
+
 
 class TestSample:
     def test_csv_line_count(self, capsys, tmp_path):

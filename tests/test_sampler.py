@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from belnet import (
     component,
     edge_index,
     generate,
+    load_network,
     subsets_of,
     write_csv,
 )
@@ -40,6 +42,21 @@ class TestDeterminism:
         parts = generate(sampling_net, 300, seed=9, cpts=cpts)
         assert np.array_equal(whole.codes, parts.codes)
 
+    def test_codes_are_narrow_contiguous_columns(self, sampling_net, tmp_path):
+        assert generate(sampling_net, 10, seed=0).codes.dtype == np.uint8
+        # a quaternary parent has 281 extended values; weight 0.1^(|s|-1) on each
+        # subset s keeps its split over them nonnegative
+        subsets = [",".join(c) for n in range(1, 5) for c in itertools.combinations("abcd", n)]
+        weights = [0.1 ** s.count(",") for s in subsets]
+        root = "".join(f"  {{{s}}} : {w / sum(weights)!r}\n" for s, w in zip(subsets, weights))
+        wide = tmp_path / "wide.dsn"
+        wide.write_text(
+            f"var A : a b c d\nvar B : a b\nedge A -> B\ntable A | kind=k\n{root}end\n"
+            "table B | A kind=m\n  {a,b} | {a,b,c,d} : 1\nend\n"
+        )
+        codes = generate(load_network(str(wide)), 10, seed=0).codes
+        assert codes.dtype == np.uint16 and codes.flags.f_contiguous
+
     def test_different_seeds_differ(self, sampling_net):
         cpts = build_network_cpts(sampling_net)
         a = generate(sampling_net, 200, seed=0, cpts=cpts)
@@ -54,34 +71,57 @@ def _reference_draw(probs, cdf, r, u):
     return min(count, max(c for c, p in enumerate(probs[r]) if p > 0.0))
 
 
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
 @st.composite
-def _cpt_rows(draw):
-    """Random CPT rows, with runs of zero cells at either end, and records whose
-    variates include exact CDF entries."""
-    width = draw(st.integers(1, 12))
+def _cpt_rows(draw, max_width=12):
+    """Random CPT rows and records, in the cases the guide table must get
+    right: runs of zero cells at either end (the ``top`` clip), rows of dyadic
+    cells whose CDF entries sit exactly on bucket edges, rows summing to
+    1 +- 1e-12 or short of one, and variates on CDF entries, just below them,
+    on bucket edges and just below one."""
+    width = draw(st.integers(1, max_width))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = []
     for _ in range(draw(st.integers(1, 5))):
-        weights = draw(st.lists(st.integers(0, 5), min_size=width, max_size=width))
+        weights = rng.integers(0, 6, width)
         lead = draw(st.integers(0, width - 1))
         trail = draw(st.integers(0, width - 1 - lead))
-        weights = [0] * lead + weights[lead : width - trail] + [0] * trail
-        if not any(weights):
+        weights[:lead] = 0
+        weights[width - trail :] = 0
+        if not weights.any():
             weights[lead] = 1
-        rows.append(np.asarray(weights, dtype=float) / sum(weights))
+        kind = draw(st.sampled_from(["plain", "dyadic", "over", "under", "short"]))
+        total = int(weights.sum())
+        if kind == "dyadic":
+            # a power-of-two total, so every CDF entry is an exact bucket edge
+            weights[np.flatnonzero(weights)[0]] += (1 << (total - 1).bit_length()) - total
+            total = int(weights.sum())
+        scale = {"over": 1 + 1e-12, "under": 1 - 1e-12, "short": 0.9}.get(kind, 1.0)
+        rows.append(weights / total * scale)
     probs = np.array(rows)
     cdf = np.cumsum(probs, axis=1)
     n = draw(st.integers(1, 40))
     recs = draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
-    us = [
-        draw(
-            st.one_of(
-                st.floats(0.0, 1.0, exclude_max=True),
-                st.integers(0, width - 1).map(lambda c, r=r: float(cdf[r, c])),
-            )
-        )
-        for r in recs
-    ]
+    us = []
+    for r in recs:
+        entry = cdf[r, rng.integers(width)]
+        e = int(rng.integers(13))
+        u = [
+            rng.random(),
+            entry,
+            np.nextafter(entry, 0.0),
+            rng.integers(1 << e) / (1 << e),  # a bucket edge for every k >= 2^e
+            _BELOW_ONE,
+        ][draw(st.integers(0, 4))]
+        us.append(min(float(u), _BELOW_ONE))
     return probs, np.asarray(recs, dtype=np.int64), np.asarray(us)
+
+
+def _node_draw(probs):
+    """A node whose one parent column holds the CPT row of each record."""
+    return sampler_mod._NodeDraw(probs, [(0, np.arange(len(probs), dtype=np.int64))])
 
 
 class TestDrawRule:
@@ -94,6 +134,56 @@ class TestDrawRule:
         got = sampler_mod._draw_cells(cdf, top, rows, u)
         want = [_reference_draw(probs, cdf, r, x) for r, x in zip(rows, u)]
         assert got.tolist() == want
+
+    @given(_cpt_rows(max_width=300))
+    @settings(max_examples=200, deadline=None)
+    def test_guide_and_fallback_match_reference(self, case):
+        probs, rows, u = case
+        node = _node_draw(probs)
+        got = node.draw(rows[:, None], u)
+        want = [_reference_draw(probs, node.cdf, r, x) for r, x in zip(rows, u)]
+        assert got.tolist() == want
+
+    def _counted_fallback(self, monkeypatch):
+        calls = []
+        exact = sampler_mod._draw_cells
+
+        def counted(cdf, top, rows, u):
+            calls.append(len(u))
+            return exact(cdf, top, rows, u)
+
+        monkeypatch.setattr(sampler_mod, "_draw_cells", counted)
+        return calls
+
+    def test_fallback_fires_inside_a_bucket_holding_a_cdf_entry(self, monkeypatch):
+        calls = self._counted_fallback(monkeypatch)
+        probs = np.array([[0.3, 0.7]])
+        node = _node_draw(probs)
+        u = np.array([float(np.nextafter(0.3, 0.0)), 0.3, 0.0, 0.5, _BELOW_ONE])
+        got = node.draw(np.zeros((len(u), 1), dtype=np.uint8), u)
+        assert got.tolist() == [0, 1, 0, 1, 1]
+        assert calls == [2]
+
+    def test_fallback_never_fires_on_bucket_edges(self, monkeypatch):
+        calls = self._counted_fallback(monkeypatch)
+        probs = np.array([[0.25, 0.25, 0.5, 0.0], [0.0, 0.5, 0.375, 0.125]])
+        node = _node_draw(probs)
+        assert node.guide.min() >= 0
+        u = np.array([0.0, 0.25, float(np.nextafter(0.25, 0.0)), 0.5, 0.875, _BELOW_ONE] * 2)
+        rows = np.repeat([0, 1], 6)
+        got = node.draw(rows[:, None], u)
+        assert got.tolist() == [_reference_draw(probs, node.cdf, r, x) for r, x in zip(rows, u)]
+        assert calls == []
+
+    def test_cell_budget_shrinks_buckets(self, monkeypatch):
+        monkeypatch.setattr(sampler_mod, "_GUIDE_CELLS", 1)
+        probs = np.array([[0.3, 0.7], [0.5, 0.5]])
+        node = _node_draw(probs)
+        assert node.k == 1 and node.guide.tolist() == [-1, -1]
+        u = np.array([0.0, 0.3, 0.5, 0.7, _BELOW_ONE])
+        rows = np.array([0, 0, 1, 1, 1])
+        got = node.draw(rows[:, None], u)
+        assert got.tolist() == [_reference_draw(probs, node.cdf, r, x) for r, x in zip(rows, u)]
 
 
 class TestRecords:
