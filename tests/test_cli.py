@@ -279,3 +279,35 @@ class TestVerify:
             capsys, "verify", fixture_path("vacuous3.dsn"), "-n", "10"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "fixture, lines",
+        [
+            (
+                "chain3_ternary.dsn",
+                [
+                    "records: 20000",
+                    "cells (exact support): 343",
+                    "L-infinity distance: 0.002330000 (threshold 0.010000000)",
+                    "chi-square: 348.600031 on 342 degrees of freedom",
+                    "result: PASS",
+                ],
+            ),
+            (
+                "star4_proper.dsn",
+                [
+                    "records: 20000",
+                    "cells (exact support): 81",
+                    "L-infinity distance: 0.002034127 (threshold 0.010000000)",
+                    "chi-square: 76.874746 on 80 degrees of freedom",
+                    "result: PASS",
+                ],
+            ),
+        ],
+    )
+    def test_report_text(self, capsys, fixture, lines):
+        code, out, err = run(
+            capsys, "verify", fixture_path(fixture), "-n", "20000", "--seed", "1"
+        )
+        assert code == 0 and err == ""
+        assert out == "\n".join(lines) + "\n"
