@@ -38,8 +38,7 @@ from .tables import (
     superset_sums,
 )
 
-MAX_SCOPE = 6
-MAX_FOCAL = 10_000_000
+MAX_CELLS = 1 << 23  # entries of the dense array, one axis of 2^|frame| per variable
 
 
 @dataclass
@@ -108,15 +107,10 @@ def network_joint(net: Network) -> tuple[JointMass, NegativityReport]:
     """Combine all node tables; ``entries`` holds every product of nonempty
     subsets, zero or not."""
     names = list(net.variables)
-    if len(names) > MAX_SCOPE:
-        raise SizeGuardError(f"joint computation supports at most {MAX_SCOPE} variables")
-    for name in names:
-        if not 2 <= len(net.frame(name)) <= 4:
-            raise SizeGuardError(f"variable {name!r} needs 2..4 values for the joint oracle")
     frames = tuple(net.frame(n) for n in names)
-    focal = math.prod((1 << len(f)) - 1 for f in frames)
-    if focal >= MAX_FOCAL:
-        raise SizeGuardError(f"joint would hold {focal} focal elements (limit {MAX_FOCAL})")
+    cells = math.prod(1 << len(f) for f in frames)
+    if cells > MAX_CELLS:
+        raise SizeGuardError(f"joint array would hold {cells} cells (limit {MAX_CELLS})")
     commonality = np.ones([1 << len(f) for f in frames])
     for name in topological_order(net):
         table = net.node(name).table

@@ -9,18 +9,21 @@ records are batched.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from .cpt import ExtCPT, build_network_cpts
+from .errors import SizeGuardError
 from .tables import SubsetMask, _subset_pos, csv_cells, subsets_of
 from .extvals import component, ext_value_index
 from .network import Network, edge_index, topological_order
 
 _CHUNK = 1 << 18
 _GUIDE_CELLS = 1 << 21  # guide entries per node, at most
+MAX_STATES = 10_000_000  # cells of a dense joint or count array, at most
 
 
 @dataclass(frozen=True)
@@ -138,13 +141,16 @@ class Sample(Sequence[SampleRecord]):
         extended = tuple(domain[c] for domain, c in zip(self.domains, row))
         return SampleRecord(self.variables, extended, tuple(_own(v) for v in extended))
 
-    def collapsed_counts(self) -> dict[tuple[SubsetMask, ...], int]:
-        """Counts of collapsed records, keyed by per-variable subsets."""
-        out: dict[tuple[SubsetMask, ...], int] = {}
+    def collapsed_counts(self) -> np.ndarray:
+        """Counts of collapsed records, as an int64 array with one axis per
+        variable, indexed by its own subsets in ``subsets_of`` order."""
+        shape = tuple(len(subs) for subs in self._subsets)
+        size = math.prod(shape)
+        if size > MAX_STATES:
+            raise SizeGuardError(f"collapsed state space holds {size} states (limit {MAX_STATES})")
+        out = np.zeros(shape, dtype=np.int64)
         for inv, own in self._chunk_classes():
-            for row, cnt in zip(own.tolist(), np.bincount(inv).tolist()):
-                key = tuple(subs[i] for subs, i in zip(self._subsets, row))
-                out[key] = out.get(key, 0) + cnt
+            out[tuple(own.T)] += np.bincount(inv)
         return out
 
     def marginal_counts(self, variable: str) -> dict[SubsetMask, int]:

@@ -311,18 +311,18 @@ class ValidationReport:
 def validate_table(t: _CondTable) -> ValidationReport:
     """Check table-level numeric contracts.
 
-    Commonality tables must be nonnegative with rows summing to one.  Mass
-    tables are only checked against the observed convention that child masses
-    sum to one when every conditioning coordinate is the full set and to zero
-    otherwise; deviations are warnings, not errors.
+    Every table is held to the commonality contract in its commonality form
+    (a mass table's superset sums, as the CPT build derives them): no value
+    below -EXACT_TOL, rows summing to one.  Mass tables are also checked
+    against the observed convention that child masses sum to one when every
+    conditioning coordinate is the full set and to zero otherwise; deviations
+    are warnings, not errors.
     """
     report = ValidationReport()
     name = t.child_frame.name
-    if t.kind == "k":
-        negatives, rows = commonality_faults(t)
-        report.errors += [f"{name}: {row}" for row in rows]
-        report.errors += [f"{name}: negative value {cell}" for cell in negatives]
-    else:
+    k = t
+    if t.kind == "m":
+        k = CondCommonalityTable(t.child_frame, t.parent_frames, _parent_superset_sums(t, False))
         sums = t.values.sum(axis=1)
         want = np.zeros_like(sums)
         want[-1] = 1.0  # the all-full-sets configuration is the last row
@@ -331,6 +331,9 @@ def validate_table(t: _CondTable) -> ValidationReport:
                 f"{name}: mass row {cfg_text(t.config(r))} sums to {sums[r]:.9f}, "
                 f"convention expects {want[r]:g}"
             )
+    negatives, rows = commonality_faults(k)
+    report.errors += [f"{name}: {row}" for row in rows]
+    report.errors += [f"{name}: negative value {cell}" for cell in negatives]
     return report
 
 

@@ -8,36 +8,42 @@ against.  The collapsed form is its push-forward under per-variable collapse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cpt import ExtCPT, build_network_cpts
 from .errors import SizeGuardError
 from .network import Network, topological_order
-from .sampler import Sample, own_index, row_offsets
+from .sampler import MAX_STATES, Sample, own_index, row_offsets
 from .tables import subsets_of
-
-MAX_STATES = 10_000_000
 
 
 @dataclass
 class ExactDistribution:
-    """Probabilities over state vectors (declaration order keys)."""
+    """Probabilities over state vectors, as a dense array with one axis per
+    variable in declaration order: axis j runs over ``labels[j]``, the values
+    of ``variables[j]``."""
 
     variables: tuple[str, ...]
-    probs: dict[tuple, float] = field(default_factory=dict)
+    labels: tuple[tuple, ...]
+    array: np.ndarray
+
+    @cached_property
+    def probs(self) -> dict[tuple, float]:
+        """The support, keyed by state tuples (one value per variable)."""
+        support = np.nonzero(self.array)
+        values = (np.array(lab, dtype=object)[i] for lab, i in zip(self.labels, support))
+        return dict(zip(zip(*values), self.array[support].tolist()))
 
     def total(self) -> float:
-        return sum(self.probs.values())
+        return float(self.array.sum())
 
     def marginal(self, variable: str) -> dict:
         j = self.variables.index(variable)
-        out: dict = {}
-        for key, p in self.probs.items():
-            out[key[j]] = out.get(key[j], 0.0) + p
-        return out
+        sums = self.array.sum(axis=tuple(a for a in range(self.array.ndim) if a != j))
+        return {lab: p for lab, p in zip(self.labels[j], sums.tolist()) if p}
 
 
 def _extended_array(
@@ -72,28 +78,29 @@ def _along(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return values.reshape([-1 if a == axis else 1 for a in range(ndim)])
 
 
-def _keyed(net: Network, topo, labels, index, probs: np.ndarray) -> ExactDistribution:
-    """Distribution from per-axis indices of its support: ``labels[j][index[j]]``
-    is the value of node ``topo[j]``; keys are in declaration order."""
-    values = dict(zip(topo, (np.array(lab, dtype=object)[i] for lab, i in zip(labels, index))))
-    keys = zip(*(values[name] for name in net.variables))
-    return ExactDistribution(tuple(net.variables), dict(zip(keys, probs.tolist())))
+def _declared(net: Network, topo, labels, array: np.ndarray) -> ExactDistribution:
+    """Distribution from an array over ``topo``'s axes, labelled per axis by
+    ``labels``; axes and labels are put in declaration order."""
+    order = [topo.index(name) for name in net.variables]
+    return ExactDistribution(
+        tuple(net.variables), tuple(labels[j] for j in order), array.transpose(order)
+    )
 
 
 def exact_extended_joint(
     net: Network, cpts: dict[str, ExtCPT] | None = None, max_states: int = MAX_STATES
 ) -> ExactDistribution:
-    """Exhaustive chain-rule product over all extended states."""
+    """Exhaustive chain-rule product over all extended states; axis j runs
+    over the child domain of ``net.variables[j]``."""
     topo, cpts, joint = _extended_array(net, cpts, max_states)
-    support = np.nonzero(joint)
-    labels = [cpts[name].child_domain for name in topo]
-    return _keyed(net, topo, labels, support, joint[support])
+    return _declared(net, topo, [cpts[name].child_domain for name in topo], joint)
 
 
 def exact_collapsed_joint(
     net: Network, cpts: dict[str, ExtCPT] | None = None, max_states: int = MAX_STATES
 ) -> ExactDistribution:
-    """Push-forward of the extended joint under per-variable collapse."""
+    """Push-forward of the extended joint under per-variable collapse; axis j
+    runs over ``subsets_of`` the frame of ``net.variables[j]``."""
     topo, cpts, joint = _extended_array(net, cpts, max_states)
     labels = [subsets_of(net.frame(name)) for name in topo]
     sizes = [len(lab) for lab in labels]
@@ -101,8 +108,7 @@ def exact_collapsed_joint(
     owns = [_along(own_index(cpts[name].child_domain), j, len(topo)) for j, name in enumerate(topo)]
     classes = np.ravel_multi_index(owns, sizes)
     probs = np.bincount(classes.ravel(), weights=joint.ravel(), minlength=math.prod(sizes))
-    support = np.flatnonzero(probs)
-    return _keyed(net, topo, labels, np.unravel_index(support, sizes), probs[support])
+    return _declared(net, topo, labels, probs.reshape(sizes))
 
 
 @dataclass
@@ -114,8 +120,7 @@ class ComparisonReport:
     chi2: float
     dof: int
     threshold: float | None
-    cells: list[tuple[tuple, float, float]]
-    impossible: list[tuple] = field(default_factory=list)
+    impossible: list[tuple]
 
     @property
     def passed(self) -> bool:
@@ -130,59 +135,46 @@ class ComparisonReport:
             f"chi-square: {self.chi2:.6f} on {self.dof} degrees of freedom",
         ]
         for key in self.impossible:
-            lines.append(f"impossible cell observed: {_key_text(key)}")
+            lines.append(f"impossible cell observed: ({','.join(map(str, key))})")
         lines.append("result: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
 
 
-def _key_text(key: tuple) -> str:
-    return "(" + ",".join(str(k) for k in key) + ")"
-
-
 def compare_empirical(
-    sample: Sample | Mapping[tuple, float],
+    sample: Sample | np.ndarray,
     exact: ExactDistribution,
     linf_threshold: float | None = None,
 ) -> ComparisonReport:
-    """Compare an empirical collapsed distribution against the exact one.
+    """Compare empirical collapsed counts against the exact collapsed distribution.
 
-    ``sample`` is either a Sample or a mapping of collapsed state tuples to
-    counts (weights).  The chi-square statistic is computed over the cells of
-    the exact support; the pass verdict keys on the L-infinity distance.
+    ``sample`` is either a Sample or an array of counts shaped like
+    ``exact.array``, such as ``Sample.collapsed_counts()``.  The chi-square
+    statistic is computed over the cells of the exact support; the pass
+    verdict keys on the L-infinity distance.  Impossible cells, observed
+    outside the support, are listed in array order.
     """
     if isinstance(sample, Sample):
         if tuple(sample.variables) != tuple(exact.variables):
             raise ValueError(
                 f"sample variables {sample.variables} do not match exact scope {exact.variables}"
             )
-        counts: Mapping[tuple, float] = sample.collapsed_counts()
+        counts = sample.collapsed_counts()
     else:
-        counts = sample
-    n = sum(counts.values())
+        counts = np.asarray(sample)
+    p = exact.array
+    if counts.shape != p.shape:
+        raise ValueError(f"counts of shape {counts.shape} do not match exact shape {p.shape}")
+    n = counts.sum()
     if n <= 0:
         raise ValueError("empirical sample is empty")
-
-    support = {k: p for k, p in exact.probs.items() if p > 0.0}
-    impossible = sorted(
-        (k for k, c in counts.items() if c and k not in support), key=_key_text
-    )
-    linf = 0.0
-    chi2 = 0.0
-    cells = []
-    for key in sorted(set(support) | set(counts), key=_key_text):
-        p = exact.probs.get(key, 0.0)
-        emp = counts.get(key, 0.0) / n
-        linf = max(linf, abs(emp - p))
-        if key in support:
-            expected = n * p
-            chi2 += (counts.get(key, 0.0) - expected) ** 2 / expected
-        cells.append((key, p, emp))
+    support = p > 0.0
+    expected = n * p[support]
+    impossible = np.argwhere((counts > 0) & ~support).tolist()
     return ComparisonReport(
         n=int(n),
-        linf=linf,
-        chi2=chi2,
-        dof=len(support) - 1,
+        linf=float(np.abs(counts / n - p).max()),
+        chi2=float(((counts[support] - expected) ** 2 / expected).sum()),
+        dof=int(support.sum()) - 1,
         threshold=linf_threshold,
-        cells=cells,
-        impossible=list(impossible),
+        impossible=[tuple(lab[i] for lab, i in zip(exact.labels, cell)) for cell in impossible],
     )

@@ -35,6 +35,38 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", fixture_path("chain4_negjoint.dsn"))
         assert code == 0 and "ok" in out
 
+    @pytest.mark.parametrize(
+        "text, lines, infeasible",
+        [
+            (
+                "var X1 : a b\ntable X1 | kind=m\n  {a} : 1.2\n  {b} : -0.2\nend\n",
+                ["error: X1: negative value -0.2 at (() ; {b})"],
+                "node X1: negative commonality -0.2 at (() ; {b})",
+            ),
+            (
+                # mass rows {a}: 0.3 and {a,b}: 1 cumulate to a commonality row of 1.3
+                "var X1 : a b\nvar X2 : a b\nedge X1 -> X2\n"
+                "table X1 | kind=m\n  {a} : 0.4\n  {b} : 0.4\n  {a,b} : 0.2\nend\n"
+                "table X2 | X1 kind=m\n  {a} | {a} : 0.3\n"
+                "  {a} | {a,b} : 0.5\n  {b} | {a,b} : 0.5\nend\n",
+                [
+                    "error: X2: row {a} sums to 1.300000000, expected 1",
+                    "warning: X2: mass row {a} sums to 0.300000000, convention expects 0",
+                ],
+                "node X2: commonality row {a} sums to 1.300000000, expected 1",
+            ),
+        ],
+        ids=["negative", "row_sum"],
+    )
+    def test_mass_table_checked_in_commonality_form(self, capsys, tmp_path, text, lines, infeasible):
+        # validate names the node, row and cell the build rejects
+        bad = tmp_path / "bad.dsn"
+        bad.write_text(text)
+        code, out, _ = run(capsys, "validate", str(bad))
+        assert code == 3 and out == "\n".join(lines) + "\n"
+        code, _, err = run(capsys, "cpt", str(bad))
+        assert code == 2 and err == f"infeasible: {infeasible}\n"
+
     def test_structure_violation_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.dsn"
         bad.write_text(CONNECTED_PARENTS)

@@ -191,24 +191,30 @@ class TestNetworkJoint:
         assert report.total_nonempty == pytest.approx(1.0, abs=1e-9)
 
     def test_scope_guard(self):
-        lines = [f"var X{i} : a b" for i in range(7)]
-        lines += [
-            f"table X{i} | kind=m\n  {{a,b}} : 1\nend" for i in range(7)
-        ]
-        with pytest.raises(SizeGuardError, match="at most 6"):
-            network_joint(parse_network("\n".join(lines)))
+        # the scope is bounded by the dense array alone: a 10-node binary chain,
+        # 2^20 cells, builds
+        names = [f"X{i}" for i in range(10)]
+        lines = [f"var {v} : a b" for v in names]
+        lines += [f"edge {a} -> {b}" for a, b in zip(names, names[1:])]
+        lines += ["table X0 | kind=m"] + [f"  {lit} : {v!r}" for lit, v in ROOT_ROWS.items()]
+        for a, b in zip(names, names[1:]):
+            lines += ["end", f"table {b} | {a} kind=m"]
+            lines += [f"  {child} | {cfg} : {v!r}" for (child, cfg), v in LOOSE_ROWS.items()]
+        joint, report = network_joint(parse_network("\n".join(lines + ["end"])))
+        assert len(joint.entries) == 3**10
+        assert report.total_nonempty == pytest.approx(1.0, abs=1e-9)
 
     def test_focal_guard(self, monkeypatch):
         lines = [f"var X{i} : a b c d" for i in range(6)]
         lines += [f"table X{i} | kind=m\n  {{a,b,c,d}} : 1\nend" for i in range(6)]
-        # 15^6 products of nonempty subsets: refused before any array is built
-        with pytest.raises(SizeGuardError, match="11390625 focal elements"):
+        # 16^6 cells, one per product of subsets: refused before any array is built
+        with pytest.raises(SizeGuardError, match="16777216 cells"):
             network_joint(parse_network("\n".join(lines)))
-        net = load("chain4_negjoint.dsn")  # 3^4 = 81 focal elements
-        monkeypatch.setattr(fusion_mod, "MAX_FOCAL", 82)
+        net = load("chain4_negjoint.dsn")  # 4^4 = 256 cells, 81 focal elements
+        monkeypatch.setattr(fusion_mod, "MAX_CELLS", 256)
         assert len(network_joint(net)[0].entries) == 81
-        monkeypatch.setattr(fusion_mod, "MAX_FOCAL", 81)
-        with pytest.raises(SizeGuardError, match="focal elements"):
+        monkeypatch.setattr(fusion_mod, "MAX_CELLS", 255)
+        with pytest.raises(SizeGuardError, match="256 cells"):
             network_joint(net)
 
     def test_hand_expanded_entry(self):

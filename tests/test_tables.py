@@ -253,7 +253,9 @@ class TestValidateTable:
         rows = dict(LOOSE_ROWS)
         rows[("{a}", "{a}")] = 0.9
         report = validate_table(cond_table(bframe("C"), bframe("P"), rows))
-        assert report.ok and report.warnings
+        # the convention is advisory; the commonality form it breaks is not
+        assert report.warnings == ["C: mass row {a} sums to 0.733333333, convention expects 0"]
+        assert report.errors == ["C: row {a} sums to 1.733333333, expected 1"]
 
 
 def test_tables_are_immutable(loose_cond):

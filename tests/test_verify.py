@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belnet import (
+    ExactDistribution,
     Frame,
     InfeasibleModelError,
     SizeGuardError,
@@ -181,17 +182,13 @@ class TestAgainstCombinationJoint:
     )
     @settings(max_examples=80, deadline=None)
     def test_one_successor_networks(self, seed, shape, sizes, spread):
-        net = one_successor_net(np.random.default_rng(seed), shape, sizes, spread)
-        try:
-            cpts = build_network_cpts(net)
-        except InfeasibleModelError as err:
-            assert str(err).startswith(tuple(f"node {v}: " for v in net.variables)), err
-            return
-        for cpt in cpts.values():
-            assert check_feasibility(cpt).ok
-        joint, report = network_joint(net)
-        if report.proper:
-            _assert_collapsed_equals_joint(exact_collapsed_joint(net, cpts), joint)
+        _assert_exact_if_proper(one_successor_net(np.random.default_rng(seed), shape, sizes, spread))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.02, 0.2, 0.5]))
+    @settings(max_examples=30, deadline=None)
+    def test_eight_node_binary_chains(self, seed, spread):
+        net = one_successor_net(np.random.default_rng(seed), "chain8", [2] * 8, spread)
+        _assert_exact_if_proper(net)
 
     def test_one_successor_networks_are_mostly_feasible(self):
         # the property above must see both outcomes, and mostly proper joints
@@ -228,7 +225,8 @@ class TestAgainstCombinationJoint:
 
 
 def one_successor_net(rng, shape, sizes, spread):
-    """A 2- to 4-node chain or a 3-node collider with commonality tables.
+    """A chain (``chainK``: K nodes, K < 10) or a 3-node collider with
+    commonality tables.
 
     Per node, a base row shrinks by a factor per extra subset member, 0.1 on a
     node with a successor and 0.5 on a leaf; every row is the base perturbed
@@ -258,13 +256,30 @@ def one_successor_net(rng, shape, sizes, spread):
     return parse_network("\n".join(lines))
 
 
+def _assert_exact_if_proper(net):
+    """A one-successor network either fails its build naming a node, or builds
+    feasible CPTs whose collapsed joint is the combination joint when that is
+    proper."""
+    try:
+        cpts = build_network_cpts(net)
+    except InfeasibleModelError as err:
+        assert str(err).startswith(tuple(f"node {v}: " for v in net.variables)), err
+        return
+    for cpt in cpts.values():
+        assert check_feasibility(cpt).ok
+    joint, report = network_joint(net)
+    if report.proper:
+        _assert_collapsed_equals_joint(exact_collapsed_joint(net, cpts), joint)
+
+
 def _assert_collapsed_equals_joint(col, joint):
-    keys = set(col.probs)
+    assert col.variables == joint.scope
+    # the joint's entries laid out like the collapsed array; the rest stay zero
+    want = np.zeros(col.array.shape)
+    pos = [{s.bits: i for i, s in enumerate(lab)} for lab in col.labels]
     for bits, v in joint.entries.items():
-        focal = joint.focal(bits)
-        assert col.probs.get(tuple(focal.masks), 0.0) == pytest.approx(v, abs=1e-12)
-        keys.discard(tuple(focal.masks))
-    assert all(col.probs[k] == pytest.approx(0.0, abs=1e-12) for k in keys)
+        want[tuple(p[b] for p, b in zip(pos, bits))] = v
+    np.testing.assert_allclose(col.array, want, rtol=0, atol=1e-12)
 
 
 def _joint_marginal(joint, variable, literal) -> float:
@@ -276,16 +291,20 @@ def _joint_marginal(joint, variable, literal) -> float:
 
 class TestCompareEmpirical:
     def test_exact_against_itself(self, sampling_net):
-        exact = exact_collapsed_joint(sampling_net)
-        counts = {k: p * 1_000_000 for k, p in exact.probs.items()}
+        # a distribution made from the counts themselves: every cell agrees exactly
+        counts = generate(sampling_net, 5000, seed=3).collapsed_counts()
+        col = exact_collapsed_joint(sampling_net)
+        exact = ExactDistribution(col.variables, col.labels, counts / counts.sum())
         report = compare_empirical(counts, exact, linf_threshold=1e-12)
         assert report.linf == 0.0 and report.passed
 
     def test_single_modal_record(self, sampling_net):
         exact = exact_collapsed_joint(sampling_net)
-        modal = max(exact.probs, key=exact.probs.get)
-        report = compare_empirical({modal: 1}, exact)
-        assert report.linf == pytest.approx(1.0 - exact.probs[modal], abs=1e-12)
+        counts = np.zeros(exact.array.shape, dtype=np.int64)
+        modal = np.unravel_index(exact.array.argmax(), counts.shape)
+        counts[modal] = 1
+        report = compare_empirical(counts, exact)
+        assert report.linf == pytest.approx(1.0 - exact.array[modal], abs=1e-12)
 
     def test_scope_mismatch_rejected(self, sampling_net):
         exact = exact_collapsed_joint(sampling_net)
@@ -293,16 +312,23 @@ class TestCompareEmpirical:
         with pytest.raises(ValueError, match="variables"):
             compare_empirical(other, exact)
 
-    def test_impossible_cell_flagged(self, sampling_net):
-        from belnet import ExactDistribution
+    def test_shape_mismatch_rejected(self, sampling_net):
+        exact = exact_collapsed_joint(sampling_net)
+        counts = generate(load("chain3_ternary.dsn"), 5, seed=0).collapsed_counts()
+        with pytest.raises(ValueError, match=r"shape \(7, 7, 7\) do not match exact shape \(3, 3, 3, 3\)"):
+            compare_empirical(counts, exact)
 
+    def test_impossible_cell_flagged(self, sampling_net):
         exact = exact_collapsed_joint(sampling_net)
         modal = max(exact.probs, key=exact.probs.get)
-        trimmed = ExactDistribution(
-            exact.variables, {k: v for k, v in exact.probs.items() if k != modal}
-        )
-        report = compare_empirical({modal: 5}, trimmed)
+        index = tuple(lab.index(m) for lab, m in zip(exact.labels, modal))
+        trimmed = ExactDistribution(exact.variables, exact.labels, exact.array.copy())
+        trimmed.array[index] = 0.0
+        counts = np.zeros(exact.array.shape, dtype=np.int64)
+        counts[index] = 5
+        report = compare_empirical(counts, trimmed)
         assert report.impossible == [modal] and not report.passed
+        assert f"impossible cell observed: ({','.join(map(str, modal))})" in str(report)
 
     def test_chi_square_degrees_of_freedom(self, sampling_net):
         exact = exact_collapsed_joint(sampling_net)
