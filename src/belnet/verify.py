@@ -20,7 +20,7 @@ from .sampler import MAX_STATES, Sample, own_index, row_offsets
 from .tables import subsets_of
 
 
-@dataclass
+@dataclass(eq=False)
 class ExactDistribution:
     """Probabilities over state vectors, as a dense array with one axis per
     variable in declaration order: axis j runs over ``labels[j]``, the values

@@ -58,7 +58,9 @@ class TestValidate:
         ],
         ids=["negative", "row_sum"],
     )
-    def test_mass_table_checked_in_commonality_form(self, capsys, tmp_path, text, lines, infeasible):
+    def test_mass_table_checked_in_commonality_form(
+        self, capsys, tmp_path, text, lines, infeasible
+    ):
         # validate names the node, row and cell the build rejects
         bad = tmp_path / "bad.dsn"
         bad.write_text(text)

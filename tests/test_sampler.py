@@ -229,7 +229,9 @@ class TestRecords:
         assert freqs["{b}"] == pytest.approx(0.4, abs=0.02)
         assert freqs["{a,b}"] == pytest.approx(0.2, abs=0.02)
 
-    @pytest.mark.parametrize("fixture", ["chain4_sampling.dsn", "chain3_ternary.dsn", "star4_proper.dsn"])
+    @pytest.mark.parametrize(
+        "fixture", ["chain4_sampling.dsn", "chain3_ternary.dsn", "star4_proper.dsn"]
+    )
     def test_collapsed_counts_match_records(self, fixture, monkeypatch):
         # counts merged over several chunks equal a count of every record's collapse
         monkeypatch.setattr(sampler_mod, "_CHUNK", 700)

@@ -182,7 +182,8 @@ class TestAgainstCombinationJoint:
     )
     @settings(max_examples=80, deadline=None)
     def test_one_successor_networks(self, seed, shape, sizes, spread):
-        _assert_exact_if_proper(one_successor_net(np.random.default_rng(seed), shape, sizes, spread))
+        net = one_successor_net(np.random.default_rng(seed), shape, sizes, spread)
+        _assert_exact_if_proper(net)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.02, 0.2, 0.5]))
     @settings(max_examples=30, deadline=None)
@@ -315,7 +316,8 @@ class TestCompareEmpirical:
     def test_shape_mismatch_rejected(self, sampling_net):
         exact = exact_collapsed_joint(sampling_net)
         counts = generate(load("chain3_ternary.dsn"), 5, seed=0).collapsed_counts()
-        with pytest.raises(ValueError, match=r"shape \(7, 7, 7\) do not match exact shape \(3, 3, 3, 3\)"):
+        shapes = r"shape \(7, 7, 7\) do not match exact shape \(3, 3, 3, 3\)"
+        with pytest.raises(ValueError, match=shapes):
             compare_empirical(counts, exact)
 
     def test_impossible_cell_flagged(self, sampling_net):
