@@ -26,11 +26,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InfeasibleModelError, SizeGuardError, StructureError
-from .extvals import OP_AT, OP_DOT, ExtValue, ExtVector, ext_value_index, ext_values, ext_vectors
+from .extvals import ExtValue, ExtVector, ext_table, ext_values, ext_vectors
 from .network import Network, topological_order, validate_structure
 from .tables import (
     EXACT_TOL,
@@ -39,6 +40,7 @@ from .tables import (
     Frame,
     SubsetMask,
     ValidationReport,
+    _bits_of,
     cfg_text,
     commonality_faults,
     mass_to_commonality,
@@ -62,11 +64,13 @@ class ExtCPT:
     probs: np.ndarray
     source: CondCommonalityTable
 
-    def __post_init__(self):
-        self._parent_pos = [
-            {v: i for i, v in enumerate(domain)} for domain in self.parent_domains
-        ]
-        self._child_pos = {c: i for i, c in enumerate(self.child_domain)}
+    @cached_property
+    def _parent_pos(self) -> list[dict[ExtValue, int]]:
+        return [{v: i for i, v in enumerate(domain)} for domain in self.parent_domains]
+
+    @cached_property
+    def _child_pos(self) -> dict:
+        return {c: i for i, c in enumerate(self.child_domain)}
 
     def configs(self):
         return itertools.product(*self.parent_domains)
@@ -86,20 +90,21 @@ class ExtCPT:
 
 def _plain_rows(krows: np.ndarray, frame: Frame, n: int) -> np.ndarray:
     """Split commonality rows (configurations x subsets) over the extended
-    child domain of a node with n >= 1 successors, one column at a time."""
-    values = ext_values(frame)  # the plain values first, in the table's column order
+    child domain of a node with n >= 1 successors, coarser subsets first."""
+    table = ext_table(frame)  # the plain values first, in the table's column order
+    bits = _bits_of(frame)[table.own]
+    size = np.array([s.size for s in subsets_of(frame)])[table.own]
     share = 1.0 / ((1 << n) - 1)
     # per extended value: its plain vector's probability, or a family member's
-    vec_p = np.zeros((len(krows), len(values)))
-    for j in sorted(range(len(values)), key=lambda j: -values[j].own.size):
-        v = values[j]
-        if v.is_plain:
-            coarser = [w for w, u in enumerate(values) if v.own.issubset(u.own) and u.own != v.own]
+    vec_p = np.zeros((len(krows), len(bits)))
+    for k in range(len(frame), 0, -1):
+        for j in np.flatnonzero(size[: krows.shape[1]] == k):
+            coarser = np.flatnonzero((bits & bits[j] == bits[j]) & (bits != bits[j]))
             vec_p[:, j] = krows[:, j] - sum(vec_p[:, w] for w in coarser)
-        elif v.op == OP_AT:
-            vec_p[:, j] = vec_p[:, ext_value_index(v.sup)] * share
+        at = np.flatnonzero(table.at & (size == k))
+        vec_p[:, at] = vec_p[:, table.sup[at]] * share
     # the plain vectors, then per superset value a family for each proper subset
-    family = [((1 << v.own.size) - 2) * ((1 << n) - 1) for v in values]
+    family = ((1 << size) - 2) * ((1 << n) - 1)
     return np.hstack([vec_p[:, : krows.shape[1]], np.repeat(vec_p, family, axis=1) * share])
 
 
@@ -107,11 +112,10 @@ def _clip_checked(node: str, rows: np.ndarray, child_domain, where) -> None:
     """Clip ``rows`` (..., child) to nonnegative in place.  An entry below
     -EXACT_TOL fails instead, naming the first such row in row order; ``where``
     turns that row's index tuple into its configuration text."""
-    flat = rows.reshape(-1, rows.shape[-1])
-    low = flat.min(axis=1)
-    bad = np.flatnonzero(low < -EXACT_TOL)
-    if bad.size:
-        r = int(bad[0])
+    if rows.size and rows.min() < -EXACT_TOL:
+        flat = rows.reshape(-1, rows.shape[-1])
+        low = flat.min(axis=1)
+        r = int(np.flatnonzero(low < -EXACT_TOL)[0])
         child = _child_text(child_domain[int(flat[r].argmin())])
         cfg = where(np.unravel_index(r, rows.shape[:-1]))
         raise InfeasibleModelError(f"node {node}: P({child}|{cfg}) = {low[r]:.6g} is negative")
@@ -156,17 +160,22 @@ def build_node_cpt(node: str, ktable: CondCommonalityTable, n_successors: int) -
     # rows whose first compound coordinate is on this axis, last axis first
     for axis in reversed(range(len(parent_domains))):
         head = tuple(map(slice, plain_dims[:axis]))
-        for j in range(plain_dims[axis], shape[axis]):
-            v = parent_domains[axis][j]
-            sup = probs[head + (ext_value_index(v.sup),)]
-            if v.op == OP_DOT:
-                probs[head + (j,)] = sup
-                continue
-            rows = 2.0 * probs[head + (ext_value_index(ExtValue(v.own)),)] - sup
+        table = ext_table(ktable.parent_frames[axis])
+        for lo, hi in _blocks(table.sup, plain_dims[axis]):
+            dot = lo + np.flatnonzero(~table.at[lo:hi])
+            probs[head + (dot,)] = probs[head + (table.sup[dot],)]
+            at = lo + np.flatnonzero(table.at[lo:hi])
+            rows = probs[head + (table.own[at],)]
+            rows *= 2.0
+            rows -= probs[head + (table.sup[at],)]
+            # the slices in domain order, each in row order
             _clip_checked(
-                node, rows, child_domain, lambda idx: where(idx[:axis] + (j,) + idx[axis:])
+                node,
+                np.moveaxis(rows, axis, 0),
+                child_domain,
+                lambda idx: where(idx[1 : axis + 1] + (at[idx[0]],) + idx[axis + 1 :]),
             )
-            probs[head + (j,)] = rows
+            probs[head + (at,)] = rows
     probs = probs.reshape(-1, len(child_domain))
     probs.setflags(write=False)
     return ExtCPT(
@@ -178,6 +187,18 @@ def build_node_cpt(node: str, ktable: CondCommonalityTable, n_successors: int) -
         probs=probs,
         source=ktable,
     )
+
+
+def _blocks(sup: np.ndarray, start: int):
+    """Runs ``[lo, hi)`` of the compound values, from ``start`` on, whose
+    superset values all lie before the run, so can be derived together."""
+    lo = start
+    for j in range(start, len(sup)):
+        if sup[j] >= lo:
+            yield lo, j
+            lo = j
+    if lo < len(sup):
+        yield lo, len(sup)
 
 
 def build_network_cpts(net: Network) -> dict[str, ExtCPT]:
@@ -246,21 +267,21 @@ def check_feasibility(cpt: ExtCPT) -> ValidationReport:
         )
 
     # per axis, every compound slice against the slices it is defined by
-    for axis, domain in enumerate(domains):
-        pos = {v: i for i, v in enumerate(domain)}
-        lead = (slice(None),) * axis
-        for j, v in enumerate(domain):
-            if v.is_plain:
-                continue
-            sup, own = pos[v.sup], pos[ExtValue(v.own)]
-            mine, theirs, base = (tensor[lead + (slice(i, i + 1),)] for i in (j, sup, own))
-            if v.op == OP_DOT:
-                bad = mine != theirs
-                text = "deferral row {0} differs from {1}"
-            else:
-                bad = np.abs((mine + theirs) / 2.0 - base) > ROWSUM_TOL
+    for axis, frame in enumerate(cpt.source.parent_frames):
+        table = ext_table(frame)
+        moved = np.moveaxis(tensor, axis, 0)
+        dot = np.flatnonzero((table.sup >= 0) & ~table.at)
+        at = np.flatnonzero(table.at)
+        bad = np.zeros(moved.shape[:-1], dtype=bool)
+        bad[dot] = (moved[dot] != moved[table.sup[dot]]).any(axis=-1)
+        average = (moved[at] + moved[table.sup[at]]) / 2.0
+        bad[at] = (np.abs(average - moved[table.own[at]]) > ROWSUM_TOL).any(axis=-1)
+        # the slices in domain order, each in row order
+        for j, *idx in zip(*np.nonzero(bad)):
+            rows = (cfg((*idx[:axis], i, *idx[axis:])) for i in (j, table.sup[j], table.own[j]))
+            if table.at[j]:
                 text = "substitution average of {0} and {1} does not reproduce {2}"
-            for idx in zip(*np.nonzero(bad.any(axis=-1))):
-                at = [cfg(idx[:axis] + (i,) + idx[axis + 1 :]) for i in (j, sup, own)]
-                report.errors.append(f"node {node}: " + text.format(*at))
+            else:
+                text = "deferral row {0} differs from {1}"
+            report.errors.append(f"node {node}: " + text.format(*rows))
     return report

@@ -14,10 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .errors import SizeGuardError, SubsetParseError
-from .tables import Frame, SubsetMask, parse_subset_label, subsets_of
+from .tables import (
+    Frame,
+    SubsetMask,
+    _by_fields,
+    _hash_once,
+    _stored_hash,
+    _subset_pos,
+    parse_subset_label,
+    subsets_of,
+)
 
 OP_DOT = "o"  # behaves as its superset value
 OP_AT = "@"  # resolved by averaging against the superset value
@@ -45,6 +56,10 @@ class ExtValue:
                 raise ValueError("split subset and superset value use different frames")
             if not (self.own.issubset(parent_own) and self.own.bits != parent_own.bits):
                 raise ValueError(f"{self.own} is not a proper nonempty subset of {parent_own}")
+        _hash_once(self, self.own, self.op, self.sup)
+
+    __hash__ = _stored_hash
+    __reduce__ = _by_fields
 
     @property
     def is_plain(self) -> bool:
@@ -84,6 +99,10 @@ class ExtVector:
                 raise ValueError("family pattern must select '@' on at least one edge")
             if not (self.own.issubset(self.sup.own) and self.own.bits != self.sup.own.bits):
                 raise ValueError(f"{self.own} is not a proper nonempty subset of {self.sup.own}")
+        _hash_once(self, self.own, self.n, self.sup, self.pattern)
+
+    __hash__ = _stored_hash
+    __reduce__ = _by_fields
 
     @property
     def is_plain(self) -> bool:
@@ -105,6 +124,13 @@ def _guard_frame(frame: Frame) -> None:
 
 
 @lru_cache(maxsize=None)
+def _proper_subsets(frame: Frame) -> dict[int, tuple[SubsetMask, ...]]:
+    """Per subset's bits, its proper nonempty subsets in canonical order."""
+    subs = subsets_of(frame)
+    return {t.bits: tuple(s for s in subs if s.bits & t.bits == s.bits != t.bits) for t in subs}
+
+
+@lru_cache(maxsize=None)
 def ext_values(frame: Frame) -> tuple[ExtValue, ...]:
     """All extended values of a frame, in canonical order.
 
@@ -113,16 +139,14 @@ def ext_values(frame: Frame) -> tuple[ExtValue, ...]:
     ``o`` compounds before the ``@`` compounds.
     """
     _guard_frame(frame)
+    proper = _proper_subsets(frame)
     plain = [ExtValue(s) for s in subsets_of(frame)]
     out = list(plain)
     level = plain
     while True:
-        nxt = []
-        for op in (OP_DOT, OP_AT):
-            for v in level:
-                for s in subsets_of(frame):
-                    if s.issubset(v.own) and s.bits != v.own.bits:
-                        nxt.append(ExtValue(s, op, v))
+        nxt = [
+            ExtValue(s, op, v) for op in (OP_DOT, OP_AT) for v in level for s in proper[v.own.bits]
+        ]
         if not nxt:
             return tuple(out)
         out.extend(nxt)
@@ -138,6 +162,30 @@ def ext_value_index(value: ExtValue) -> int:
     return _ext_value_pos(value.frame)[value]
 
 
+class ExtTable(NamedTuple):
+    """Per extended value of a frame, in ``ext_values`` order: the index of
+    its own plain value, that of its superset value (-1 for a plain value),
+    and whether it is an ``@`` compound."""
+
+    own: np.ndarray
+    sup: np.ndarray
+    at: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def ext_table(frame: Frame) -> ExtTable:
+    values = ext_values(frame)
+    pos, plain = _ext_value_pos(frame), _subset_pos(frame)
+    table = ExtTable(
+        np.array([plain[v.own.bits] for v in values]),
+        np.array([-1 if v.is_plain else pos[v.sup] for v in values]),
+        np.array([v.op == OP_AT for v in values]),
+    )
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
 @lru_cache(maxsize=None)
 def ext_vectors(frame: Frame, n: int) -> tuple[ExtVector, ...]:
     """All extended vectors for a node with n successors, in canonical order.
@@ -148,12 +196,11 @@ def ext_vectors(frame: Frame, n: int) -> tuple[ExtVector, ...]:
     _guard_frame(frame)
     if not 1 <= n <= MAX_SUCCESSORS:
         raise SizeGuardError(f"successor count {n} outside 1..{MAX_SUCCESSORS}")
+    proper = _proper_subsets(frame)
     out = [ExtVector(s, n) for s in subsets_of(frame)]
     for sup in ext_values(frame):
-        for s in subsets_of(frame):
-            if s.issubset(sup.own) and s.bits != sup.own.bits:
-                for pattern in range(1, 1 << n):
-                    out.append(ExtVector(s, n, sup, pattern))
+        for s in proper[sup.own.bits]:
+            out.extend(ExtVector(s, n, sup, pattern) for pattern in range(1, 1 << n))
     return tuple(out)
 
 

@@ -20,13 +20,16 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import NetworkParseError
 from .tables import (
     CondCommonalityTable,
     CondMassTable,
     Frame,
     ValidationReport,
-    parse_subset_label,
+    subset_index,
+    subsets_of,
 )
 
 
@@ -178,7 +181,16 @@ def _parse_table_header(net: Network, pending: dict, line: str, lineno: int) -> 
             raise NetworkParseError(f"parent {p!r} listed twice for {child!r}", lineno)
     if child in pending:
         raise NetworkParseError(f"duplicate table for {child!r}", lineno)
-    cur = {"child": child, "parents": parents, "kind": kind, "line": lineno, "entries": {}}
+    frames = tuple(net.nodes[p].frame for p in parents)
+    cur = {
+        "child": child,
+        "frame": net.nodes[child].frame,
+        "frames": frames,
+        "dims": tuple(len(subsets_of(f)) for f in frames),
+        "kind": kind,
+        "line": lineno,
+        "entries": {},
+    }
     pending[child] = lineno
     return cur
 
@@ -193,35 +205,35 @@ def _parse_table_row(net: Network, cur: dict, line: str, lineno: int) -> None:
         raise NetworkParseError(f"bad numeric value {valuepart.strip()!r}", lineno) from None
     if not math.isfinite(value):
         raise NetworkParseError(f"non-finite value {valuepart.strip()!r}", lineno)
-    child_frame = net.nodes[cur["child"]].frame
-    parents = cur["parents"]
     if "|" in left:
         childpart, parentpart = left.split("|", 1)
         plits = parentpart.split()
     else:
         childpart, plits = left, []
-    if len(plits) != len(parents):
+    if len(plits) != len(cur["frames"]):
         raise NetworkParseError(
-            f"row has {len(plits)} conditioning subsets, table declares {len(parents)}", lineno
+            f"row has {len(plits)} conditioning subsets, table declares {len(cur['frames'])}",
+            lineno,
         )
     try:
-        child = parse_subset_label(childpart.strip(), child_frame)
-        cfg = tuple(
-            parse_subset_label(lit, net.nodes[p].frame) for lit, p in zip(plits, parents)
-        )
+        col = subset_index(childpart.strip(), cur["frame"])
+        row = 0
+        for lit, frame, dim in zip(plits, cur["frames"], cur["dims"]):
+            row = row * dim + subset_index(lit, frame)
     except Exception as exc:
         raise NetworkParseError(str(exc), lineno) from None
-    key = (cfg, child)
+    key = (row, col)  # the cell, parent configurations in mixed radix as in the table
     if key in cur["entries"]:
         raise NetworkParseError(f"duplicate row for ({left.strip()})", lineno)
     cur["entries"][key] = value
 
 
 def _finish_table(net: Network, cur: dict) -> None:
-    child = cur["child"]
-    frames = tuple(net.nodes[p].frame for p in cur["parents"])
+    values = np.zeros((math.prod(cur["dims"]), len(subsets_of(cur["frame"]))))
+    if cur["entries"]:
+        values[tuple(np.array(list(cur["entries"])).T)] = list(cur["entries"].values())
     cls = CondMassTable if cur["kind"] == "m" else CondCommonalityTable
-    net.nodes[child].table = cls.from_entries(net.nodes[child].frame, frames, cur["entries"])
+    net.nodes[cur["child"]].table = cls(cur["frame"], cur["frames"], values)
 
 
 def topological_order(net: Network) -> tuple[str, ...]:

@@ -8,6 +8,7 @@ superset-cumulated form whose rows are probability distributions.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import itertools
 from dataclasses import dataclass, field
@@ -27,6 +28,24 @@ REPORT_TOL = 1e-6
 CONVENTION_TOL = 1e-5
 
 
+# Frozen values hash once, at construction: ``__post_init__`` calls
+# ``_hash_once`` and the class sets ``__hash__ = _stored_hash``.  They pickle
+# by their fields, without the stored hash, since string hashes differ
+# between processes; unpickling constructs them afresh.
+
+
+def _hash_once(obj, *fields) -> None:
+    object.__setattr__(obj, "_hash", hash(fields))
+
+
+def _stored_hash(obj) -> int:
+    return obj._hash
+
+
+def _by_fields(obj):
+    return type(obj), tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
 @dataclass(frozen=True)
 class Frame:
     """An ordered set of values of one variable."""
@@ -39,6 +58,10 @@ class Frame:
             raise ValueError(f"frame {self.name!r} needs at least one value")
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"frame {self.name!r} has duplicate value labels")
+        _hash_once(self, self.name, self.values)
+
+    __hash__ = _stored_hash
+    __reduce__ = _by_fields
 
     def __len__(self) -> int:
         return len(self.values)
@@ -58,6 +81,10 @@ class SubsetMask:
     def __post_init__(self):
         if not 0 < self.bits <= self.frame.full_bits:
             raise ValueError(f"invalid subset bits {self.bits:#x} for frame {self.frame.name!r}")
+        _hash_once(self, self.frame, self.bits)
+
+    __hash__ = _stored_hash
+    __reduce__ = _by_fields
 
     @property
     def size(self) -> int:
@@ -87,6 +114,20 @@ def subsets_of(frame: Frame) -> tuple[SubsetMask, ...]:
 @lru_cache(maxsize=None)
 def _subset_pos(frame: Frame) -> dict[int, int]:
     return {s.bits: i for i, s in enumerate(subsets_of(frame))}
+
+
+@lru_cache(maxsize=None)
+def _literal_pos(frame: Frame) -> dict[str, int]:
+    return {str(s): i for i, s in enumerate(subsets_of(frame))}
+
+
+def subset_index(text: str, frame: Frame) -> int:
+    """Position in ``subsets_of`` order of the subset a literal names; the
+    canonical spelling is looked up, any other goes to ``parse_subset_label``."""
+    pos = _literal_pos(frame).get(text)
+    if pos is None:
+        pos = _subset_pos(frame)[parse_subset_label(text, frame).bits]
+    return pos
 
 
 def full_set(frame: Frame) -> SubsetMask:

@@ -177,6 +177,22 @@ class TestCpt:
         code, _, err = run(capsys, "cpt", str(bad))
         assert code == 3
 
+    def test_cells_formatted_as_by_python(self):
+        rng = np.random.default_rng(9)
+        edges = [0.0, -0.0, 1.0, 0.5, 1e-10, 5e-10, 4.9999999999e-10, 0.9999999995,
+                 0.9999999994999999, 9.9999999995, 9.99999999949, 10.0, 123.456, -1e-12,
+                 -0.25, 1 / 3, 2 / 3, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)]
+        cells = np.concatenate([
+            rng.random(100_000),
+            rng.random(20_000) * 12 - 1,
+            np.arange(1025) / 1024,  # dyadic, with exact ties such as 1/1024
+            rng.integers(0, 2**20, 20_000) / 2**20,
+            (np.arange(100_000) + 0.5) / 1e9,  # near ties once scaled
+            edges,
+        ])
+        got = [bytes(c[c != cli_mod._PAD]) for c in cli_mod._fixed9(cells)]
+        assert got == [f"{x:.9f}".encode() for x in cells.tolist()]
+
 
 @pytest.mark.parametrize(
     "argv", [["cpt"], ["sample", "-n", "10"], ["verify", "-n", "10", "--linf", "1"]],
@@ -313,6 +329,26 @@ class TestVerify:
             capsys, "verify", fixture_path("vacuous3.dsn"), "-n", "10"
         )
         assert code == 2
+
+    def test_oversized_model_refused_before_drawing(self, capsys, monkeypatch, tmp_path):
+        # chain3_ternary grown to six nodes, every link its X1 -> X2 table
+        lines = open(fixture_path("chain3_ternary.dsn")).read().splitlines()
+        root = lines[lines.index("table X1 | kind=k") : lines.index("table X2 | X1 kind=k")]
+        link = lines[lines.index("table X2 | X1 kind=k") + 1 : lines.index("table X3 | X2 kind=k")]
+        text = [f"var X{i} : a b c" for i in range(1, 7)]
+        text += [f"edge X{i} -> X{i + 1}" for i in range(1, 6)] + root
+        for i in range(2, 7):
+            text += [f"table X{i} | X{i - 1} kind=k"] + link
+        big = tmp_path / "chain6.dsn"
+        big.write_text("\n".join(text) + "\n")
+
+        def generate(*args, **kwargs):
+            raise AssertionError("drew a sample for a model it cannot verify")
+
+        monkeypatch.setattr(cli_mod, "generate", generate)
+        code, out, err = run(capsys, "verify", str(big), "-n", "2000000")
+        assert code == 1 and out == ""
+        assert err == "error: extended state space holds 200404057 states (limit 10000000)\n"
 
     @pytest.mark.parametrize(
         "fixture, lines",

@@ -28,7 +28,7 @@ from belnet import (
     subsets_of,
     topological_order,
 )
-from belnet.tables import EXACT_TOL
+from belnet.tables import EXACT_TOL, ROWSUM_TOL
 
 from conftest import bframe, cond_table, load, mask, LOOSE_ROWS, TIGHT_ROWS
 
@@ -58,41 +58,56 @@ class CompoundRowError(InfeasibleModelError):
     """The reference failed on a row with a compound parent coordinate."""
 
 
+def _child_domain(ktable, n_successors):
+    frame = ktable.child_frame
+    return subsets_of(frame) if n_successors == 0 else ext_vectors(frame, n_successors)
+
+
+def _plain_row(krow, ktable, n_successors):
+    """A commonality row over the child domain: as it is for a leaf, else
+    each subset's commonality split over its extended class."""
+    if n_successors == 0:
+        return krow.copy()
+    frame = ktable.child_frame
+    share = 1.0 / ((1 << n_successors) - 1)
+    vec_p = {}
+    for v in sorted(ext_values(frame), key=lambda v: -v.own.size):
+        if v.is_plain:
+            coarser = [
+                w for w in ext_values(frame) if v.own.issubset(w.own) and w.own.bits != v.own.bits
+            ]
+            vec_p[v] = krow[subsets_of(frame).index(v.own)] - sum(vec_p[w] for w in coarser)
+        else:
+            vec_p[v] = vec_p[v.sup] * share if v.op == "@" else 0.0
+    return np.array(
+        [
+            vec_p[ExtValue(x.own)] if x.is_plain else vec_p[x.sup] * share
+            for x in _child_domain(ktable, n_successors)
+        ]
+    )
+
+
+def _negative_row(node, domain, cfg, row) -> str:
+    x = domain[int(row.argmin())]
+    child = x.own if isinstance(x, ExtVector) and x.is_plain else x
+    text = ",".join(map(str, cfg)) if cfg else "()"
+    return f"node {node}: P({child}|{text}) = {row.min():.6g} is negative"
+
+
 def recursive_probs(node, ktable, n_successors):
     """Reference construction, row by row: each plain row is split on its own,
     and each compound row is resolved on its first compound coordinate from
     memoized rows (own subset's row first, then the superset value's)."""
-    frame = ktable.child_frame
-    domain = subsets_of(frame) if n_successors == 0 else ext_vectors(frame, n_successors)
-
-    def split(krow):
-        share = 1.0 / ((1 << n_successors) - 1)
-        vec_p = {}
-        for v in sorted(ext_values(frame), key=lambda v: -v.own.size):
-            if v.is_plain:
-                coarser = [
-                    w
-                    for w in ext_values(frame)
-                    if v.own.issubset(w.own) and w.own.bits != v.own.bits
-                ]
-                vec_p[v] = krow[subsets_of(frame).index(v.own)] - sum(vec_p[w] for w in coarser)
-            else:
-                vec_p[v] = vec_p[v.sup] * share if v.op == "@" else 0.0
-        return np.array(
-            [vec_p[ExtValue(x.own)] if x.is_plain else vec_p[x.sup] * share for x in domain]
-        )
+    domain = _child_domain(ktable, n_successors)
 
     def checked(cfg, row, error):
         if row.min() < -EXACT_TOL:
-            x = domain[int(row.argmin())]
-            child = x.own if isinstance(x, ExtVector) and x.is_plain else x
-            text = ",".join(map(str, cfg)) if cfg else "()"
-            raise error(f"node {node}: P({child}|{text}) = {row.min():.6g} is negative")
+            raise error(_negative_row(node, domain, cfg, row))
         return np.clip(row, 0.0, None)
 
     resolved = {}
     for cfg in ktable.configs():
-        row = ktable.row(cfg).copy() if n_successors == 0 else split(ktable.row(cfg))
+        row = _plain_row(ktable.row(cfg), ktable, n_successors)
         key = tuple(ExtValue(m) for m in cfg)
         resolved[key] = checked(key, row, InfeasibleModelError)
 
@@ -112,6 +127,66 @@ def recursive_probs(node, ktable, n_successors):
 
     configs = itertools.product(*map(ext_values, ktable.parent_frames))
     return np.array([resolve(cfg) for cfg in configs])
+
+
+def per_slice_probs(node, ktable, n_successors):
+    """Reference construction, slice by slice: the plain rows, then per parent
+    axis, last first, the slice of each compound value in domain order,
+    derived from whole slices and checked row by row."""
+    domain = _child_domain(ktable, n_successors)
+    domains = [ext_values(f) for f in ktable.parent_frames]
+    plain_dims = tuple(len(subsets_of(f)) for f in ktable.parent_frames)
+    probs = np.full([len(d) for d in domains] + [len(domain)], np.nan)
+
+    def checked(rows, where):
+        for idx in np.ndindex(rows.shape[:-1]):
+            if rows[idx].min() < -EXACT_TOL:
+                cfg = [d[i] for d, i in zip(domains, where(idx))]
+                raise InfeasibleModelError(_negative_row(node, domain, cfg, rows[idx]))
+        return np.clip(rows, 0.0, None)
+
+    plain = [_plain_row(krow, ktable, n_successors) for krow in ktable.values]
+    plain = np.array(plain).reshape(plain_dims + (-1,))
+    probs[tuple(map(slice, plain_dims))] = checked(plain, lambda idx: idx)
+    for axis in reversed(range(len(domains))):
+        head = tuple(map(slice, plain_dims[:axis]))
+        for j in range(plain_dims[axis], len(domains[axis])):
+            v = domains[axis][j]
+            sup = probs[head + (domains[axis].index(v.sup),)]
+            if v.op == "o":
+                probs[head + (j,)] = sup
+            else:
+                own = probs[head + (domains[axis].index(ExtValue(v.own)),)]
+                rows = 2.0 * own - sup
+                probs[head + (j,)] = checked(rows, lambda idx: idx[:axis] + (j,) + idx[axis:])
+    return probs.reshape(-1, len(domain))
+
+
+def per_slice_check(cpt):
+    """Reference for the slice identities of ``check_feasibility``: per parent
+    axis, each compound slice in domain order against the slices it is
+    defined by, reporting rows in row order."""
+    errors = []
+    tensor = cpt.probs.reshape(tuple(map(len, cpt.parent_domains)) + (-1,))
+    for axis, domain in enumerate(cpt.parent_domains):
+        for j, v in enumerate(domain):
+            if v.is_plain:
+                continue
+            i = (j, domain.index(v.sup), domain.index(ExtValue(v.own)))
+            mine, theirs, base = (np.take(tensor, k, axis=axis) for k in i)
+            if v.op == "o":
+                bad, text = mine != theirs, "deferral row {0} differs from {1}"
+            else:
+                bad = np.abs((mine + theirs) / 2.0 - base) > ROWSUM_TOL
+                text = "substitution average of {0} and {1} does not reproduce {2}"
+            for idx in np.ndindex(bad.shape[:-1]):
+                if bad[idx].any():
+                    cfgs = [
+                        ",".join(map(str, (d[c] for d, c in zip(cpt.parent_domains, cfg))))
+                        for cfg in (idx[:axis] + (k,) + idx[axis:] for k in i)
+                    ]
+                    errors.append(f"node {cpt.node}: " + text.format(*cfgs))
+    return errors
 
 
 def _random_net(rng, shape, sizes, spread):
@@ -382,6 +457,78 @@ class TestFeasibility:
             "node X2: substitution average of {a}@{a,b} and {a,b} does not reproduce {a}"
         ]
         assert "node X2: negative P({a}|{b}@{a,b}) = -0.05" in errors(6, [(0, -0.1), (1, 0.1)])
+
+    def test_check_report_on_two_parents(self):
+        cpt = build_network_cpts(load("collider3.dsn"))["X3"]
+        probs = cpt.probs.copy()
+        # mass moved within rows, so every row sum holds
+        for r, c, delta in [(26, 0, 1e-3), (26, 1, -1e-3), (44, 2, 0.01), (44, 0, -0.01),
+                            (1, 0, 1e-3), (1, 1, -1e-3)]:
+            probs[r, c] += delta
+        bad = ExtCPT(
+            cpt.node, cpt.n_successors, cpt.child_domain, cpt.parent_names,
+            cpt.parent_domains, probs, cpt.source,
+        )
+        assert check_feasibility(bad).errors == [
+            "node X3: class {a} of row {a},{b} sums to 0.501000000000, table says 0.500000000000",
+            "node X3: class {b} of row {a},{b} sums to 0.399000000000, table says 0.400000000000",
+            "node X3: deferral row {a}o{a,b},{a}@{a,b} differs from {a,b},{a}@{a,b}",
+            "node X3: substitution average of {a}@{a,b},{b} and {a,b},{b} does not reproduce "
+            "{a},{b}",
+            "node X3: substitution average of {b}@{a,b},{a,b} and {a,b},{a,b} does not "
+            "reproduce {b},{a,b}",
+            "node X3: deferral row {b}@{a,b},{a}o{a,b} differs from {b}@{a,b},{a,b}",
+            "node X3: deferral row {b}@{a,b},{b}o{a,b} differs from {b}@{a,b},{a,b}",
+            "node X3: substitution average of {a}o{a,b},{a}@{a,b} and {a}o{a,b},{a,b} does not "
+            "reproduce {a}o{a,b},{a}",
+            "node X3: substitution average of {b}@{a,b},{a}@{a,b} and {b}@{a,b},{a,b} does not "
+            "reproduce {b}@{a,b},{a}",
+            "node X3: substitution average of {a},{b}@{a,b} and {a},{a,b} does not reproduce "
+            "{a},{b}",
+            "node X3: substitution average of {b}@{a,b},{b}@{a,b} and {b}@{a,b},{a,b} does not "
+            "reproduce {b}@{a,b},{b}",
+        ]
+
+
+class TestAgainstSlices:
+    """The blocked build and the per-axis check against their slice-by-slice
+    forms: equal bits, equal first failure, equal report lines."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["chain", "star", "collider"]),
+        st.lists(st.sampled_from([2, 3]), min_size=3, max_size=3),
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_build_equals_per_slice(self, seed, shape, sizes, spread):
+        net = _random_net(np.random.default_rng(seed), shape, sizes, spread)
+        for name in topological_order(net):
+            args = (name, net.node(name).table, len(net.node(name).successors))
+            try:
+                want = per_slice_probs(*args)
+            except InfeasibleModelError as err:
+                with pytest.raises(InfeasibleModelError) as got:
+                    build_node_cpt(*args)
+                assert str(got.value) == str(err)
+            else:
+                assert build_node_cpt(*args).probs.tobytes() == want.tobytes(), name
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_check_equals_per_slice(self, seed, cells):
+        rng = np.random.default_rng(seed)
+        cpts = build_network_cpts(load(["collider3.dsn", "star4_proper.dsn"][seed % 2]))
+        cpt = list(cpts.values())[-1]
+        probs = cpt.probs.copy()
+        at = rng.integers(0, probs.size, cells)
+        probs.ravel()[at] += rng.choice([1e-12, 1e-3, -1e-3, 0.5], cells)
+        bad = ExtCPT(
+            cpt.node, cpt.n_successors, cpt.child_domain, cpt.parent_names,
+            cpt.parent_domains, probs, cpt.source,
+        )
+        slices = [e for e in check_feasibility(bad).errors if "deferral" in e or "average" in e]
+        assert slices == per_slice_check(bad)
 
 
 class TestAgainstRecursion:

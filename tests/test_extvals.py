@@ -1,5 +1,10 @@
 """Extended value and vector domains: enumeration, components, text forms."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +20,7 @@ from belnet import (
     parse_ext_value,
     parse_ext_vector,
     parse_subset_label,
+    full_set,
     subsets_of,
 )
 
@@ -189,3 +195,40 @@ def test_family_pattern_excludes_all_dot():
     sup = ExtValue(mask(f, "{a,b}"))
     with pytest.raises(ValueError):
         ExtVector(mask(f, "{a}"), 2, sup, 0)
+
+
+class TestHashes:
+    """Values hash once, at construction; pickles carry no hash."""
+
+    VALUES = (
+        "frame = Frame('X', ('a', 'b', 'c'))\n"
+        "values = [frame, full_set(frame), *ext_values(frame)[::9], *ext_vectors(frame, 2)[::40]]\n"
+    )
+
+    def test_pickle_round_trip_keeps_hash_and_equality(self):
+        frame = Frame("X", ("a", "b", "c"))
+        values = [frame, *subsets_of(frame), *ext_values(frame), *ext_vectors(frame, 2)[::7]]
+        for value in values:
+            back = pickle.loads(pickle.dumps(value))
+            assert back == value and hash(back) == hash(value)
+            assert {value: 1}[back] == 1
+
+    def test_pickled_in_another_process(self, tmp_path):
+        # string hashes differ between processes with different hash seeds
+        dump = tmp_path / "values.pickle"
+        script = (
+            "import pickle, sys\n"
+            "from belnet import Frame, ext_values, ext_vectors, full_set\n" + self.VALUES +
+            "pickle.dump((values, [hash(v) for v in values]), open(sys.argv[1], 'wb'))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", script, str(dump)], env=env, check=True)
+        with open(dump, "rb") as fh:
+            theirs, their_hashes = pickle.load(fh)
+        namespace = {"Frame": Frame, "full_set": full_set, "ext_values": ext_values,
+                     "ext_vectors": ext_vectors}
+        exec(self.VALUES, namespace)
+        ours = namespace["values"]
+        assert theirs == ours
+        assert [hash(v) for v in theirs] == [hash(v) for v in ours]
+        assert {v: i for i, v in enumerate(ours)} == {v: i for i, v in enumerate(theirs)}

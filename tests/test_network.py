@@ -5,9 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belnet import (
+    CondMassTable,
+    Frame,
     NetworkParseError,
+    SubsetParseError,
     edge_index,
     parse_network,
+    parse_subset_label,
+    subsets_of,
     topological_order,
     validate_structure,
 )
@@ -225,3 +230,81 @@ def test_topological_order_on_random_dags(seed, n):
         succ = net.node(v).successors
         got = sorted(edge_index(net, v, c) for c in succ)
         assert got == list(range(1, len(succ) + 1))
+
+
+LABELS = ["a", "b", "ab", "x1", "é"]
+
+
+@st.composite
+def spelled_tables(draw):
+    """Two frames of 2-4 values, a table of ``child | parent`` rows with
+    literals spelled canonically, permuted or (the child's) padded, and the
+    rows' (parent literal, child literal, value)."""
+
+    def frame(name):
+        return Frame(name, tuple(draw(st.permutations(LABELS))[: draw(st.integers(2, 4))]))
+
+    def spell(mask, padded):
+        labels = list(mask.labels())
+        style = draw(st.sampled_from(["canonical", "permuted", "padded"][: 2 + padded]))
+        if style == "permuted":
+            labels = draw(st.permutations(labels))
+        if style == "padded":
+            return "{ " + " , ".join(labels) + " }"
+        return "{" + ",".join(labels) + "}"
+
+    child, parent = frame("C"), frame("P")
+    cells = draw(
+        st.lists(
+            st.tuples(st.sampled_from(subsets_of(parent)), st.sampled_from(subsets_of(child))),
+            unique=True,
+            max_size=20,
+        )
+    )
+    rows = [(spell(p, False), spell(c, True), draw(st.floats(-1, 1))) for p, c in cells]
+    text = f"var P : {' '.join(parent.values)}\nvar C : {' '.join(child.values)}\n"
+    text += "edge P -> C\ntable P | kind=m\nend\ntable C | P kind=m\n"
+    text += "".join(f"  {c} | {p} : {v!r}\n" for p, c, v in rows) + "end\n"
+    return text, child, parent, rows
+
+
+class TestLiteralLookup:
+    """Table rows parse by lookup of canonical literals; the result and every
+    error are those of ``parse_subset_label`` on each literal."""
+
+    @given(spelled_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_same_table_as_full_parser(self, case):
+        text, child, parent, rows = case
+        entries = {
+            ((parse_subset_label(p, parent),), parse_subset_label(c, child)): v
+            for p, c, v in rows
+        }
+        want = CondMassTable.from_entries(child, (parent,), entries)
+        got = parse_network(text).node("C").table
+        assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("literal", ["{z}", "{a,a}", "{b,a,b}", "{}", "a", "{a", "a}"])
+    @pytest.mark.parametrize("position", ["child", "parent"])
+    def test_bad_literal_error_and_line(self, literal, position):
+        frame = Frame("X2" if position == "child" else "X1", ("a", "b"))
+        with pytest.raises(SubsetParseError) as want:
+            parse_subset_label(literal, frame)
+        child, cfg = (literal, "{a}") if position == "child" else ("{a}", literal)
+        text = (
+            "var X1 : a b\nvar X2 : a b\nedge X1 -> X2\n"
+            "table X2 | X1 kind=m\n  {a} | {b} : 0.5\n"
+            f"  {child} | {cfg} : 0.5\nend\n"
+        )
+        with pytest.raises(NetworkParseError) as got:
+            parse_network(text)
+        assert str(got.value) == f"line 6: {want.value}"
+        assert got.value.line == 6
+
+    def test_duplicate_cell_in_another_spelling(self):
+        text = (
+            "var X1 : a b\ntable X1 | kind=m\n  {a,b} : 0.5\n  { b , a } : 0.5\nend\n"
+        )
+        with pytest.raises(NetworkParseError) as got:
+            parse_network(text)
+        assert str(got.value) == "line 4: duplicate row for ({ b , a })"
