@@ -109,6 +109,10 @@ def _cmd_validate(args) -> int:
     report.extend(validate_structure(net))
     for name in net.variables:
         report.extend(validate_table(net.node(name).table))
+    if report.ok:  # then the construction, as `cpt` runs it, refusals and all
+        cpts = build_network_cpts(net)
+        for name in net.variables:
+            report.extend(check_feasibility(cpts[name]))
     print(report)
     return 0 if report.ok else 3
 

@@ -90,7 +90,7 @@ def parse_network(text: str, name_hint: str = "net") -> Network:
             if edge in edges:
                 raise NetworkParseError(f"duplicate edge {edge[0]} -> {edge[1]}", lineno)
             edges.append(edge)
-        elif line.startswith("table"):
+        elif line.startswith("table "):
             cur = _parse_table_header(net, pending, line, lineno)
         else:
             raise NetworkParseError(f"unrecognized directive {line.split()[0]!r}", lineno)
@@ -137,6 +137,9 @@ def _parse_var(net: Network, line: str, lineno: int) -> None:
         raise NetworkParseError(f"duplicate variable {name!r}", lineno)
     if len(labels) < 2:
         raise NetworkParseError(f"variable {name!r} needs at least two values", lineno)
+    for label in labels:
+        if any(ch in label for ch in "{},|;[]"):
+            raise NetworkParseError(f"value label {label!r} contains one of {{}},|;[]", lineno)
     try:
         frame = Frame(name, labels)
     except ValueError as exc:

@@ -9,9 +9,10 @@ records are batched.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .network import Network, edge_index, topological_order
 _CHUNK = 1 << 18
 _GUIDE_CELLS = 1 << 21  # guide entries per node, at most
 MAX_STATES = 10_000_000  # cells of a dense joint or count array, at most
+# collapsed classes of a run of CSV columns, at most: a run's class texts are formatted
+# up front, and this caps that work while one run still covers each benchmark network
+_CSV_CLASSES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -148,46 +152,27 @@ class Sample(Sequence[SampleRecord]):
         size = math.prod(shape)
         if size > MAX_STATES:
             raise SizeGuardError(f"collapsed state space holds {size} states (limit {MAX_STATES})")
-        out = np.zeros(shape, dtype=np.int64)
-        for inv, own in self._chunk_classes():
-            out[tuple(own.T)] += np.bincount(inv)
-        return out
+        return self._counts(0, len(shape)).reshape(shape)
 
     def marginal_counts(self, variable: str) -> dict[SubsetMask, int]:
         j = self.variables.index(variable)
-        subs = self._subsets[j]
-        counts = np.bincount(self._own_index[j][self.codes[:, j]], minlength=len(subs))
-        return {subs[i]: int(c) for i, c in enumerate(counts) if c}
+        counts = self._counts(j, j + 1)
+        return {subs: int(c) for subs, c in zip(self._subsets[j], counts) if c}
 
-    def _chunk_classes(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Collapsed classes, ``_CHUNK`` records at a time.
-
-        Yields, per chunk, the class id of every record and the class table:
-        per class, the own-subset index of every variable (classes x variables).
-        """
+    def _counts(self, first: int, stop: int) -> np.ndarray:
+        """Records per class of ``_classes`` over variables ``first:stop``, chunk by chunk."""
+        out = np.zeros(math.prod(len(subs) for subs in self._subsets[first:stop]), dtype=np.int64)
         for lo in range(0, len(self), _CHUNK):
-            codes = self.codes[lo : lo + _CHUNK]
-            # mixed-radix class code, re-ranked before a multiply could overflow
-            key = np.zeros(len(codes), dtype=np.int64)
-            bound = 1
-            for j, subs in enumerate(self._subsets):
-                if bound > np.iinfo(np.int64).max // len(subs):
-                    uniq, key = np.unique(key, return_inverse=True)
-                    bound = len(uniq)
-                key = key * len(subs) + self._own_index[j][codes[:, j]]
-                bound *= len(subs)
-            if bound <= 4 * len(key) + 1024:
-                # dense presence: ranks in key order, as np.unique gives them
-                seen = np.zeros(bound, dtype=bool)
-                seen[key] = True
-                inv = (np.cumsum(seen) - 1)[key]
-            else:
-                inv = np.unique(key, return_inverse=True)[1]
-            # one record standing for each class
-            rep = np.empty(inv.max() + 1, dtype=np.int64)
-            rep[inv] = np.arange(len(inv))
-            own = np.stack([m[codes[rep, j]] for j, m in enumerate(self._own_index)], axis=1)
-            yield inv, own
+            counts = np.bincount(self._classes(lo, first, stop))
+            out[: len(counts)] += counts
+        return out
+
+    def _classes(self, lo: int, first: int, stop: int) -> np.ndarray:
+        """Collapsed class of each record of the chunk at ``lo`` over variables
+        ``first:stop``: their own-subset indices in mixed radix, last fastest."""
+        codes = self.codes[lo : lo + _CHUNK]
+        owns = [self._own_index[j][codes[:, j]] for j in range(first, stop)]
+        return np.ravel_multi_index(owns, [len(subs) for subs in self._subsets[first:stop]])
 
 
 def _own(value) -> SubsetMask:
@@ -245,8 +230,16 @@ def write_csv(sample: Sample, dest: str | IO[str]) -> None:
 
 def _write_csv_stream(sample: Sample, stream: IO[str]) -> None:
     csv.writer(stream, lineterminator="\n").writerow(sample.variables)
-    cells = [np.array(csv_cells(subs), dtype=object) for subs in sample._subsets]
-    for inv, own in sample._chunk_classes():
-        cols = [c[own[:, j]] for j, c in enumerate(cells)]
-        lines = np.array([",".join(row) + "\n" for row in zip(*cols)], dtype=object)
-        stream.write("".join(lines[inv]))
+    sizes = [len(subs) for subs in sample._subsets]
+    starts = [0]  # runs of at most _CSV_CLASSES classes; a wider variable is a run of its own
+    for j in range(1, len(sizes)):
+        if math.prod(sizes[starts[-1] : j + 1]) > _CSV_CLASSES:
+            starts.append(j)
+    runs = list(zip(starts, starts[1:] + [len(sizes)]))
+    # per run, the text of every class: each cell followed by "," or, last, the line end
+    ends = [","] * (len(sizes) - 1) + ["\n"]
+    cells = [[c + end for c in csv_cells(subs)] for subs, end in zip(sample._subsets, ends)]
+    pieces = [np.array(list(map("".join, itertools.product(*cells[a:b]))), object) for a, b in runs]
+    for lo in range(0, len(sample), _CHUNK):
+        cols = [p[sample._classes(lo, a, b)] for p, (a, b) in zip(pieces, runs)]
+        stream.write("".join(np.stack(cols, axis=1).ravel().tolist()))

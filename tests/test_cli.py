@@ -11,7 +11,7 @@ import belnet.cli as cli_mod
 import belnet.cpt as cpt_mod
 from belnet.cli import main
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def run(capsys, *argv):
@@ -32,8 +32,33 @@ CONNECTED_PARENTS = (
 
 class TestValidate:
     def test_valid_network(self, capsys):
-        code, out, _ = run(capsys, "validate", fixture_path("chain4_negjoint.dsn"))
+        code, out, _ = run(capsys, "validate", fixture_path("chain4_sampling.dsn"))
         assert code == 0 and "ok" in out
+
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.dsn")))
+    def test_fails_exactly_when_cpt_does(self, capsys, fixture):
+        # validate runs the construction stage: same exit code, same first stderr line
+        cpt_code, _, cpt_err = run(capsys, "cpt", fixture_path(fixture))
+        code, out, err = run(capsys, "validate", fixture_path(fixture))
+        assert (code == 0) == (cpt_code == 0)
+        if cpt_code:
+            assert code == cpt_code and err.splitlines()[0] == cpt_err.splitlines()[0]
+        else:
+            assert out == "ok\n"
+
+    @pytest.mark.parametrize("label", ["a,b", "{a}", "a}", "a|b", "a;b", "[a", "a]"])
+    def test_label_of_literal_syntax_exits_1(self, capsys, tmp_path, label):
+        # "var X : a b a,b" would give two subsets that both print as {a,b}
+        bad = tmp_path / "bad.dsn"
+        bad.write_text(f"net n\nvar X : a b {label}\n")
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == 1 and err.startswith(f"error: line 2: value label {label!r} ")
+
+    def test_table_is_a_whole_word(self, capsys, tmp_path):
+        bad = tmp_path / "bad.dsn"
+        bad.write_text("var X : a b\ntableX | kind=m\n  {a,b} : 1\nend\n")
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == 1 and err == "error: line 2: unrecognized directive 'tableX'\n"
 
     @pytest.mark.parametrize(
         "text, lines, infeasible",

@@ -20,6 +20,7 @@ from belnet import (
     edge_index,
     generate,
     load_network,
+    parse_network,
     subsets_of,
     write_csv,
 )
@@ -273,12 +274,28 @@ class TestCsv:
         assert cells == {"{a}", "{b}", "{a,b}"}
         assert all(len(row) == 4 for row in rows)
 
-    def test_record_iterable_path_matches_fast_path(self, sampling_net):
-        s = generate(sampling_net, 40, seed=6)
-        fast, slow = io.StringIO(), io.StringIO()
-        write_csv(s, fast)
-        write_records(s, slow)
-        assert fast.getvalue() == slow.getvalue()
+    def test_record_iterable_path_matches_fast_path(self, sampling_net, monkeypatch):
+        # a one-node network whose 8191 subsets are more classes than one CSV run holds
+        frame = Frame("X", tuple("abcdefghijklm"))
+        rows = "".join(f"  {m} : {1 / 8191!r}\n" for m in subsets_of(frame))
+        wide = parse_network(f"var X : {' '.join(frame.values)}\ntable X | kind=m\n{rows}end\n")
+        samples = [
+            generate(sampling_net, 40, seed=6),
+            generate(load("chain3_ternary.dsn"), 500, seed=6),
+            generate(load("star4_proper.dsn"), 500, seed=6),
+            generate(wide, 3000, seed=6),
+        ]
+        # runs of one variable each and of the default cap; chunks of 7 and the default
+        for runs, chunk in itertools.product(
+            [1, sampler_mod._CSV_CLASSES], [7, sampler_mod._CHUNK]
+        ):
+            monkeypatch.setattr(sampler_mod, "_CSV_CLASSES", runs)
+            monkeypatch.setattr(sampler_mod, "_CHUNK", chunk)
+            for s in samples:
+                fast, slow = io.StringIO(), io.StringIO()
+                write_csv(s, fast)
+                write_records(s, slow)
+                assert fast.getvalue() == slow.getvalue()
 
     def test_classes_beyond_int64_stay_distinct(self):
         # two collapsed classes of 45 binary leaves whose mixed-radix codes
