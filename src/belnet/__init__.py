@@ -46,7 +46,6 @@ _EXPORTS = {
         "CondCommonalityTable",
         "CondMassTable",
         "Frame",
-        "ProductFocal",
         "SubsetMask",
         "ValidationReport",
         "commonality_to_mass",

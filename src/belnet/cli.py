@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Exit codes: 0 success, 1 parse/size/I-O/out-of-memory error, 2 model infeasibility
+Exit codes: 0 success, 1 usage/parse/size/I-O/out-of-memory error, 2 model infeasibility
 (negative commonality or probability), 3 validation or verification failure.
 """
 
@@ -8,23 +8,21 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import sys
 from typing import IO, Iterator
-
-import numpy as np
 
 from .cpt import build_network_cpts, check_feasibility
 from .errors import BelnetError, InfeasibleModelError, StructureError
 from .fusion import network_joint, write_joint_csv
 from .network import Network, load_network, validate_structure
 from .sampler import generate, write_csv
+from .tables import _PAD, _fixed9  # the dump's %.9f cells, as write_cells makes them
 from .tables import (
     ValidationReport,
     commonality_to_mass,
-    csv_cells,
     mass_to_commonality,
     validate_table,
+    write_cells,
 )
 from .verify import compare_empirical, exact_collapsed_joint
 
@@ -49,8 +47,26 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # exit 1, with the usage line: 2 means infeasible
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _nonnegative(kind):
+    """An argument type: ``kind`` of the text, refused if negative or NaN."""
+
+    def parse(text: str):
+        if not (value := kind(text)) >= 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="belnet",
         description="Sampling from belief-function networks via extended-domain CPTs",
     )
@@ -79,15 +95,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw records and write them as CSV")
     p.add_argument("path")
     p.add_argument("-n", "--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative(int), default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("verify", help="compare a drawn sample against the exact distribution")
     p.add_argument("path")
     p.add_argument("-n", "--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--linf", type=float, default=0.01)
+    p.add_argument("--seed", type=_nonnegative(int), default=0)
+    p.add_argument("--linf", type=_nonnegative(float), default=0.01)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -160,83 +176,20 @@ def _cmd_cpt(args) -> int:
     for name in net.variables:
         failures.extend(check_feasibility(cpts[name]))
     with _output(args.output) as stream:
-        for name in net.variables:
-            _emit_cpt(cpts[name], stream)
+        for cpt in map(cpts.get, net.variables):
+            print(f"# node {cpt.node}", file=stream)
+            domains = [*cpt.parent_domains, cpt.child_domain]
+            write_cells(stream, [*cpt.parent_names, cpt.node, "p"], domains, cpt.probs)
     if not failures.ok:
         print(failures, file=sys.stderr)
         return 3
     return 0
 
 
-def _emit_cpt(cpt, stream: IO[str]) -> None:
-    print(f"# node {cpt.node}", file=stream)
-    csv.writer(stream, lineterminator="\n").writerow(list(cpt.parent_names) + [cpt.node, "p"])
-    # one line per cell, "parent,...,child,p": its pieces as padded byte rows
-    prefix = np.zeros((1, 0), dtype=np.uint8)
-    for domain in cpt.parent_domains:
-        cells = _padded([c + "," for c in csv_cells(domain)])
-        prefix = np.hstack(
-            [np.repeat(prefix, len(cells), axis=0), np.tile(cells, (len(prefix), 1))]
-        )
-    child = _padded([c + "," for c in csv_cells(cpt.child_domain)])
-    step = max(1, _EMIT_CELLS // len(child))
-    for lo in range(0, len(prefix), step):
-        p = cpt.probs[lo : lo + step]
-        lines = np.concatenate(
-            [
-                np.broadcast_to(prefix[lo : lo + step, None], p.shape + prefix.shape[1:]),
-                np.broadcast_to(child, p.shape + child.shape[1:]),
-                _fixed9(p),
-                np.full(p.shape + (1,), ord("\n"), dtype=np.uint8),
-            ],
-            axis=-1,
-        )
-        stream.write(lines[lines != _PAD].tobytes().decode())
-
-
-_EMIT_CELLS = 1 << 14  # CPT cells formatted at a time
-_PAD = 0xFF  # never a byte of UTF-8 text
-
-
-def _padded(texts: list[str], width: int = 0) -> np.ndarray:
-    """Each text's UTF-8 bytes as a row of a uint8 matrix at least ``width``
-    wide, padded with _PAD."""
-    raw = [t.encode() for t in texts]
-    lengths = np.array([len(b) for b in raw], dtype=np.int64)
-    out = np.full((len(raw), max(width, lengths.max(initial=0))), _PAD, dtype=np.uint8)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(raw), dtype=np.uint8)
-    return out
-
-
-def _fixed9(p: np.ndarray) -> np.ndarray:
-    """``f"{x:.9f}"`` of every ``x`` in ``p``, as padded bytes along a new last axis.
-
-    A cell in [0, 10) is written from ``rint(x * 1e9)``: the product is off by
-    less than 1e-6, so its nearest integer is the correctly rounded one unless
-    it lies within 1e-6 of a half.  Those cells, and negative or larger ones,
-    are formatted by Python.
-    """
-    scaled = p * 1e9
-    q = np.rint(scaled)
-    fast = (q < 1e10) & ~np.signbit(p) & (np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-6)
-    slow = [f"{x:.9f}" for x in p[~fast].tolist()]
-    out = np.full(p.shape + (max([11, *map(len, slow)]),), _PAD, dtype=np.uint8)
-    out[..., 1] = ord(".")
-    q = np.where(fast, q, 0).astype(np.int64)
-    for at in (10, 9, 8, 7, 6, 5, 4, 3, 2, 0):  # the digits of q, last first
-        out[..., at] = q % 10 + ord("0")
-        q //= 10
-    out[~fast] = _padded(slow, out.shape[-1])
-    return out
-
-
 def _cmd_sample(args) -> int:
     net = load_network(args.path)
     sample = generate(net, args.count, seed=args.seed)
-    if args.output is None:
-        write_csv(sample, sys.stdout)
-    else:
-        write_csv(sample, args.output)
+    write_csv(sample, sys.stdout if args.output is None else args.output)
     return 0
 
 

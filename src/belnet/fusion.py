@@ -9,16 +9,17 @@ Conjunctive combination is the pointwise product of commonality functions
 (Shafer 1976).  Every focal element is a product of per-variable subsets, so
 the product is taken on a dense array indexed by per-variable subset bits,
 empty subsets included: each table's superset sums are multiplied in by
-broadcasting, and one Moebius inverse turns the product back into mass.
+broadcasting, and one Moebius inverse turns the product back into mass.  The
+joint keeps the nonempty products, laid out as ``exact_collapsed_joint``'s.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from functools import cached_property
+from typing import IO
 
 import numpy as np
 
@@ -29,55 +30,56 @@ from .tables import (
     REPORT_TOL,
     CondCommonalityTable,
     Frame,
-    ProductFocal,
-    SubsetMask,
+    _bits_of,
+    _fixed9,
+    _lines,
+    _padded,
     bit_ordered,
     commonality_to_mass,
-    csv_cells,
     subsets_of,
     superset_sums,
+    write_cells,
 )
 
 MAX_CELLS = 1 << 23  # entries of the dense array, one axis of 2^|frame| per variable
 
 
-@dataclass
+@dataclass(eq=False)
 class JointMass:
     """A joint mass function over a fixed variable scope.
 
-    ``entries`` maps per-variable subset-bit tuples to mass; ``empty_mass``
+    ``array`` holds the mass of every product of nonempty subsets, zero or
+    not: axis j runs over ``subsets_of(frames[j])``.  ``empty_mass``
     accumulates anything that hit an empty intersection.
     """
 
     frames: tuple[Frame, ...]
-    entries: dict[tuple[int, ...], float] = field(default_factory=dict)
+    array: np.ndarray
     empty_mass: float = 0.0
 
     @property
     def scope(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.frames)
 
+    @cached_property
+    def entries(self) -> dict[tuple[int, ...], float]:
+        """Every cell of ``array``, keyed by its per-variable subset bits."""
+        keys = itertools.product(*(_bits_of(f).tolist() for f in self.frames))
+        return dict(zip(keys, self.array.ravel().tolist()))
+
     def total(self) -> float:
-        return sum(self.entries.values()) + self.empty_mass
-
-    def focal(self, bits: tuple[int, ...]) -> ProductFocal:
-        return ProductFocal(tuple(SubsetMask(f, b) for f, b in zip(self.frames, bits)))
-
-    def get(self, masks: Sequence[SubsetMask]) -> float:
-        return self.entries.get(tuple(m.bits for m in masks), 0.0)
-
-    def items(self):
-        for bits, v in self.entries.items():
-            yield self.focal(bits), v
+        return float(self.array.sum()) + self.empty_mass
 
 
-@dataclass
+@dataclass(eq=False)
 class NegativityReport:
-    """Entries of a joint mass function below tolerance, keyed like
-    ``JointMass.entries``, plus bookkeeping totals."""
+    """The cells of a joint mass function below -EXACT_TOL, as rows of
+    indices into ``JointMass.array`` sorted by their subset bits, and their
+    ``values``, plus bookkeeping totals."""
 
     frames: tuple[Frame, ...]
-    negatives: list[tuple[tuple[int, ...], float]]
+    negatives: np.ndarray
+    values: np.ndarray
     min_entry: float
     total_nonempty: float
     empty_mass: float
@@ -85,27 +87,27 @@ class NegativityReport:
 
     @property
     def proper(self) -> bool:
-        return not self.negatives
+        return not len(self.values)
 
     def __str__(self) -> str:
         lines = [
-            f"focal elements below -{EXACT_TOL:g}: {len(self.negatives)}",
+            f"focal elements below -{EXACT_TOL:g}: {len(self.values)}",
             f"minimum entry: {self.min_entry:.9f}",
             f"total nonempty mass: {self.total_nonempty:.9f}",
             f"empty-intersection mass: {self.empty_mass:.9f}",
         ]
-        literals = [{s.bits: str(s) for s in subsets_of(f)} for f in self.frames]
-        lines += [
-            f"  ({','.join(lit[b] for lit, b in zip(literals, bits))}) : {v:.9f}"
-            for bits, v in self.negatives
-        ]
+        if not self.proper:  # "  ({a},{a,b}) : -0.000000001" per cell
+            texts = [[f"{s}," for s in subsets_of(f)] for f in self.frames]
+            texts[-1] = [t[:-1] + ") : " for t in texts[-1]]
+            cells = [_padded(t)[i] for t, i in zip(texts, self.negatives.T)]
+            text = _lines([_padded(["  ("]), *cells, _fixed9(self.values)], self.values.shape)
+            lines.append(text[:-1])
         lines += [f"warning: {w}" for w in self.warnings]
         return "\n".join(lines)
 
 
 def network_joint(net: Network) -> tuple[JointMass, NegativityReport]:
-    """Combine all node tables; ``entries`` holds every product of nonempty
-    subsets, zero or not."""
+    """Combine all node tables into the joint and its negativity report."""
     names = list(net.variables)
     frames = tuple(net.frame(n) for n in names)
     cells = math.prod(1 << len(f) for f in frames)
@@ -124,21 +126,19 @@ def network_joint(net: Network) -> tuple[JointMass, NegativityReport]:
             shape[axis] = size
         commonality *= factor.transpose(np.argsort(axes)).reshape(shape)
     mass = superset_sums(commonality, range(len(names)), inverse=True)
+    # totals and negatives come from the nonempty block in bit order, which
+    # sorts the negatives by subset bits; they are mapped to array positions
     nonempty = mass[(slice(1, None),) * len(names)]
-    keys = itertools.product(*(range(1, 1 << len(f)) for f in frames))
-    joint = JointMass(
-        frames,
-        dict(zip(keys, nonempty.ravel().tolist())),
-        float(mass.sum() - nonempty.sum()),
-    )
-    # argwhere runs in key order, so the negatives come sorted
-    negative = nonempty < -EXACT_TOL
-    keys = map(tuple, (np.argwhere(negative) + 1).tolist())
     total = float(nonempty.sum())
+    joint = JointMass(frames, mass[np.ix_(*map(_bits_of, frames))], float(mass.sum()) - total)
+    negatives = np.argwhere(nonempty < -EXACT_TOL)
+    for j, frame in enumerate(frames):
+        negatives[:, j] = np.argsort(_bits_of(frame))[negatives[:, j]]
     report = NegativityReport(
         frames=frames,
-        negatives=list(zip(keys, nonempty[negative].tolist())),
-        min_entry=float(nonempty.min()),
+        negatives=negatives,
+        values=nonempty[nonempty < -EXACT_TOL],
+        min_entry=float(joint.array.min()),
         total_nonempty=total,
         empty_mass=joint.empty_mass,
     )
@@ -149,12 +149,8 @@ def network_joint(net: Network) -> tuple[JointMass, NegativityReport]:
 
 def write_joint_csv(joint: JointMass, stream: IO[str]) -> None:
     """One row per focal element, sorted by the canonical subset literals."""
-    csv.writer(stream, lineterminator="\n").writerow(list(joint.scope) + ["mass"])
     # each axis's subsets sorted by literal: their product runs in row order
-    axes = [sorted(subsets_of(f), key=str) for f in joint.frames]
-    keys = itertools.product(*([s.bits for s in subs] for subs in axes))
-    cells = itertools.product(*map(csv_cells, axes))
-    for bits, row in zip(keys, cells):
-        v = joint.entries.get(bits)
-        if v is not None:
-            stream.write(",".join(row) + f",{v:.9f}\n")
+    literals = [[str(s) for s in subsets_of(f)] for f in joint.frames]
+    orders = [sorted(range(len(lits)), key=lits.__getitem__) for lits in literals]
+    axes = [[lits[i] for i in order] for lits, order in zip(literals, orders)]
+    write_cells(stream, [*joint.scope, "mass"], axes, joint.array[np.ix_(*orders)])

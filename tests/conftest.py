@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from belnet import CondMassTable, Frame, load_network, parse_subset_label
+from belnet.tables import subset_index
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -50,6 +51,12 @@ def bframe(name: str = "X") -> Frame:
 
 def mask(frame: Frame, literal: str):
     return parse_subset_label(literal, frame)
+
+
+def joint_cell(joint, *literals) -> float:
+    """The mass a joint puts on the product of the subsets ``literals`` name,
+    one per variable in scope order."""
+    return float(joint.array[tuple(map(subset_index, literals, joint.frames))])
 
 
 def cond_table(child: Frame, parent: Frame, rows: dict) -> CondMassTable:

@@ -26,7 +26,7 @@ from belnet import (
 )
 from belnet.cli import main as cli_main
 
-from conftest import bframe, cond_table, fixture_path, load, mask, LOOSE_ROWS
+from conftest import bframe, cond_table, fixture_path, joint_cell, load, mask, LOOSE_ROWS
 
 
 @contextmanager
@@ -113,11 +113,6 @@ def test_c02_cpt_golden(loose_cond):
                 assert cell(cfg_lit, ch_lit) == pytest.approx(want, abs=1e-6), (cfg_lit, ch_lit)
 
 
-def _joint_entry(joint, net, *lits):
-    masks = tuple(parse_subset_label(l, net.frame(v)) for l, v in zip(lits, net.variables))
-    return joint.get(masks)
-
-
 def test_c03_chain_negative_joint():
     with criterion(3, "4-chain joint reproduces the printed negative-mass entries (rel 1e-4)"):
         with budget(1.0):
@@ -128,7 +123,7 @@ def test_c03_chain_negative_joint():
                 (("{a}", "{b}", "{a}", "{b}"), -2.91556e-05),
                 (("{a}", "{b}", "{a}", "{a,b}"), -3.82222e-05),
             ):
-                assert _joint_entry(joint, net, *lits) == pytest.approx(want, rel=1e-4)
+                assert joint_cell(joint, *lits) == pytest.approx(want, rel=1e-4)
 
 
 def test_c04_star_negative_joint():
@@ -136,13 +131,13 @@ def test_c04_star_negative_joint():
         with budget(5.0):
             net = load("star5_negjoint.dsn")
             joint, _ = network_joint(net)
-            assert _joint_entry(joint, net, "{a}", "{b}", "{b}", "{a,b}", "{a}") == pytest.approx(
+            assert joint_cell(joint, "{a}", "{b}", "{b}", "{a,b}", "{a}") == pytest.approx(
                 0.0022038, rel=1e-4
             )
-            assert _joint_entry(joint, net, "{a}", "{b}", "{b}", "{b}", "{a,b}") == pytest.approx(
+            assert joint_cell(joint, "{a}", "{b}", "{b}", "{b}", "{a,b}") == pytest.approx(
                 -0.000107315, rel=1e-4
             )
-            assert _joint_entry(joint, net, "{a}", "{b}", "{b}", "{a,b}", "{b}") == pytest.approx(
+            assert joint_cell(joint, "{a}", "{b}", "{b}", "{a,b}", "{b}") == pytest.approx(
                 -0.000107315, rel=1e-4
             )
 
@@ -151,7 +146,7 @@ def test_c05_proper_compositions():
     with criterion(5, "3-chain and 4-star joints are proper (every entry >= -1e-12)"):
         for fixture in ("chain3_proper.dsn", "star4_proper.dsn"):
             joint, report = network_joint(load(fixture))
-            assert min(joint.entries.values()) >= -1e-12
+            assert joint.array.min() >= -1e-12
             assert report.proper
 
 

@@ -406,3 +406,41 @@ class TestVerify:
         )
         assert code == 0 and err == ""
         assert out == "\n".join(lines) + "\n"
+
+
+class TestUsageErrors:
+    """A usage error exits 1 with the usage line and a message naming the
+    argument: exit 2 means an infeasible model."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sample"], "the following arguments are required: -n/--count"),
+            (["verify", "-n", "1", "--linf", "-1"],
+             "argument --linf: must be nonnegative, got '-1'"),
+            (["verify", "-n", "1", "--linf", "nan"],
+             "argument --linf: must be nonnegative, got 'nan'"),
+            (["sample", "-n", "1", "--seed", "-1"],
+             "argument --seed: must be nonnegative, got '-1'"),
+            (["verify", "-n", "1", "--seed", "-1"],
+             "argument --seed: must be nonnegative, got '-1'"),
+            (["sample", "-n", "1", "--seed", "x"],
+             "argument --seed: invalid int value: 'x'"),
+        ],
+        ids=["no-count", "linf-negative", "linf-nan", "sample-seed", "verify-seed", "seed-text"],
+    )
+    def test_exits_1_with_usage(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            main([argv[0], fixture_path("chain4_sampling.dsn"), *argv[1:]])
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 1 and out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith(f"usage: belnet {argv[0]} ")
+        assert error == f"belnet {argv[0]}: error: {message}"
+
+    def test_zero_bounds_are_usable(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", fixture_path("chain4_sampling.dsn"),
+            "-n", "100", "--seed", "0", "--linf", "0",
+        )
+        assert code == 3 and "(threshold 0.000000000)" in out

@@ -1,5 +1,7 @@
 """The exact joint mass oracle, checked against a pairwise-intersection reference."""
 
+import csv
+import io
 import itertools
 import math
 from pathlib import Path
@@ -15,20 +17,14 @@ from belnet import (
     SizeGuardError,
     network_joint,
     parse_network,
-    parse_subset_label,
     subsets_of,
+    write_joint_csv,
 )
+from belnet.tables import csv_cells
 
-from conftest import FIXTURES, LOOSE_ROWS, ROOT_ROWS, load
+from conftest import FIXTURES, LOOSE_ROWS, ROOT_ROWS, joint_cell, load
 
 TOL = 1e-12
-
-
-def _entry(joint, net, *lits):
-    masks = tuple(
-        parse_subset_label(l, net.frame(v)) for l, v in zip(lits, net.variables)
-    )
-    return joint.get(masks)
 
 
 def _mass_rows(table):
@@ -100,8 +96,8 @@ class TestCylindricalExtension:
         # the conditional spans (X1, X2); a vacuous root leaves it as it is
         net = _two_node_net({"{a,b}": 1.0}, LOOSE_ROWS)
         joint, _ = network_joint(net)
-        for cfg, child, v in net.node("X2").table.items():
-            assert joint.get((cfg[0], child)) == pytest.approx(v, abs=1e-15)
+        # X1's subsets down the rows, X2's across, as in the table itself
+        np.testing.assert_allclose(joint.array, net.node("X2").table.values, rtol=0, atol=1e-15)
         assert joint.empty_mass == 0.0
 
     def test_total_mass_unchanged(self, loose_cond):
@@ -127,10 +123,10 @@ class TestConjunctiveCombine:
             parse_network(text + "\nvar Z : a b\ntable Z | kind=m\n  {a,b} : 1.0\nend\n")
         )
         assert joint.scope == base.scope + ("Z",)
-        assert len(joint.entries) == 3 * len(base.entries)
-        for bits, v in joint.entries.items():
-            want = base.entries[bits[:-1]] if bits[-1] == 0b11 else 0.0
-            assert abs(v - want) <= TOL
+        # all of Z's mass is on {a,b}, the last of its subsets
+        assert joint.array.shape == base.array.shape + (3,)
+        np.testing.assert_allclose(joint.array[..., -1], base.array, rtol=0, atol=TOL)
+        assert not joint.array[..., :-1].any()
         assert abs(joint.empty_mass - base.empty_mass) <= TOL
 
 
@@ -138,13 +134,13 @@ class TestNetworkJoint:
     def test_chain4_negative_exhibit(self):
         net = load("chain4_negjoint.dsn")
         joint, report = network_joint(net)
-        assert _entry(joint, net, "{a}", "{b}", "{a}", "{a}") == pytest.approx(
+        assert joint_cell(joint, "{a}", "{b}", "{a}", "{a}") == pytest.approx(
             9.40444e-05, rel=1e-4
         )
-        assert _entry(joint, net, "{a}", "{b}", "{a}", "{b}") == pytest.approx(
+        assert joint_cell(joint, "{a}", "{b}", "{a}", "{b}") == pytest.approx(
             -2.91556e-05, rel=1e-4
         )
-        assert _entry(joint, net, "{a}", "{b}", "{a}", "{a,b}") == pytest.approx(
+        assert joint_cell(joint, "{a}", "{b}", "{a}", "{a,b}") == pytest.approx(
             -3.82222e-05, rel=1e-4
         )
         assert not report.proper
@@ -153,13 +149,13 @@ class TestNetworkJoint:
     def test_star5_negative_exhibit(self):
         net = load("star5_negjoint.dsn")
         joint, report = network_joint(net)
-        assert _entry(joint, net, "{a}", "{b}", "{b}", "{a,b}", "{a}") == pytest.approx(
+        assert joint_cell(joint, "{a}", "{b}", "{b}", "{a,b}", "{a}") == pytest.approx(
             0.0022038, rel=1e-4
         )
-        assert _entry(joint, net, "{a}", "{b}", "{b}", "{b}", "{a,b}") == pytest.approx(
+        assert joint_cell(joint, "{a}", "{b}", "{b}", "{b}", "{a,b}") == pytest.approx(
             -0.000107315, rel=1e-4
         )
-        assert _entry(joint, net, "{a}", "{b}", "{b}", "{a,b}", "{b}") == pytest.approx(
+        assert joint_cell(joint, "{a}", "{b}", "{b}", "{a,b}", "{b}") == pytest.approx(
             -0.000107315, rel=1e-4
         )
         assert not report.proper
@@ -168,18 +164,22 @@ class TestNetworkJoint:
     def test_proper_compositions(self, fixture):
         joint, report = network_joint(load(fixture))
         assert report.proper
-        assert min(joint.entries.values()) >= -1e-12
+        assert joint.array.min() >= -1e-12
 
     @pytest.mark.parametrize("fixture", ["chain4_negjoint.dsn", "star5_negjoint.dsn"])
     def test_report_lists_negative_entries(self, fixture):
         joint, report = network_joint(load(fixture))
-        want = [
-            (f"  {joint.focal(bits)} : {v:.9f}", bits)
-            for bits, v in sorted(joint.entries.items())
-            if v < -1e-12
+        # every cell below tolerance, in the order of its per-variable subset bits
+        want = [(bits, v) for bits, v in sorted(joint.entries.items()) if v < -1e-12]
+        got = [
+            tuple(subsets_of(f)[i] for f, i in zip(joint.frames, cell))
+            for cell in report.negatives.tolist()
         ]
-        assert want and [bits for _, bits in want] == [bits for bits, _ in report.negatives]
-        assert str(report).splitlines()[4:] == [line for line, _ in want]
+        assert want and [tuple(s.bits for s in g) for g in got] == [bits for bits, _ in want]
+        assert report.values.tolist() == [v for _, v in want]
+        assert str(report).splitlines()[4:] == [
+            f"  ({','.join(map(str, g))}) : {v:.9f}" for g, (_, v) in zip(got, want)
+        ]
 
     def test_empty_mass_measured_not_assumed(self):
         for fixture in ("chain4_negjoint.dsn", "star5_negjoint.dsn"):
@@ -201,7 +201,7 @@ class TestNetworkJoint:
             lines += ["end", f"table {b} | {a} kind=m"]
             lines += [f"  {child} | {cfg} : {v!r}" for (child, cfg), v in LOOSE_ROWS.items()]
         joint, report = network_joint(parse_network("\n".join(lines + ["end"])))
-        assert len(joint.entries) == 3**10
+        assert joint.array.shape == (3,) * 10
         assert report.total_nonempty == pytest.approx(1.0, abs=1e-9)
 
     def test_focal_guard(self, monkeypatch):
@@ -212,7 +212,7 @@ class TestNetworkJoint:
             network_joint(parse_network("\n".join(lines)))
         net = load("chain4_negjoint.dsn")  # 4^4 = 256 cells, 81 focal elements
         monkeypatch.setattr(fusion_mod, "MAX_CELLS", 256)
-        assert len(network_joint(net)[0].entries) == 81
+        assert network_joint(net)[0].array.size == 81
         monkeypatch.setattr(fusion_mod, "MAX_CELLS", 255)
         with pytest.raises(SizeGuardError, match="256 cells"):
             network_joint(net)
@@ -221,16 +221,16 @@ class TestNetworkJoint:
         net = _two_node_net(ROOT_ROWS, LOOSE_ROWS)
         joint, _ = network_joint(net)
         # three contributing pairs: 0.4*(-1/12) + 0.2*(-1/12) + 0.4*0.35
-        assert _entry(joint, net, "{a}", "{b}") == pytest.approx(0.09, abs=1e-9)
+        assert joint_cell(joint, "{a}", "{b}") == pytest.approx(0.09, abs=1e-9)
 
     def test_root_extends_with_full_sets(self):
         vacuous = {("{a,b}", "{a,b}"): 1.0}
         net = _two_node_net(ROOT_ROWS, vacuous)
         joint, _ = network_joint(net)
         for lit, v in ROOT_ROWS.items():
-            assert _entry(joint, net, lit, "{a,b}") == pytest.approx(v, abs=1e-15)
+            assert joint_cell(joint, lit, "{a,b}") == pytest.approx(v, abs=1e-15)
             for child in ("{a}", "{b}"):
-                assert _entry(joint, net, lit, child) == 0.0
+                assert joint_cell(joint, lit, child) == 0.0
 
     def test_declaration_order_does_not_matter(self):
         text = (FIXTURES / "star5_negjoint.dsn").read_text(encoding="utf-8")
@@ -240,17 +240,51 @@ class TestNetworkJoint:
         backward = parse_network("\n".join(var_lines[::-1] + others))
         a, _ = network_joint(forward)
         b, _ = network_joint(backward)
-        assert len(a.entries) == len(b.entries)
-        for bits, v in a.entries.items():
-            assert abs(b.entries[bits[::-1]] - v) <= TOL
+        np.testing.assert_allclose(b.array.T, a.array, rtol=0, atol=TOL)
 
     @pytest.mark.parametrize("fixture", sorted(p.name for p in Path(FIXTURES).glob("*.dsn")))
     def test_matches_pairwise_reference(self, fixture):
         _assert_matches_reference(load(fixture))
 
 
+def reference_joint_csv(joint, stream):
+    """The joint CSV by an ``itertools.product`` walk over the keyed cells,
+    one Python-formatted line each: what ``write_joint_csv`` must write, byte
+    for byte."""
+    csv.writer(stream, lineterminator="\n").writerow(list(joint.scope) + ["mass"])
+    axes = [sorted(subsets_of(f), key=str) for f in joint.frames]
+    keys = itertools.product(*([s.bits for s in subs] for subs in axes))
+    cells = itertools.product(*map(csv_cells, axes))
+    for bits, row in zip(keys, cells):
+        v = joint.entries.get(bits)
+        if v is not None:
+            stream.write(",".join(row) + f",{v:.9f}\n")
+
+
+def _assert_csv_matches_reference(joint):
+    got, want = io.StringIO(), io.StringIO()
+    write_joint_csv(joint, got)
+    reference_joint_csv(joint, want)
+    assert got.getvalue() == want.getvalue()
+
+
+class TestWriteJointCsv:
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in Path(FIXTURES).glob("*.dsn")))
+    def test_fixtures_match_reference(self, fixture):
+        _assert_csv_matches_reference(network_joint(load(fixture))[0])
+
+    @pytest.mark.parametrize("nodes, seed", [(3, 1), (3, 2), (4, 1)])
+    def test_random_quaternary_chains_match_reference(self, nodes, seed):
+        rng = np.random.default_rng([nodes, seed])
+        lines = _random_net_text(rng, "chain", [4] * nodes, "mkmk", False)
+        joint, report = network_joint(parse_network("\n".join(lines)))
+        assert not report.proper  # so the signed cells are written too
+        _assert_csv_matches_reference(joint)
+
+
 def _random_net_text(rng, shape, sizes, kinds, convention):
-    """The lines of a chain, star or collider over len(sizes) nodes with random tables.
+    """The lines of a chain, star or collider over len(sizes) nodes of at most
+    four values, with random tables.
     Full-parent rows are distributions; with ``convention`` the other rows sum
     to zero, otherwise mass also lands on empty intersections.  A node whose
     kind is "k" gets its table's commonality form instead, as superset sums
@@ -261,7 +295,7 @@ def _random_net_text(rng, shape, sizes, kinds, convention):
         "star": [(names[0], v) for v in names[1:]],
         "collider": [(v, names[-1]) for v in names[:-1]],
     }[shape]
-    frames = {v: Frame(v, tuple("abc"[:k])) for v, k in zip(names, sizes)}
+    frames = {v: Frame(v, tuple("abcd"[:k])) for v, k in zip(names, sizes)}
     lines = [f"var {v} : {' '.join(f.values)}" for v, f in frames.items()]
     lines += [f"edge {a} -> {b}" for a, b in edges]
     for v, kind in zip(names, kinds):
@@ -329,7 +363,5 @@ def test_algebraic_properties_on_random_tables(seed, shape, sizes, kinds):
     forward, _ = network_joint(parse_network("\n".join(lines)))
     backward, _ = network_joint(parse_network("\n".join(var_lines[::-1] + others)))
     assert backward.scope == forward.scope[::-1]
-    assert {bits[::-1] for bits in backward.entries} == set(forward.entries)
-    for bits, v in forward.entries.items():
-        assert abs(backward.entries[bits[::-1]] - v) <= TOL
+    np.testing.assert_allclose(backward.array.T, forward.array, rtol=0, atol=TOL)
     assert abs(backward.empty_mass - forward.empty_mass) <= TOL

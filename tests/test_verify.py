@@ -25,6 +25,7 @@ from belnet import (
     subsets_of,
     topological_order,
 )
+from belnet.tables import subset_index
 
 from conftest import load
 
@@ -211,11 +212,7 @@ class TestAgainstCombinationJoint:
         net = load("star4_proper.dsn")
         col = exact_collapsed_joint(net)
         joint, _ = network_joint(net)
-        diffs = [
-            abs(col.probs.get(tuple(joint.focal(b).masks), 0.0) - v)
-            for b, v in joint.entries.items()
-        ]
-        assert max(diffs) > 1e-3
+        assert np.abs(col.array - joint.array).max() > 1e-3
         for variable, literal, want in (("X1", "{a,b}", 0.2), ("X1", "{a}", 0.4)):
             assert _joint_marginal(joint, variable, literal) == pytest.approx(want, abs=1e-9)
             got = {str(k): p for k, p in col.marginal(variable).items()}[literal]
@@ -274,20 +271,15 @@ def _assert_exact_if_proper(net):
 
 
 def _assert_collapsed_equals_joint(col, joint):
+    # both oracles lay a variable's nonempty subsets along its axis in subsets_of order
     assert col.variables == joint.scope
-    # the joint's entries laid out like the collapsed array; the rest stay zero
-    want = np.zeros(col.array.shape)
-    pos = [{s.bits: i for i, s in enumerate(lab)} for lab in col.labels]
-    for bits, v in joint.entries.items():
-        want[tuple(p[b] for p, b in zip(pos, bits))] = v
-    np.testing.assert_allclose(col.array, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(col.array, joint.array, rtol=0, atol=1e-12)
 
 
 def _joint_marginal(joint, variable, literal) -> float:
     j = joint.scope.index(variable)
-    return sum(
-        v for b, v in joint.entries.items() if str(joint.focal(b).masks[j]) == literal
-    )
+    axes = tuple(a for a in range(joint.array.ndim) if a != j)
+    return float(joint.array.sum(axis=axes)[subset_index(literal, joint.frames[j])])
 
 
 class TestCompareEmpirical:
