@@ -4,7 +4,7 @@ Conditional mass tables are reparameterized as commonality tables, variable
 domains are extended with split values, proper conditional probability tables
 are built over the extended domains, and records are drawn by forward
 sampling and collapsed back to subsets.  An exact conjunctive-combination
-joint and an exhaustive verification oracle are included.
+joint and an exact verification oracle, by tensor contraction, are included.
 
 Submodules are imported on first use of a name they export (PEP 562), so
 ``import belnet`` alone loads none of them.

@@ -16,7 +16,6 @@ from .errors import BelnetError, InfeasibleModelError, StructureError
 from .fusion import network_joint, write_joint_csv
 from .network import Network, load_network, validate_structure
 from .sampler import generate, write_csv
-from .tables import _PAD, _fixed9  # the dump's %.9f cells, as write_cells makes them
 from .tables import (
     ValidationReport,
     commonality_to_mass,

@@ -96,6 +96,8 @@ def parse_network(text: str, name_hint: str = "net") -> Network:
             raise NetworkParseError(f"unrecognized directive {line.split()[0]!r}", lineno)
     if cur is not None:
         raise NetworkParseError(f"table {cur['child']!r} not closed with 'end'", cur["line"])
+    if not net.nodes:
+        raise NetworkParseError("no variables")
 
     net.edges = tuple(edges)
     for child, node in net.nodes.items():

@@ -1,8 +1,9 @@
 """Exact distributions of the extended model and empirical comparison.
 
 The sampler realizes the chain-rule product of the extended CPT rows; that
-product, enumerated exhaustively, is the reference the sample is checked
-against.  The collapsed form is its push-forward under per-variable collapse.
+product, summed by tensor contraction rather than enumerated, is the reference
+the sample is checked against.  The collapsed form is its push-forward under
+per-variable collapse.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .cpt import ExtCPT, build_network_cpts
 from .errors import SizeGuardError
-from .network import Network, topological_order
+from .network import Network
 from .sampler import MAX_STATES, Sample, own_index, row_offsets
 from .tables import subsets_of
 
@@ -46,54 +47,12 @@ class ExactDistribution:
         return {lab: p for lab, p in zip(self.labels[j], sums.tolist()) if p}
 
 
-def _extended_array(
-    net: Network, cpts: dict[str, ExtCPT] | None, max_states: int
-) -> tuple[tuple[str, ...], dict[str, ExtCPT], np.ndarray]:
-    """The chain-rule product over all extended states, as a dense array with
-    one axis per node in topological order, indexed by child-domain position.
-
-    Each node's CPT is broadcast onto its parents' axes and its own, and the
-    factors are multiplied in topological order.
-    """
-    if cpts is None:
-        cpts = build_network_cpts(net)
-    topo = topological_order(net)
-    sizes = [len(cpts[name].child_domain) for name in topo]
-    size = math.prod(sizes)
-    if size > max_states:
-        raise SizeGuardError(f"extended state space holds {size} states (limit {max_states})")
-    axis = {name: j for j, name in enumerate(topo)}
-    joint = np.ones(sizes)
-    for j, name in enumerate(topo):
-        # flat CPT cell of every (parent values, own value) combination
-        cell = _along(np.arange(sizes[j]), j, len(topo))
-        for parent, offsets in row_offsets(net, cpts, name):
-            cell = cell + _along(offsets * sizes[j], axis[parent], len(topo))
-        joint *= cpts[name].probs.ravel()[cell]
-    return topo, cpts, joint
-
-
-def _along(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    """``values`` laid along one axis of an ``ndim``-dimensional array."""
-    return values.reshape([-1 if a == axis else 1 for a in range(ndim)])
-
-
-def _declared(net: Network, topo, labels, array: np.ndarray) -> ExactDistribution:
-    """Distribution from an array over ``topo``'s axes, labelled per axis by
-    ``labels``; axes and labels are put in declaration order."""
-    order = [topo.index(name) for name in net.variables]
-    return ExactDistribution(
-        tuple(net.variables), tuple(labels[j] for j in order), array.transpose(order)
-    )
-
-
 def exact_extended_joint(
     net: Network, cpts: dict[str, ExtCPT] | None = None, max_states: int = MAX_STATES
 ) -> ExactDistribution:
-    """Exhaustive chain-rule product over all extended states; axis j runs
-    over the child domain of ``net.variables[j]``."""
-    topo, cpts, joint = _extended_array(net, cpts, max_states)
-    return _declared(net, topo, [cpts[name].child_domain for name in topo], joint)
+    """The chain-rule product over all extended states; axis j runs over the
+    child domain of ``net.variables[j]``."""
+    return _contracted(net, cpts, max_states, extended=True)
 
 
 def exact_collapsed_joint(
@@ -101,14 +60,45 @@ def exact_collapsed_joint(
 ) -> ExactDistribution:
     """Push-forward of the extended joint under per-variable collapse; axis j
     runs over ``subsets_of`` the frame of ``net.variables[j]``."""
-    topo, cpts, joint = _extended_array(net, cpts, max_states)
-    labels = [subsets_of(net.frame(name)) for name in topo]
-    sizes = [len(lab) for lab in labels]
-    # collapsed class of every extended state, in mixed radix over own subsets
-    owns = [_along(own_index(cpts[name].child_domain), j, len(topo)) for j, name in enumerate(topo)]
-    classes = np.ravel_multi_index(owns, sizes)
-    probs = np.bincount(classes.ravel(), weights=joint.ravel(), minlength=math.prod(sizes))
-    return _declared(net, topo, labels, probs.reshape(sizes))
+    return _contracted(net, cpts, max_states, extended=False)
+
+
+def _contracted(
+    net: Network, cpts: dict[str, ExtCPT] | None, max_states: int, extended: bool
+) -> ExactDistribution:
+    """The extended joint, or its collapsed form, as one tensor contraction.
+
+    Axis j is variable j's extended value, axis n + j its collapsed class.  Per
+    node: its CPT, each parent axis gathered through the edge's ``row_offsets``,
+    and unless ``extended`` a 0/1 collapse matrix (``own_index``) from axis j to
+    axis n + j.  The guard bounds the answer and every operand; numpy's greedy
+    path makes no intermediate larger than the largest of those.
+    """
+    if cpts is None:
+        cpts = build_network_cpts(net)
+    kind = "extended" if extended else "collapsed"
+    labels = [cpts[v].child_domain if extended else subsets_of(net.frame(v)) for v in net.variables]
+    if (size := math.prod(map(len, labels))) > max_states:
+        raise SizeGuardError(f"{kind} state space holds {size} states (limit {max_states})")
+    axis = {name: j for j, name in enumerate(net.variables)}
+    n, operands = len(axis), []
+    for name, j in axis.items():
+        parents = row_offsets(net, cpts, name)
+        width = len(cpts[name].child_domain)
+        # the larger operand: the gathered CPT (parents x own) or the collapse matrix (own x subsets)
+        subsets = 1 if extended else len(labels[j])
+        if (size := max(math.prod(len(o) for _, o in parents), subsets) * width) > max_states:
+            raise SizeGuardError(
+                f"{kind} joint needs an operand of {size} cells at {name} (limit {max_states})"
+            )
+        # the CPT row of every combination of parent values, one axis per parent
+        rows = sum(np.ix_(*(offsets for _, offsets in parents)), np.int64(0))
+        operands += [cpts[name].probs[rows], [axis[p] for p, _ in parents] + [j]]
+        if not extended:
+            operands += [np.eye(len(labels[j]))[own_index(cpts[name].child_domain)], [j, n + j]]
+    out = [j if extended else n + j for j in range(n)]
+    array = np.einsum(*operands, out, optimize="greedy")
+    return ExactDistribution(tuple(net.variables), tuple(labels), array)
 
 
 @dataclass

@@ -117,6 +117,17 @@ class TestValidate:
         assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["joint"], ["cpt"], ["sample", "-n", "10"], ["verify", "-n", "10"]],
+    ids=lambda a: a[0],
+)
+def test_network_without_variables_exits_1(capsys, tmp_path, argv):
+    empty = tmp_path / "e.dsn"
+    empty.write_text("net e\n")
+    code, out, err = run(capsys, argv[0], str(empty), *argv[1:])
+    assert (code, out, err) == (1, "", "error: no variables\n")
+
+
 class TestJoint:
     def test_csv_and_report(self, capsys):
         code, out, err = run(capsys, "joint", fixture_path("chain4_negjoint.dsn"))
@@ -201,22 +212,6 @@ class TestCpt:
         bad.write_text(CONNECTED_PARENTS)
         code, _, err = run(capsys, "cpt", str(bad))
         assert code == 3
-
-    def test_cells_formatted_as_by_python(self):
-        rng = np.random.default_rng(9)
-        edges = [0.0, -0.0, 1.0, 0.5, 1e-10, 5e-10, 4.9999999999e-10, 0.9999999995,
-                 0.9999999994999999, 9.9999999995, 9.99999999949, 10.0, 123.456, -1e-12,
-                 -0.25, 1 / 3, 2 / 3, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)]
-        cells = np.concatenate([
-            rng.random(100_000),
-            rng.random(20_000) * 12 - 1,
-            np.arange(1025) / 1024,  # dyadic, with exact ties such as 1/1024
-            rng.integers(0, 2**20, 20_000) / 2**20,
-            (np.arange(100_000) + 0.5) / 1e9,  # near ties once scaled
-            edges,
-        ])
-        got = [bytes(c[c != cli_mod._PAD]) for c in cli_mod._fixed9(cells)]
-        assert got == [f"{x:.9f}".encode() for x in cells.tolist()]
 
 
 @pytest.mark.parametrize(
@@ -355,25 +350,19 @@ class TestVerify:
         )
         assert code == 2
 
-    def test_oversized_model_refused_before_drawing(self, capsys, monkeypatch, tmp_path):
-        # chain3_ternary grown to six nodes, every link its X1 -> X2 table
-        lines = open(fixture_path("chain3_ternary.dsn")).read().splitlines()
-        root = lines[lines.index("table X1 | kind=k") : lines.index("table X2 | X1 kind=k")]
-        link = lines[lines.index("table X2 | X1 kind=k") + 1 : lines.index("table X3 | X2 kind=k")]
-        text = [f"var X{i} : a b c" for i in range(1, 7)]
-        text += [f"edge X{i} -> X{i + 1}" for i in range(1, 6)] + root
-        for i in range(2, 7):
-            text += [f"table X{i} | X{i - 1} kind=k"] + link
-        big = tmp_path / "chain6.dsn"
-        big.write_text("\n".join(text) + "\n")
+    def test_six_node_chain_verifies(self, capsys, tmp_path):
+        # 200,404,057 extended states, for a collapsed joint of 7^6 cells
+        code, out, _ = run(capsys, "verify", _ternary_chain(tmp_path, 6), "-n", "20000")
+        assert code == 0 and out.endswith("result: PASS\n")
 
+    def test_oversized_model_refused_before_drawing(self, capsys, monkeypatch, tmp_path):
         def generate(*args, **kwargs):
             raise AssertionError("drew a sample for a model it cannot verify")
 
         monkeypatch.setattr(cli_mod, "generate", generate)
-        code, out, err = run(capsys, "verify", str(big), "-n", "2000000")
+        code, out, err = run(capsys, "verify", _ternary_chain(tmp_path, 9), "-n", "2000000")
         assert code == 1 and out == ""
-        assert err == "error: extended state space holds 200404057 states (limit 10000000)\n"
+        assert err == "error: collapsed state space holds 40353607 states (limit 10000000)\n"
 
     @pytest.mark.parametrize(
         "fixture, lines",
@@ -406,6 +395,20 @@ class TestVerify:
         )
         assert code == 0 and err == ""
         assert out == "\n".join(lines) + "\n"
+
+
+def _ternary_chain(tmp_path, k: int) -> str:
+    """chain3_ternary grown to ``k`` nodes, every link its X1 -> X2 table."""
+    lines = open(fixture_path("chain3_ternary.dsn")).read().splitlines()
+    root = lines[lines.index("table X1 | kind=k") : lines.index("table X2 | X1 kind=k")]
+    link = lines[lines.index("table X2 | X1 kind=k") + 1 : lines.index("table X3 | X2 kind=k")]
+    text = [f"var X{i} : a b c" for i in range(1, k + 1)]
+    text += [f"edge X{i} -> X{i + 1}" for i in range(1, k)] + root
+    for i in range(2, k + 1):
+        text += [f"table X{i} | X{i - 1} kind=k"] + link
+    path = tmp_path / f"chain{k}.dsn"
+    path.write_text("\n".join(text) + "\n")
+    return str(path)
 
 
 class TestUsageErrors:

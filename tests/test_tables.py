@@ -17,6 +17,7 @@ from belnet import (
     subsets_of,
     validate_table,
 )
+from belnet import tables
 from belnet.tables import bit_ordered, superset_sums
 
 from conftest import LOOSE_ROWS, TIGHT_ROWS, bframe, cond_table, mask
@@ -261,3 +262,20 @@ class TestValidateTable:
 def test_tables_are_immutable(loose_cond):
     with pytest.raises(ValueError):
         loose_cond.values[0, 0] = 1.0
+
+
+def test_cells_formatted_as_by_python():
+    rng = np.random.default_rng(9)
+    edges = [0.0, -0.0, 1.0, 0.5, 1e-10, 5e-10, 4.9999999999e-10, 0.9999999995,
+             0.9999999994999999, 9.9999999995, 9.99999999949, 10.0, 123.456, -1e-12,
+             -0.25, 1 / 3, 2 / 3, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)]
+    cells = np.concatenate([
+        rng.random(100_000),
+        rng.random(20_000) * 12 - 1,
+        np.arange(1025) / 1024,  # dyadic, with exact ties such as 1/1024
+        rng.integers(0, 2**20, 20_000) / 2**20,
+        (np.arange(100_000) + 0.5) / 1e9,  # near ties once scaled
+        edges,
+    ])
+    got = [bytes(c[c != tables._PAD]) for c in tables._fixed9(cells)]
+    assert got == [f"{x:.9f}".encode() for x in cells.tolist()]

@@ -1,6 +1,9 @@
-"""Exhaustive oracle distributions and empirical comparison."""
+"""Exact oracle distributions, against enumeration references, and empirical comparison."""
 
+import importlib.util
 import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +28,16 @@ from belnet import (
     subsets_of,
     topological_order,
 )
+from belnet.sampler import own_index, row_offsets
 from belnet.tables import subset_index
 
 from conftest import load
+
+# the benchmark's seeded network generator, clibench/gen.py
+_GEN_PATH = Path(__file__).parents[1] / "clibench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("clibench_gen", _GEN_PATH)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 CHAIN2 = """
 net chain2
@@ -82,6 +92,112 @@ def recursive_extended_joint(net, cpts):
 
     rec({}, 1.0)
     return out
+
+
+def enumerated_extended_joint(net, cpts) -> np.ndarray:
+    """Reference enumeration: the chain-rule product over all extended states,
+    as a dense array with one axis per variable in declaration order.
+
+    Each node's CPT is broadcast onto its parents' axes and its own, and the
+    factors are multiplied in topological order.
+    """
+    axis = {name: j for j, name in enumerate(net.variables)}
+    sizes = [len(cpts[name].child_domain) for name in net.variables]
+    joint = np.ones(sizes)
+    for name in topological_order(net):
+        j = axis[name]
+        # flat CPT cell of every (parent values, own value) combination
+        cell = _along(np.arange(sizes[j]), j, len(sizes))
+        for parent, offsets in row_offsets(net, cpts, name):
+            cell = cell + _along(offsets * sizes[j], axis[parent], len(sizes))
+        joint *= cpts[name].probs.ravel()[cell]
+    return joint
+
+
+def enumerated_collapsed_joint(net, cpts) -> np.ndarray:
+    """Reference push-forward: the enumerated extended joint bincounted by the
+    collapsed class of every state, in mixed radix over own subsets."""
+    joint = enumerated_extended_joint(net, cpts)
+    sizes = [len(subsets_of(net.frame(name))) for name in net.variables]
+    owns = [
+        _along(own_index(cpts[name].child_domain), j, joint.ndim)
+        for j, name in enumerate(net.variables)
+    ]
+    classes = np.ravel_multi_index(owns, sizes)
+    probs = np.bincount(classes.ravel(), weights=joint.ravel(), minlength=math.prod(sizes))
+    return probs.reshape(sizes)
+
+
+def _along(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """``values`` laid along one axis of an ``ndim``-dimensional array."""
+    return values.reshape([-1 if a == axis else 1 for a in range(ndim)])
+
+
+def _assert_contraction_matches_enumeration(net, cpts):
+    # every factor is nonnegative, so the supports agree exactly
+    for oracle, reference in (
+        (exact_extended_joint, enumerated_extended_joint),
+        (exact_collapsed_joint, enumerated_collapsed_joint),
+    ):
+        got, want = oracle(net, cpts).array, reference(net, cpts)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(got > 0.0, want > 0.0)
+
+
+class TestContraction:
+    """Both oracles contract one factor per node; enumeration is their reference."""
+
+    @pytest.mark.parametrize("fixture", FEASIBLE)
+    def test_fixtures(self, fixture):
+        net = load(fixture)
+        _assert_contraction_matches_enumeration(net, build_network_cpts(net))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("shape", ["ternary_chain3", "ternary_chain4", "ternary_chain5",
+                                       "wide_collider"])
+    def test_benchmark_networks(self, shape, seed):
+        if shape == "wide_collider":
+            net = parse_network(gen.wide_collider(seed))
+        else:
+            net = parse_network(gen.ternary_chain(int(shape[-1]), seed))
+        _assert_contraction_matches_enumeration(net, build_network_cpts(net))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["chain2", "chain3", "chain4", "fork3", "fork4",
+                         "collider3", "collider4"]),
+        st.lists(st.sampled_from([2, 3]), min_size=4, max_size=4),
+        st.sampled_from([0.02, 0.2, 0.5]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_networks(self, seed, shape, sizes, spread):
+        net = random_net(np.random.default_rng(seed), shape, sizes, spread)
+        try:
+            cpts = build_network_cpts(net)
+        except InfeasibleModelError:
+            return
+        _assert_contraction_matches_enumeration(net, cpts)
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_chains_beyond_enumeration(self, k):
+        # 2.0e8 and 6.2e9 extended states; a chain's collapsed joint is its
+        # combination joint, which is computed without them
+        net = parse_network(gen.ternary_chain(k, 1))
+        joint, report = network_joint(net)
+        assert report.proper
+        _assert_collapsed_equals_joint(exact_collapsed_joint(net), joint)
+
+    def test_guard_bounds_every_operand(self):
+        # collider3's 27-cell answer needs X3's 5 x 5 x 3 factor
+        net = load("collider3.dsn")
+        assert exact_collapsed_joint(net, max_states=75).array.size == 27
+        with pytest.raises(SizeGuardError, match="operand of 75 cells at X3 "):
+            exact_collapsed_joint(net, max_states=74)
+        # CHAIN2's 9-cell answer needs X1's collapse matrix: 5 extended values by 3 subsets
+        net = parse_network(CHAIN2)
+        assert exact_collapsed_joint(net, max_states=15).array.size == 9
+        with pytest.raises(SizeGuardError, match="operand of 15 cells at X1 "):
+            exact_collapsed_joint(net, max_states=14)
 
 
 class TestExactExtended:
@@ -177,27 +293,27 @@ class TestAgainstCombinationJoint:
 
     @given(
         st.integers(0, 2**32 - 1),
-        st.sampled_from(["chain2", "chain3", "chain4", "collider"]),
+        st.sampled_from(["chain2", "chain3", "chain4", "collider3"]),
         st.lists(st.sampled_from([2, 3]), min_size=4, max_size=4),
         st.sampled_from([0.02, 0.2, 0.5]),
     )
     @settings(max_examples=80, deadline=None)
     def test_one_successor_networks(self, seed, shape, sizes, spread):
-        net = one_successor_net(np.random.default_rng(seed), shape, sizes, spread)
+        net = random_net(np.random.default_rng(seed), shape, sizes, spread)
         _assert_exact_if_proper(net)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.02, 0.2, 0.5]))
     @settings(max_examples=30, deadline=None)
     def test_eight_node_binary_chains(self, seed, spread):
-        net = one_successor_net(np.random.default_rng(seed), "chain8", [2] * 8, spread)
+        net = random_net(np.random.default_rng(seed), "chain8", [2] * 8, spread)
         _assert_exact_if_proper(net)
 
     def test_one_successor_networks_are_mostly_feasible(self):
         # the property above must see both outcomes, and mostly proper joints
         outcomes = []
         for seed in range(40):
-            shape = ["chain2", "chain3", "chain4", "collider"][seed % 4]
-            net = one_successor_net(np.random.default_rng(seed), shape, [3, 2, 3, 2], 0.2)
+            shape = ["chain2", "chain3", "chain4", "collider3"][seed % 4]
+            net = random_net(np.random.default_rng(seed), shape, [3, 2, 3, 2], 0.2)
             try:
                 build_network_cpts(net)
             except InfeasibleModelError:
@@ -222,19 +338,21 @@ class TestAgainstCombinationJoint:
         assert leaf["{a,b}"] == pytest.approx(0.2286, abs=1e-4)
 
 
-def one_successor_net(rng, shape, sizes, spread):
-    """A chain (``chainK``: K nodes, K < 10) or a 3-node collider with
-    commonality tables.
+def random_net(rng, shape, sizes, spread):
+    """A K-node network (K < 10) with commonality tables and a frame of
+    ``sizes[j]`` values on node j: ``chainK``, ``forkK`` (one root feeding K - 1
+    leaves) or ``colliderK`` (K - 1 roots feeding one leaf).
 
     Per node, a base row shrinks by a factor per extra subset member, 0.1 on a
     node with a successor and 0.5 on a leaf; every row is the base perturbed
     by up to ``spread`` (relative, per cell) and renormalized.
     """
-    if shape == "collider":
-        names, edges = ["X1", "X2", "X3"], [("X1", "X3"), ("X2", "X3")]
-    else:
-        names = [f"X{i}" for i in range(1, int(shape[-1]) + 1)]
-        edges = list(zip(names, names[1:]))
+    names = [f"X{i}" for i in range(1, int(shape[-1]) + 1)]
+    edges = {
+        "chain": list(zip(names, names[1:])),
+        "fork": [(names[0], v) for v in names[1:]],
+        "collider": [(v, names[-1]) for v in names[:-1]],
+    }[shape[:-1]]
     frames = {v: Frame(v, tuple("abc"[:k])) for v, k in zip(names, sizes)}
     lines = [f"var {v} : {' '.join(f.values)}" for v, f in frames.items()]
     lines += [f"edge {a} -> {b}" for a, b in edges]
