@@ -41,7 +41,7 @@ _EXPORTS = {
         "topological_order",
         "validate_structure",
     ),
-    "sampler": ("Sample", "SampleRecord", "generate", "write_csv"),
+    "sampler": ("Sample", "generate", "write_csv"),
     "tables": (
         "CondCommonalityTable",
         "CondMassTable",

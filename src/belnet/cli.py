@@ -53,11 +53,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _nonnegative(kind):
-    """An argument type: ``kind`` of the text, refused if negative or NaN."""
+    """An argument type: ``kind`` of the text, refused if negative, NaN or infinite."""
 
     def parse(text: str):
         if not (value := kind(text)) >= 0:
             raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+        if value == float("inf"):  # an infinite --linf would pass every sample
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"

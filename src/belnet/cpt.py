@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleModelError, SizeGuardError, StructureError
-from .extvals import ExtValue, ExtVector, ext_table, ext_values, ext_vectors
+from .extvals import ExtValue, ExtVector, ext_table, ext_values, ext_vectors, own_index
 from .network import Network, topological_order, validate_structure
 from .tables import (
     EXACT_TOL,
@@ -254,10 +254,7 @@ def check_feasibility(cpt: ExtCPT) -> ValidationReport:
     tensor = probs.reshape(dims + (-1,))
     plain_dims = tuple(len(subsets_of(f)) for f in cpt.source.parent_frames)
     classes = subsets_of(cpt.source.child_frame)
-    members = np.equal.outer(
-        [(c if isinstance(c, SubsetMask) else c.own).bits for c in cpt.child_domain],
-        [s.bits for s in classes],
-    )
+    members = np.eye(len(classes))[own_index(cpt.child_domain)]
     got = tensor[tuple(map(slice, plain_dims))].reshape(-1, len(members)) @ members
     want = cpt.source.values
     for r, s in zip(*np.nonzero(np.abs(got - want) > ROWSUM_TOL)):

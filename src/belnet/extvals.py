@@ -214,6 +214,16 @@ def component(vec: ExtVector, h: int) -> ExtValue:
     return ExtValue(vec.own, op, vec.sup)
 
 
+def _own(value) -> SubsetMask:
+    return value if isinstance(value, SubsetMask) else value.own
+
+
+def own_index(domain) -> np.ndarray:
+    """Per value of ``domain``, the index of its own subset in ``subsets_of`` order."""
+    pos = _subset_pos(domain[0].frame)
+    return np.array([pos[_own(v).bits] for v in domain], dtype=np.int64)
+
+
 def parse_ext_value(text: str, frame: Frame) -> ExtValue:
     """Parse the canonical text form, e.g. ``{a}``, ``{a}o{a,b}``, ``{a}@{a,b}``."""
     literals, ops = _split_ops(text.strip())

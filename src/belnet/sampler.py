@@ -1,25 +1,25 @@
 """Forward (ancestral) sampling over extended domains, collapse, CSV output.
 
-Randomness is fully determined by a single integer seed: a counter-based
-generator produces one uniform variate per record per node, and each record
-consumes only its own row of variates, so output is identical no matter how
-records are batched.
+A sample stores no records: each pass over it draws them afresh, chunk by
+chunk, from a single integer seed.  A counter-based generator produces one
+uniform variate per record per node, and each record consumes only its own
+row of variates, so output is identical no matter how records are batched.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .cpt import ExtCPT, build_network_cpts
 from .errors import SizeGuardError
-from .tables import SubsetMask, _subset_pos, csv_cells, subsets_of
-from .extvals import component, ext_value_index
+from .tables import SubsetMask, csv_cells, subsets_of
+from .extvals import component, ext_value_index, own_index
 from .network import Network, edge_index, topological_order
 
 _CHUNK = 1 << 18
@@ -28,15 +28,6 @@ MAX_STATES = 10_000_000  # cells of a dense joint or count array, at most
 # collapsed classes of a run of CSV columns, at most: a run's class texts are formatted
 # up front, and this caps that work while one run still covers each benchmark network
 _CSV_CLASSES = 1 << 12
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One drawn record: the extended value and its collapsed subset per variable."""
-
-    variables: tuple[str, ...]
-    extended: tuple
-    collapsed: tuple[SubsetMask, ...]
 
 
 def row_offsets(net: Network, cpts: dict[str, ExtCPT], name: str) -> list[tuple[str, np.ndarray]]:
@@ -121,29 +112,28 @@ def _draw_cells(cdf: np.ndarray, top: np.ndarray, rows: np.ndarray, u: np.ndarra
     return np.minimum(count, top[rows], out=count)
 
 
-class Sample(Sequence[SampleRecord]):
-    """A drawn sample; indexable as SampleRecord objects.
+class Sample:
+    """``count`` records of ``variables``, drawn afresh on each pass.
 
-    ``codes`` holds the per-variable child-domain indices (records x variables,
-    declaration order); ``generate`` stores contiguous columns of a narrow unsigned type.
+    ``source()`` starts a pass: an iterable of the records in order, in chunks
+    of per-variable child-domain indices (records x variables, declaration
+    order), axis j indexing ``domains[j]``.
     """
 
-    def __init__(self, variables: tuple[str, ...], domains: list, codes: np.ndarray):
+    def __init__(self, variables: tuple[str, ...], domains: list, count: int, source: Callable):
         self.variables = variables
         self.domains = domains
-        self.codes = codes
-        self._subsets = [subsets_of(_own(domain[0]).frame) for domain in domains]
+        self.count = count
+        self._source = source
+        self._subsets = [subsets_of(domain[0].frame) for domain in domains]
         self._own_index = [own_index(domain) for domain in domains]
 
     def __len__(self) -> int:
-        return self.codes.shape[0]
+        return self.count
 
-    def __getitem__(self, i) -> SampleRecord:
-        if isinstance(i, slice):
-            raise TypeError("slicing a sample is not supported")
-        row = self.codes[i]
-        extended = tuple(domain[c] for domain, c in zip(self.domains, row))
-        return SampleRecord(self.variables, extended, tuple(_own(v) for v in extended))
+    def chunks(self) -> Iterable[np.ndarray]:
+        """One pass over the records, chunk by chunk; each pass draws them again."""
+        return self._source()
 
     def collapsed_counts(self) -> np.ndarray:
         """Counts of collapsed records, as an int64 array with one axis per
@@ -160,30 +150,18 @@ class Sample(Sequence[SampleRecord]):
         return {subs: int(c) for subs, c in zip(self._subsets[j], counts) if c}
 
     def _counts(self, first: int, stop: int) -> np.ndarray:
-        """Records per class of ``_classes`` over variables ``first:stop``, chunk by chunk."""
+        """Records per class of ``_classes`` over variables ``first:stop``, in one pass."""
         out = np.zeros(math.prod(len(subs) for subs in self._subsets[first:stop]), dtype=np.int64)
-        for lo in range(0, len(self), _CHUNK):
-            counts = np.bincount(self._classes(lo, first, stop))
+        for codes in self.chunks():
+            counts = np.bincount(self._classes(codes, first, stop))
             out[: len(counts)] += counts
         return out
 
-    def _classes(self, lo: int, first: int, stop: int) -> np.ndarray:
-        """Collapsed class of each record of the chunk at ``lo`` over variables
+    def _classes(self, codes: np.ndarray, first: int, stop: int) -> np.ndarray:
+        """Collapsed class of each record of the chunk ``codes`` over variables
         ``first:stop``: their own-subset indices in mixed radix, last fastest."""
-        codes = self.codes[lo : lo + _CHUNK]
         owns = [self._own_index[j][codes[:, j]] for j in range(first, stop)]
         return np.ravel_multi_index(owns, [len(subs) for subs in self._subsets[first:stop]])
-
-
-def _own(value) -> SubsetMask:
-    return value if isinstance(value, SubsetMask) else value.own
-
-
-def own_index(domain) -> np.ndarray:
-    """Per child-domain index, the index of the value's own subset in
-    ``subsets_of`` order."""
-    pos = _subset_pos(_own(domain[0]).frame)
-    return np.array([pos[_own(v).bits] for v in domain], dtype=np.int64)
 
 
 def generate(
@@ -192,7 +170,8 @@ def generate(
     seed: int = 0,
     cpts: dict[str, ExtCPT] | None = None,
 ) -> Sample:
-    """Draw ``count`` i.i.d. records from the extended model of ``net``.
+    """``count`` i.i.d. records from the extended model of ``net``, drawn on each
+    pass; an infeasible model is refused here, before any record is drawn.
 
     Identical (net, count, seed) always produce identical output.
     """
@@ -205,17 +184,27 @@ def generate(
     topo = topological_order(net)
     parents = {name: [(column[p], o) for p, o in row_offsets(net, cpts, name)] for name in topo}
     nodes = [(column[name], _NodeDraw(cpts[name].probs, parents[name])) for name in topo]
-    widest = max(len(cpts[name].child_domain) for name in topo)
     # one contiguous column per variable, in the narrowest unsigned type
-    codes = np.empty((count, len(topo)), dtype=np.min_scalar_type(widest - 1), order="F")
+    dtype = np.min_scalar_type(max(len(cpts[name].child_domain) for name in topo) - 1)
+    source = functools.partial(_draw_chunks, nodes, dtype, count, seed)
+    return Sample(variables, [cpts[name].child_domain for name in variables], count, source)
+
+
+def _draw_chunks(nodes: list, dtype: np.dtype, count: int, seed: int) -> Iterator[np.ndarray]:
+    """``count`` records from a fresh generator seeded by ``seed``, in chunks of ``_CHUNK``."""
     rng = np.random.Generator(np.random.Philox(seed))
     for lo in range(0, count, _CHUNK):
-        chunk = codes[lo : lo + _CHUNK]
-        # one variate per record per node, in topological order; a row per node
-        u = rng.random((len(chunk), len(topo))).T.copy()
-        for t, (col, node) in enumerate(nodes):
-            chunk[:, col] = node.draw(chunk, u[t])
-    return Sample(variables, [cpts[name].child_domain for name in variables], codes)
+        yield _draw_chunk(nodes, dtype, rng, min(_CHUNK, count - lo))
+
+
+def _draw_chunk(nodes: list, dtype: np.dtype, rng: np.random.Generator, size: int) -> np.ndarray:
+    """The codes of ``size`` records; their variates are freed before the caller yields."""
+    codes = np.empty((size, len(nodes)), dtype=dtype, order="F")
+    # one variate per record per node, in topological order; a row per node
+    u = rng.random((size, len(nodes))).T.copy()
+    for t, (col, node) in enumerate(nodes):
+        codes[:, col] = node.draw(codes, u[t])
+    return codes
 
 
 def write_csv(sample: Sample, dest: str | IO[str]) -> None:
@@ -240,6 +229,6 @@ def _write_csv_stream(sample: Sample, stream: IO[str]) -> None:
     ends = [","] * (len(sizes) - 1) + ["\n"]
     cells = [[c + end for c in csv_cells(subs)] for subs, end in zip(sample._subsets, ends)]
     pieces = [np.array(list(map("".join, itertools.product(*cells[a:b]))), object) for a, b in runs]
-    for lo in range(0, len(sample), _CHUNK):
-        cols = [p[sample._classes(lo, a, b)] for p, (a, b) in zip(pieces, runs)]
+    for codes in sample.chunks():
+        cols = [p[sample._classes(codes, a, b)] for p, (a, b) in zip(pieces, runs)]
         stream.write("".join(np.stack(cols, axis=1).ravel().tolist()))

@@ -17,7 +17,8 @@ import numpy as np
 from .cpt import ExtCPT, build_network_cpts
 from .errors import SizeGuardError
 from .network import Network
-from .sampler import MAX_STATES, Sample, own_index, row_offsets
+from .extvals import own_index
+from .sampler import MAX_STATES, Sample, row_offsets
 from .tables import subsets_of
 
 

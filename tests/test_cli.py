@@ -288,6 +288,14 @@ class TestSample:
         )
         assert code == 2 and "infeasible" in err
 
+    def test_infeasible_model_creates_no_output(self, capsys, tmp_path):
+        # the model is built before the output file is opened for streaming
+        dest = tmp_path / "s.csv"
+        code, _, err = run(
+            capsys, "sample", fixture_path("vacuous3.dsn"), "-n", "10", "-o", str(dest)
+        )
+        assert code == 2 and "infeasible" in err and not dest.exists()
+
     def test_short_commonality_row_exits_2(self, capsys, tmp_path):
         half = tmp_path / "half.dsn"
         half.write_text("var X1 : a b\ntable X1 | kind=k\n  {a} : 0.25\n  {b} : 0.25\nend\n")
@@ -423,6 +431,8 @@ class TestUsageErrors:
              "argument --linf: must be nonnegative, got '-1'"),
             (["verify", "-n", "1", "--linf", "nan"],
              "argument --linf: must be nonnegative, got 'nan'"),
+            (["verify", "-n", "1", "--linf", "inf"],
+             "argument --linf: must be finite, got 'inf'"),
             (["sample", "-n", "1", "--seed", "-1"],
              "argument --seed: must be nonnegative, got '-1'"),
             (["verify", "-n", "1", "--seed", "-1"],
@@ -430,7 +440,10 @@ class TestUsageErrors:
             (["sample", "-n", "1", "--seed", "x"],
              "argument --seed: invalid int value: 'x'"),
         ],
-        ids=["no-count", "linf-negative", "linf-nan", "sample-seed", "verify-seed", "seed-text"],
+        ids=[
+            "no-count", "linf-negative", "linf-nan", "linf-inf",
+            "sample-seed", "verify-seed", "seed-text",
+        ],
     )
     def test_exits_1_with_usage(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_:

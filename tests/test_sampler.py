@@ -15,6 +15,7 @@ from belnet import (
     ExtVector,
     Frame,
     SizeGuardError,
+    SubsetMask,
     build_network_cpts,
     component,
     edge_index,
@@ -37,15 +38,26 @@ class TestDeterminism:
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
 
+    def test_passes_are_equal(self, sampling_net):
+        s = generate(sampling_net, 500, seed=11)
+        assert np.array_equal(s.collapsed_counts(), s.collapsed_counts())
+        outs = []
+        for _ in range(2):
+            buf = io.StringIO()
+            write_csv(s, buf)
+            outs.append(buf.getvalue())
+        assert outs[0] == outs[1]
+
     def test_chunking_does_not_change_records(self, sampling_net, monkeypatch):
-        cpts = build_network_cpts(sampling_net)
-        whole = generate(sampling_net, 300, seed=9, cpts=cpts)
+        s = generate(sampling_net, 300, seed=9)
+        whole = codes_of(s)
+        # each pass reads the chunk size afresh
         monkeypatch.setattr(sampler_mod, "_CHUNK", 7)
-        parts = generate(sampling_net, 300, seed=9, cpts=cpts)
-        assert np.array_equal(whole.codes, parts.codes)
+        assert max(map(len, s.chunks())) == 7
+        assert np.array_equal(whole, codes_of(s))
 
     def test_codes_are_narrow_contiguous_columns(self, sampling_net, tmp_path):
-        assert generate(sampling_net, 10, seed=0).codes.dtype == np.uint8
+        assert codes_of(generate(sampling_net, 10, seed=0)).dtype == np.uint8
         # a quaternary parent has 281 extended values; weight 0.1^(|s|-1) on each
         # subset s keeps its split over them nonnegative
         subsets = [",".join(c) for n in range(1, 5) for c in itertools.combinations("abcd", n)]
@@ -56,14 +68,29 @@ class TestDeterminism:
             f"var A : a b c d\nvar B : a b\nedge A -> B\ntable A | kind=k\n{root}end\n"
             "table B | A kind=m\n  {a,b} | {a,b,c,d} : 1\nend\n"
         )
-        codes = generate(load_network(str(wide)), 10, seed=0).codes
+        (codes,) = generate(load_network(str(wide)), 10, seed=0).chunks()
         assert codes.dtype == np.uint16 and codes.flags.f_contiguous
 
     def test_different_seeds_differ(self, sampling_net):
         cpts = build_network_cpts(sampling_net)
         a = generate(sampling_net, 200, seed=0, cpts=cpts)
         b = generate(sampling_net, 200, seed=1, cpts=cpts)
-        assert not np.array_equal(a.codes, b.codes)
+        assert not np.array_equal(codes_of(a), codes_of(b))
+
+
+def codes_of(sample):
+    """Every record's child-domain indices, from one pass over ``chunks()``."""
+    return np.concatenate(list(sample.chunks()))
+
+
+def records(sample):
+    """Per record, in order, its extended value of each variable."""
+    for row in codes_of(sample).tolist():
+        yield tuple(domain[c] for domain, c in zip(sample.domains, row))
+
+
+def collapse(record):
+    return tuple(v if isinstance(v, SubsetMask) else v.own for v in record)
 
 
 def _reference_draw(probs, cdf, r, u):
@@ -195,18 +222,20 @@ class TestRecords:
         with pytest.raises(ValueError):
             generate(sampling_net, 0)
 
+    def test_generate_allocates_nothing_per_record(self, sampling_net):
+        assert len(generate(sampling_net, 10**12, seed=0)) == 10**12
+
     def test_degenerate_network(self):
         net = load("vacuous1.dsn")
         s = generate(net, 25, seed=5)
-        assert all(str(r.collapsed[0]) == "{a,b}" for r in s)
+        assert all(str(rec[0]) == "{a,b}" for rec in map(collapse, records(s)))
 
     def test_support_has_positive_probability(self, sampling_net):
         cpts = build_network_cpts(sampling_net)
         s = generate(sampling_net, 1500, seed=2, cpts=cpts)
         order = sampling_net.variables
-        for i in range(0, len(s), 97):
-            rec = s[i]
-            byname = dict(zip(order, rec.extended))
+        for rec in itertools.islice(records(s), 0, None, 97):
+            byname = dict(zip(order, rec))
             for name in order:
                 cpt = cpts[name]
                 cfg = tuple(
@@ -217,10 +246,11 @@ class TestRecords:
 
     def test_collapse_is_coordinatewise_own(self, sampling_net):
         s = generate(sampling_net, 50, seed=1)
-        rec = s[9]
-        assert rec.collapsed == tuple(
-            v.own if isinstance(v, ExtVector) else v for v in rec.extended
-        )
+        buf = io.StringIO()
+        write_csv(s, buf)
+        rec = list(records(s))[9]
+        row = list(csv.reader(io.StringIO(buf.getvalue())))[10]
+        assert row == [str(v.own if isinstance(v, ExtVector) else v) for v in rec]
 
     def test_root_marginal_tracks_mass(self, sampling_net):
         n = 20000
@@ -240,8 +270,8 @@ class TestRecords:
         s = generate(net, 3000, seed=8)
         subsets = [subsets_of(net.frame(v)) for v in s.variables]
         want = np.zeros([len(subs) for subs in subsets], dtype=np.int64)
-        for rec in s:
-            want[tuple(subs.index(m) for subs, m in zip(subsets, rec.collapsed))] += 1
+        for rec in map(collapse, records(s)):
+            want[tuple(subs.index(m) for subs, m in zip(subsets, rec))] += 1
         counts = s.collapsed_counts()
         assert counts.dtype == np.int64 and np.array_equal(counts, want)
         for j, variable in enumerate(s.variables):
@@ -250,12 +280,12 @@ class TestRecords:
             assert got == s.marginal_counts(variable)
 
 
-def write_records(records, stream):
+def write_records(sample, stream):
     """Reference CSV writer: one csv row per record, in record order."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(records.variables)
-    for rec in records:
-        writer.writerow([str(m) for m in rec.collapsed])
+    writer.writerow(sample.variables)
+    for rec in map(collapse, records(sample)):
+        writer.writerow([str(m) for m in rec])
 
 
 class TestCsv:
@@ -308,7 +338,7 @@ class TestCsv:
         far = [0] * (45 - len(digits)) + digits[::-1]
         codes = np.array([[0] * 45, far, [0] * 45], dtype=np.int64)
         sample = sampler_mod.Sample(
-            tuple(f.name for f in frames), [subsets_of(f) for f in frames], codes
+            tuple(f.name for f in frames), [subsets_of(f) for f in frames], 3, lambda: [codes]
         )
         fast, slow = io.StringIO(), io.StringIO()
         write_csv(sample, fast)

@@ -28,7 +28,8 @@ from belnet import (
     subsets_of,
     topological_order,
 )
-from belnet.sampler import own_index, row_offsets
+from belnet.extvals import own_index
+from belnet.sampler import row_offsets
 from belnet.tables import subset_index
 
 from conftest import load
