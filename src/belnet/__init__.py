@@ -22,15 +22,7 @@ _EXPORTS = {
         "StructureError",
         "SubsetParseError",
     ),
-    "extvals": (
-        "ExtValue",
-        "ExtVector",
-        "component",
-        "ext_values",
-        "ext_vectors",
-        "parse_ext_value",
-        "parse_ext_vector",
-    ),
+    "extvals": ("ExtValue", "ExtVector", "component", "ext_values", "ext_vectors"),
     "fusion": ("JointMass", "NegativityReport", "network_joint", "write_joint_csv"),
     "network": (
         "Network",

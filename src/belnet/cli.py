@@ -52,12 +52,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _nonnegative(kind):
-    """An argument type: ``kind`` of the text, refused if negative, NaN or infinite."""
+def _at_least(kind, low=0):
+    """An argument type: ``kind`` of the text, refused if below ``low``, NaN or infinite."""
+    bound = "nonnegative" if low == 0 else f">= {low}"
 
     def parse(text: str):
-        if not (value := kind(text)) >= 0:
-            raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+        if not (value := kind(text)) >= low:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
         if value == float("inf"):  # an infinite --linf would pass every sample
             raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         return value
@@ -95,16 +96,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw records and write them as CSV")
     p.add_argument("path")
-    p.add_argument("-n", "--count", type=int, required=True)
-    p.add_argument("--seed", type=_nonnegative(int), default=0)
+    p.add_argument("-n", "--count", type=_at_least(int, 1), required=True)
+    p.add_argument("--seed", type=_at_least(int), default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("verify", help="compare a drawn sample against the exact distribution")
     p.add_argument("path")
-    p.add_argument("-n", "--count", type=int, required=True)
-    p.add_argument("--seed", type=_nonnegative(int), default=0)
-    p.add_argument("--linf", type=_nonnegative(float), default=0.01)
+    p.add_argument("-n", "--count", type=_at_least(int, 1), required=True)
+    p.add_argument("--seed", type=_at_least(int), default=0)
+    p.add_argument("--linf", type=_at_least(float), default=0.01)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -136,25 +137,25 @@ def _cmd_validate(args) -> int:
 
 def _cmd_transform(args) -> int:
     net = load_network(args.path)
+    # every table converts before the output opens, so a refused one leaves no file
+    convert = mass_to_commonality if args.to == "k" else commonality_to_mass
+    tables = [net.node(name).table for name in net.variables]
+    tables = [table if table.kind == args.to else convert(table) for table in tables]
     with _output(args.output) as stream:
-        _emit_network(net, args.to, stream)
+        _emit_network(net, tables, args.to, stream)
     return 0
 
 
-def _emit_network(net: Network, to_kind: str, stream: IO[str]) -> None:
+def _emit_network(net: Network, tables: list, to_kind: str, stream: IO[str]) -> None:
     print(f"net {net.name}", file=stream)
     print("# all table rows written explicitly; absent rows default to 0", file=stream)
     for name in net.variables:
         print(f"var {name} : {' '.join(net.frame(name).values)}", file=stream)
     for a, b in net.edges:
         print(f"edge {a} -> {b}", file=stream)
-    for name in net.variables:
-        node = net.node(name)
-        table = node.table
-        if table.kind != to_kind:
-            table = mass_to_commonality(table) if to_kind == "k" else commonality_to_mass(table)
-        header = f"table {name} | {' '.join(node.parents)} kind={to_kind}".replace("  ", " ")
-        print(header, file=stream)
+    for name, table in zip(net.variables, tables):
+        header = f"table {name} | {' '.join(net.node(name).parents)} kind={to_kind}"
+        print(header.replace("  ", " "), file=stream)
         for cfg, child, v in table.items():
             left = str(child) if not cfg else f"{child} | {' '.join(str(c) for c in cfg)}"
             print(f"  {left} : {v!r}", file=stream)

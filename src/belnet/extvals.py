@@ -8,6 +8,8 @@ set.  Every value carries ``own`` (the subset it collapses to) and ``sup``
 An ExtVector is the n-successor form: either ``n`` copies of a plain subset,
 or a family member that feeds each successor one compound component.  The
 all-``o`` component pattern is excluded from families by construction.
+
+Their printed forms are the literals of the ``cpt`` dump; nothing reads them back.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import SizeGuardError, SubsetParseError
+from .errors import SizeGuardError
 from .tables import (
     Frame,
     SubsetMask,
@@ -26,7 +28,6 @@ from .tables import (
     _hash_once,
     _stored_hash,
     _subset_pos,
-    parse_subset_label,
     subsets_of,
 )
 
@@ -223,53 +224,3 @@ def own_index(domain) -> np.ndarray:
     pos = _subset_pos(domain[0].frame)
     return np.array([pos[_own(v).bits] for v in domain], dtype=np.int64)
 
-
-def parse_ext_value(text: str, frame: Frame) -> ExtValue:
-    """Parse the canonical text form, e.g. ``{a}``, ``{a}o{a,b}``, ``{a}@{a,b}``."""
-    literals, ops = _split_ops(text.strip())
-    value = ExtValue(parse_subset_label(literals[-1], frame))
-    for literal, op in zip(reversed(literals[:-1]), reversed(ops)):
-        value = ExtValue(parse_subset_label(literal, frame), op, value)
-    return value
-
-
-def parse_ext_vector(text: str, frame: Frame) -> ExtVector:
-    """Parse the canonical vector form ``[c1;c2;...;cn]``."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise SubsetParseError(f"vector literal must be bracket-delimited, got {text!r}")
-    comps = [parse_ext_value(p, frame) for p in text[1:-1].split(";")]
-    n = len(comps)
-    first = comps[0]
-    if all(c.is_plain for c in comps):
-        if any(c.own != first.own for c in comps):
-            raise SubsetParseError(f"plain vector components disagree in {text!r}")
-        return ExtVector(first.own, n)
-    if any(c.is_plain or c.own != first.own or c.sup != first.sup for c in comps):
-        raise SubsetParseError(f"family components must share one split in {text!r}")
-    pattern = 0
-    for h, c in enumerate(comps):
-        if c.op == OP_AT:
-            pattern |= 1 << h
-    return ExtVector(first.own, n, first.sup, pattern)
-
-
-def _split_ops(text: str) -> tuple[list[str], list[str]]:
-    """Split ``{..}op{..}op{..}`` into its subset literals and joining operators."""
-    literals: list[str] = []
-    ops: list[str] = []
-    rest = text
-    while True:
-        if not rest.startswith("{"):
-            raise SubsetParseError(f"expected subset literal in {text!r}")
-        end = rest.find("}")
-        if end < 0:
-            raise SubsetParseError(f"unbalanced braces in {text!r}")
-        literals.append(rest[: end + 1])
-        rest = rest[end + 1 :]
-        if not rest:
-            return literals, ops
-        op, rest = rest[0], rest[1:]
-        if op not in (OP_DOT, OP_AT):
-            raise SubsetParseError(f"unknown operator {op!r} in {text!r}")
-        ops.append(op)

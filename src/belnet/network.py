@@ -140,8 +140,8 @@ def _parse_var(net: Network, line: str, lineno: int) -> None:
     if len(labels) < 2:
         raise NetworkParseError(f"variable {name!r} needs at least two values", lineno)
     for label in labels:
-        if any(ch in label for ch in "{},|;[]"):
-            raise NetworkParseError(f"value label {label!r} contains one of {{}},|;[]", lineno)
+        if any(ch in label for ch in "{},|;[]:"):
+            raise NetworkParseError(f"value label {label!r} contains one of {{}},|;[]:", lineno)
     try:
         frame = Frame(name, labels)
     except ValueError as exc:

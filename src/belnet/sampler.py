@@ -18,7 +18,7 @@ import numpy as np
 
 from .cpt import ExtCPT, build_network_cpts
 from .errors import SizeGuardError
-from .tables import SubsetMask, csv_cells, subsets_of
+from .tables import csv_cells, subsets_of
 from .extvals import component, ext_value_index, own_index
 from .network import Network, edge_index, topological_order
 
@@ -142,20 +142,11 @@ class Sample:
         size = math.prod(shape)
         if size > MAX_STATES:
             raise SizeGuardError(f"collapsed state space holds {size} states (limit {MAX_STATES})")
-        return self._counts(0, len(shape)).reshape(shape)
-
-    def marginal_counts(self, variable: str) -> dict[SubsetMask, int]:
-        j = self.variables.index(variable)
-        counts = self._counts(j, j + 1)
-        return {subs: int(c) for subs, c in zip(self._subsets[j], counts) if c}
-
-    def _counts(self, first: int, stop: int) -> np.ndarray:
-        """Records per class of ``_classes`` over variables ``first:stop``, in one pass."""
-        out = np.zeros(math.prod(len(subs) for subs in self._subsets[first:stop]), dtype=np.int64)
+        out = np.zeros(size, dtype=np.int64)
         for codes in self.chunks():
-            counts = np.bincount(self._classes(codes, first, stop))
+            counts = np.bincount(self._classes(codes, 0, len(shape)))
             out[: len(counts)] += counts
-        return out
+        return out.reshape(shape)
 
     def _classes(self, codes: np.ndarray, first: int, stop: int) -> np.ndarray:
         """Collapsed class of each record of the chunk ``codes`` over variables

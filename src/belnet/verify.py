@@ -48,25 +48,19 @@ class ExactDistribution:
         return {lab: p for lab, p in zip(self.labels[j], sums.tolist()) if p}
 
 
-def exact_extended_joint(
-    net: Network, cpts: dict[str, ExtCPT] | None = None, max_states: int = MAX_STATES
-) -> ExactDistribution:
+def exact_extended_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -> ExactDistribution:
     """The chain-rule product over all extended states; axis j runs over the
     child domain of ``net.variables[j]``."""
-    return _contracted(net, cpts, max_states, extended=True)
+    return _contracted(net, cpts, extended=True)
 
 
-def exact_collapsed_joint(
-    net: Network, cpts: dict[str, ExtCPT] | None = None, max_states: int = MAX_STATES
-) -> ExactDistribution:
+def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -> ExactDistribution:
     """Push-forward of the extended joint under per-variable collapse; axis j
     runs over ``subsets_of`` the frame of ``net.variables[j]``."""
-    return _contracted(net, cpts, max_states, extended=False)
+    return _contracted(net, cpts, extended=False)
 
 
-def _contracted(
-    net: Network, cpts: dict[str, ExtCPT] | None, max_states: int, extended: bool
-) -> ExactDistribution:
+def _contracted(net: Network, cpts: dict[str, ExtCPT] | None, extended: bool) -> ExactDistribution:
     """The extended joint, or its collapsed form, as one tensor contraction.
 
     Axis j is variable j's extended value, axis n + j its collapsed class.  Per
@@ -79,8 +73,8 @@ def _contracted(
         cpts = build_network_cpts(net)
     kind = "extended" if extended else "collapsed"
     labels = [cpts[v].child_domain if extended else subsets_of(net.frame(v)) for v in net.variables]
-    if (size := math.prod(map(len, labels))) > max_states:
-        raise SizeGuardError(f"{kind} state space holds {size} states (limit {max_states})")
+    if (size := math.prod(map(len, labels))) > MAX_STATES:
+        raise SizeGuardError(f"{kind} state space holds {size} states (limit {MAX_STATES})")
     axis = {name: j for j, name in enumerate(net.variables)}
     n, operands = len(axis), []
     for name, j in axis.items():
@@ -88,9 +82,9 @@ def _contracted(
         width = len(cpts[name].child_domain)
         # the larger operand: the gathered CPT (parents x own) or the collapse matrix (own x subsets)
         subsets = 1 if extended else len(labels[j])
-        if (size := max(math.prod(len(o) for _, o in parents), subsets) * width) > max_states:
+        if (size := max(math.prod(len(o) for _, o in parents), subsets) * width) > MAX_STATES:
             raise SizeGuardError(
-                f"{kind} joint needs an operand of {size} cells at {name} (limit {max_states})"
+                f"{kind} joint needs an operand of {size} cells at {name} (limit {MAX_STATES})"
             )
         # the CPT row of every combination of parent values, one axis per parent
         rows = sum(np.ix_(*(offsets for _, offsets in parents)), np.int64(0))

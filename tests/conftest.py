@@ -53,6 +53,11 @@ def mask(frame: Frame, literal: str):
     return parse_subset_label(literal, frame)
 
 
+def by_text(domain, text: str):
+    """The value of ``domain``, such as ``ext_values(frame)``, that prints as ``text``."""
+    return next(v for v in domain if str(v) == text)
+
+
 def joint_cell(joint, *literals) -> float:
     """The mass a joint puts on the product of the subsets ``literals`` name,
     one per variable in scope order."""

@@ -46,7 +46,7 @@ class TestValidate:
         else:
             assert out == "ok\n"
 
-    @pytest.mark.parametrize("label", ["a,b", "{a}", "a}", "a|b", "a;b", "[a", "a]"])
+    @pytest.mark.parametrize("label", ["a,b", "{a}", "a}", "a|b", "a;b", "[a", "a]", "a:b", ":"])
     def test_label_of_literal_syntax_exits_1(self, capsys, tmp_path, label):
         # "var X : a b a,b" would give two subsets that both print as {a,b}
         bad = tmp_path / "bad.dsn"
@@ -288,14 +288,6 @@ class TestSample:
         )
         assert code == 2 and "infeasible" in err
 
-    def test_infeasible_model_creates_no_output(self, capsys, tmp_path):
-        # the model is built before the output file is opened for streaming
-        dest = tmp_path / "s.csv"
-        code, _, err = run(
-            capsys, "sample", fixture_path("vacuous3.dsn"), "-n", "10", "-o", str(dest)
-        )
-        assert code == 2 and "infeasible" in err and not dest.exists()
-
     def test_short_commonality_row_exits_2(self, capsys, tmp_path):
         half = tmp_path / "half.dsn"
         half.write_text("var X1 : a b\ntable X1 | kind=k\n  {a} : 0.25\n  {b} : 0.25\nend\n")
@@ -304,10 +296,9 @@ class TestSample:
         assert "node X1: commonality row () sums to 0.5" in err
 
     def test_bad_count_exits_1(self, capsys):
-        code, _, err = run(
-            capsys, "sample", fixture_path("chain4_sampling.dsn"), "-n", "-5"
-        )
-        assert code == 1 and "count" in err
+        with pytest.raises(SystemExit) as exit_:
+            main(["sample", fixture_path("chain4_sampling.dsn"), "-n", "-5"])
+        assert exit_.value.code == 1 and "count" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "exc, line",
@@ -405,6 +396,36 @@ class TestVerify:
         assert out == "\n".join(lines) + "\n"
 
 
+# X2's mass row given {a,b} has a negative commonality, found after X1 converts
+NEGATIVE_SECOND_TABLE = (
+    "var X1 : a b\nvar X2 : a b\nedge X1 -> X2\n"
+    "table X1 | kind=m\n  {a} : 0.5\n  {b} : 0.5\nend\n"
+    "table X2 | X1 kind=m\n  {a} | {a,b} : 1.2\n  {b} | {a,b} : -0.2\nend\n"
+)
+# six 4-value variables: a combination joint of 16^6 cells, beyond MAX_CELLS = 2^23
+SIX_QUATERNARY = "".join(f"var X{i} : a b c d\n" for i in range(1, 7)) + "".join(
+    f"table X{i} | kind=m\n  {{a,b,c,d}} : 1\nend\n" for i in range(1, 7)
+)
+
+
+@pytest.mark.parametrize(
+    "argv, text, code",
+    [
+        (["sample", "-n", "10"], (FIXTURES / "vacuous3.dsn").read_text(), 2),
+        (["cpt"], (FIXTURES / "vacuous3.dsn").read_text(), 2),
+        (["transform", "--to", "k"], NEGATIVE_SECOND_TABLE, 2),
+        (["joint"], SIX_QUATERNARY, 1),
+    ],
+    ids=["sample", "cpt", "transform", "joint"],
+)
+def test_refusal_creates_no_output(capsys, tmp_path, argv, text, code):
+    # every -o command builds all it writes before it opens the output file
+    net, dest = tmp_path / "net.dsn", tmp_path / "out"
+    net.write_text(text)
+    got, out, err = run(capsys, argv[0], str(net), *argv[1:], "-o", str(dest))
+    assert (got, out) == (code, "") and err and not dest.exists()
+
+
 def _ternary_chain(tmp_path, k: int) -> str:
     """chain3_ternary grown to ``k`` nodes, every link its X1 -> X2 table."""
     lines = open(fixture_path("chain3_ternary.dsn")).read().splitlines()
@@ -439,10 +460,12 @@ class TestUsageErrors:
              "argument --seed: must be nonnegative, got '-1'"),
             (["sample", "-n", "1", "--seed", "x"],
              "argument --seed: invalid int value: 'x'"),
+            (["sample", "-n", "0"], "argument -n/--count: must be >= 1, got '0'"),
+            (["verify", "-n", "-3"], "argument -n/--count: must be >= 1, got '-3'"),
         ],
         ids=[
             "no-count", "linf-negative", "linf-nan", "linf-inf",
-            "sample-seed", "verify-seed", "seed-text",
+            "sample-seed", "verify-seed", "seed-text", "sample-count", "verify-count",
         ],
     )
     def test_exits_1_with_usage(self, capsys, argv, message):

@@ -23,14 +23,13 @@ from belnet import (
     ext_values,
     ext_vectors,
     mass_to_commonality,
-    parse_ext_value,
     parse_network,
     subsets_of,
     topological_order,
 )
 from belnet.tables import EXACT_TOL, ROWSUM_TOL
 
-from conftest import bframe, cond_table, load, mask, LOOSE_ROWS, TIGHT_ROWS
+from conftest import bframe, by_text, cond_table, load, mask, LOOSE_ROWS, TIGHT_ROWS
 
 # Expected one-successor CPT of the milder conditional.  Parent rows follow
 # the extended-value order, children the extended-vector order.
@@ -233,7 +232,7 @@ class TestSplitRows:
 
     def test_leaf_extension_row(self, loose_cond):
         cpt = build_node_cpt("X2", mass_to_commonality(loose_cond), 0)
-        cfg = (parse_ext_value("{a}@{a,b}", loose_cond.parent_frames[0]),)
+        cfg = (by_text(ext_values(loose_cond.parent_frames[0]), "{a}@{a,b}"),)
         assert cpt.row(cfg) == pytest.approx(LEAF_AT_ROW, abs=1e-9)
 
     def test_star_root_division(self):
@@ -271,17 +270,17 @@ class TestExtensionRows:
     def test_at_rows_by_inclusion_exclusion(self, loose_cond):
         cpt = _mid_cpt(loose_cond)
         f = loose_cond.parent_frames[0]
-        at = (parse_ext_value("{a}@{a,b}", f),)
-        own = (parse_ext_value("{a}", f),)
-        sup = (parse_ext_value("{a,b}", f),)
+        at = (by_text(ext_values(f), "{a}@{a,b}"),)
+        own = (by_text(ext_values(f), "{a}"),)
+        sup = (by_text(ext_values(f), "{a,b}"),)
         assert cpt.row(at) == pytest.approx(2 * cpt.row(own) - cpt.row(sup), abs=1e-12)
         assert cpt.get(at, cpt.child_domain[0]) == pytest.approx(0.55, abs=1e-9)
 
     def test_dot_rows_are_bit_identical(self, loose_cond):
         cpt = _mid_cpt(loose_cond)
         f = loose_cond.parent_frames[0]
-        dot = (parse_ext_value("{b}o{a,b}", f),)
-        sup = (parse_ext_value("{a,b}", f),)
+        dot = (by_text(ext_values(f), "{b}o{a,b}"),)
+        sup = (by_text(ext_values(f), "{a,b}"),)
         assert np.array_equal(cpt.row(dot), cpt.row(sup))
 
     def test_at_equals_both_when_rows_agree(self):
@@ -297,7 +296,7 @@ class TestExtensionRows:
         child, parent = bframe("C"), bframe("P")
         vals = np.array([[0.1, 0.6, 0.3], [0.1, 0.6, 0.3], [0.2000000000000001, 0.5, 0.3]])
         cpt = build_node_cpt("C", CondCommonalityTable(child, (parent,), vals), 0)
-        at = (parse_ext_value("{a}@{a,b}", parent),)
+        at = (by_text(ext_values(parent), "{a}@{a,b}"),)
         assert 2 * 0.1 - 0.2000000000000001 < 0.0
         assert cpt.get(at, mask(child, "{a}")) == 0.0
         assert cpt.probs.min() == 0.0
@@ -306,8 +305,8 @@ class TestExtensionRows:
         net = load("collider3.dsn")
         cpt = build_network_cpts(net)["X3"]
         f1, f2 = net.frame("X1"), net.frame("X2")
-        xa = parse_ext_value("{a}@{a,b}", f1)
-        yb = parse_ext_value("{b}@{a,b}", f2)
+        xa = by_text(ext_values(f1), "{a}@{a,b}")
+        yb = by_text(ext_values(f2), "{b}@{a,b}")
         a, ab1 = ExtValue(mask(f1, "{a}")), ExtValue(mask(f1, "{a,b}"))
         b, ab2 = ExtValue(mask(f2, "{b}")), ExtValue(mask(f2, "{a,b}"))
         want = (
@@ -605,7 +604,7 @@ class TestNestedFrames:
         cpt = build_network_cpts(net)["X2"]
         frame = net.frame("X2")
         full_plain = ExtVector(mask(frame, "{a,b,c}"), 1)
-        two_at = parse_ext_value("{a,b}@{a,b,c}", frame)
+        two_at = by_text(ext_values(frame), "{a,b}@{a,b,c}")
         nested = [
             i
             for i, x in enumerate(cpt.child_domain)

@@ -255,10 +255,10 @@ class TestRecords:
     def test_root_marginal_tracks_mass(self, sampling_net):
         n = 20000
         s = generate(sampling_net, n, seed=13)
-        freqs = {str(k): c / n for k, c in s.marginal_counts("X1").items()}
-        assert freqs["{a}"] == pytest.approx(0.4, abs=0.02)
-        assert freqs["{b}"] == pytest.approx(0.4, abs=0.02)
-        assert freqs["{a,b}"] == pytest.approx(0.2, abs=0.02)
+        counts = s.collapsed_counts()
+        # X1's marginal over {a}, {b}, {a,b}
+        freqs = counts.sum(axis=tuple(range(1, counts.ndim))) / n
+        assert freqs == pytest.approx([0.4, 0.4, 0.2], abs=0.02)
 
     @pytest.mark.parametrize(
         "fixture", ["chain4_sampling.dsn", "chain3_ternary.dsn", "star4_proper.dsn"]
@@ -274,10 +274,6 @@ class TestRecords:
             want[tuple(subs.index(m) for subs, m in zip(subsets, rec))] += 1
         counts = s.collapsed_counts()
         assert counts.dtype == np.int64 and np.array_equal(counts, want)
-        for j, variable in enumerate(s.variables):
-            sums = counts.sum(axis=tuple(a for a in range(counts.ndim) if a != j))
-            got = {subsets[j][i]: c for i, c in enumerate(sums.tolist()) if c}
-            assert got == s.marginal_counts(variable)
 
 
 def write_records(sample, stream):

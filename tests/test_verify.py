@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import belnet.verify as verify_mod
 from belnet import (
     ExactDistribution,
     Frame,
@@ -188,17 +189,21 @@ class TestContraction:
         assert report.proper
         _assert_collapsed_equals_joint(exact_collapsed_joint(net), joint)
 
-    def test_guard_bounds_every_operand(self):
+    def test_guard_bounds_every_operand(self, monkeypatch):
         # collider3's 27-cell answer needs X3's 5 x 5 x 3 factor
         net = load("collider3.dsn")
-        assert exact_collapsed_joint(net, max_states=75).array.size == 27
+        monkeypatch.setattr(verify_mod, "MAX_STATES", 75)
+        assert exact_collapsed_joint(net).array.size == 27
+        monkeypatch.setattr(verify_mod, "MAX_STATES", 74)
         with pytest.raises(SizeGuardError, match="operand of 75 cells at X3 "):
-            exact_collapsed_joint(net, max_states=74)
+            exact_collapsed_joint(net)
         # CHAIN2's 9-cell answer needs X1's collapse matrix: 5 extended values by 3 subsets
         net = parse_network(CHAIN2)
-        assert exact_collapsed_joint(net, max_states=15).array.size == 9
+        monkeypatch.setattr(verify_mod, "MAX_STATES", 15)
+        assert exact_collapsed_joint(net).array.size == 9
+        monkeypatch.setattr(verify_mod, "MAX_STATES", 14)
         with pytest.raises(SizeGuardError, match="operand of 15 cells at X1 "):
-            exact_collapsed_joint(net, max_states=14)
+            exact_collapsed_joint(net)
 
 
 class TestExactExtended:
@@ -239,9 +244,10 @@ class TestExactExtended:
         ext = exact_extended_joint(load("star5_negjoint.dsn"))
         assert ext.total() == pytest.approx(1.0, abs=1e-9)
 
-    def test_state_space_guard(self, sampling_net):
+    def test_state_space_guard(self, sampling_net, monkeypatch):
+        monkeypatch.setattr(verify_mod, "MAX_STATES", 10)
         with pytest.raises(SizeGuardError, match="states"):
-            exact_extended_joint(sampling_net, max_states=10)
+            exact_extended_joint(sampling_net)
 
     def test_root_class_sums_equal_mass(self, sampling_net):
         ext = exact_extended_joint(sampling_net)
