@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from belnet import (
     ExtValue,
     ExtVector,
@@ -19,7 +22,7 @@ from belnet import (
     subsets_of,
 )
 
-from conftest import bframe, mask
+from conftest import bframe, by_text, mask
 
 
 class TestExtValues:
@@ -150,6 +153,12 @@ def _frame(k: int) -> Frame:
 class TestTextForms:
     """The cpt dump names each value of a domain by its printed form alone."""
 
+    def test_value_roundtrip_binary_and_ternary(self):
+        for frame in (bframe(), _frame(3)):
+            values = ext_values(frame)
+            for v in values:
+                assert by_text(values, str(v)) == v
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_values_print_distinctly(self, k):
         values = ext_values(_frame(k))
@@ -166,6 +175,13 @@ class TestTextForms:
         v = ExtValue(mask(f, "{a}"), "@", ExtValue(mask(f, "{a,b}"), "o", v))
         assert v.op == "@" and v.sup.op == "o"
         assert str(v) == "{a}@{a,b}o{a,b,c}"
+
+
+@given(st.integers(0, 54))
+@settings(max_examples=55, deadline=None)
+def test_ternary_roundtrip_property(i):
+    values = ext_values(_frame(3))
+    assert by_text(values, str(values[i])) == values[i]
 
 
 def test_compound_requires_proper_subset():
