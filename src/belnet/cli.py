@@ -11,7 +11,7 @@ import contextlib
 import sys
 from typing import IO, Iterator
 
-from .cpt import build_network_cpts, check_feasibility
+from .cpt import build_network_cpts, check_feasibility, value_rows
 from .errors import BelnetError, InfeasibleModelError, StructureError
 from .fusion import network_joint, write_joint_csv
 from .network import Network, load_network, validate_structure
@@ -177,11 +177,12 @@ def _cmd_cpt(args) -> int:
     failures = ValidationReport()
     for name in net.variables:
         failures.extend(check_feasibility(cpts[name]))
+    rows = {name: value_rows(cpt) for name, cpt in cpts.items()}
     with _output(args.output) as stream:
         for cpt in map(cpts.get, net.variables):
             print(f"# node {cpt.node}", file=stream)
             domains = [*cpt.parent_domains, cpt.child_domain]
-            write_cells(stream, [*cpt.parent_names, cpt.node, "p"], domains, cpt.probs)
+            write_cells(stream, [*cpt.parent_names, cpt.node, "p"], domains, rows[cpt.node])
     if not failures.ok:
         print(failures, file=sys.stderr)
         return 3

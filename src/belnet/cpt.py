@@ -1,7 +1,8 @@
 """Conditional probability tables over extended domains.
 
-A node's CPT is built as a tensor with one axis per parent, over its extended
-values, and a last axis over the child domain, in two steps:
+A node's CPT is built as a tensor with one axis per parent, over its rows
+(``ext_table.row``: one per derivation, shared by the values derived alike),
+and a last axis over the child domain, in two steps:
 
 1. The plain block: for all plain parent configurations at once, the
    commonality of each child subset is split across the subset's extended
@@ -9,24 +10,22 @@ values, and a last axis over the child domain, in two steps:
    that value's plain-vector probability, divided equally among its members,
    and the plain vector keeps the remainder.  Coarser values are split first.
 2. The parent axes are extended one at a time, from the last to the first.
-   Along an axis, an ``o`` value copies the slice of its superset value, and
-   an ``@`` value takes twice the slice of its own subset minus that of its
-   superset value (inclusion-exclusion), so that the average of the two
-   substitution choices reproduces the plain slice.  Each row is so derived
-   on its first compound coordinate.
+   Along an axis, the slice of each derived row is twice the slice of its own
+   subset minus that of its superset row (inclusion-exclusion), so that the
+   average of an ``@`` value's two substitution choices reproduces the plain
+   slice.  An ``o`` value shares its superset value's row.
 
 Every entry must be nonnegative; otherwise the model admits no such CPT and
-construction fails with the offending row.  ``check_feasibility`` verifies a
-CPT independently, checking both identities along every parent axis, slice
-against slice.
+construction fails with the offending row, named by the first value of each
+parent's row.  ``value_rows`` expands a CPT to one row per combination of
+parent values.  ``check_feasibility`` verifies a CPT independently, checking
+the ``@`` identity along every parent axis, slice against slice.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +53,8 @@ MAX_CPT_CELLS = 10_000_000
 class ExtCPT:
     """A CPT whose parents range over extended values and whose child ranges
     over extended vectors (or plain subsets for a node with no successors).
-    Immutable after construction."""
+    ``probs`` holds one row per combination of parent rows (``ext_table.row``)
+    in C order.  Immutable after construction."""
 
     node: str
     n_successors: int
@@ -64,28 +64,28 @@ class ExtCPT:
     probs: np.ndarray
     source: CondCommonalityTable
 
-    @cached_property
-    def _parent_pos(self) -> list[dict[ExtValue, int]]:
-        return [{v: i for i, v in enumerate(domain)} for domain in self.parent_domains]
 
-    @cached_property
-    def _child_pos(self) -> dict:
-        return {c: i for i, c in enumerate(self.child_domain)}
+def value_rows(cpt: ExtCPT) -> np.ndarray:
+    """``cpt.probs`` with one row per combination of parent extended values,
+    in C order over ``parent_domains``."""
+    _guard_cells(cpt.node, math.prod(map(len, cpt.parent_domains)) * len(cpt.child_domain))
+    tables = [ext_table(f) for f in cpt.source.parent_frames]
+    tensor = cpt.probs.reshape(tuple(len(t.first) for t in tables) + (-1,))
+    return tensor[np.ix_(*(t.row for t in tables))].reshape(-1, tensor.shape[-1])
 
-    def configs(self):
-        return itertools.product(*self.parent_domains)
 
-    def row_index(self, cfg: tuple[ExtValue, ...]) -> int:
-        idx = 0
-        for domain, pos, value in zip(self.parent_domains, self._parent_pos, cfg):
-            idx = idx * len(domain) + pos[value]
-        return idx
+def _guard_cells(node: str, cells: int) -> None:
+    if cells > MAX_CPT_CELLS:
+        raise SizeGuardError(
+            f"node {node}: extended CPT would hold {cells} cells (limit {MAX_CPT_CELLS})"
+        )
 
-    def row(self, cfg: tuple[ExtValue, ...]) -> np.ndarray:
-        return self.probs[self.row_index(cfg)]
 
-    def get(self, cfg: tuple[ExtValue, ...], child) -> float:
-        return float(self.row(cfg)[self._child_pos[child]])
+def _row_names(frames):
+    """The configuration text of a row index tuple, one index per frame's
+    rows, naming each row by its first value."""
+    firsts = [[ext_values(f)[i] for i in ext_table(f).first] for f in frames]
+    return lambda idx: cfg_text(tuple(v[i] for v, i in zip(firsts, idx)))
 
 
 def _plain_rows(krows: np.ndarray, frame: Frame, n: int) -> np.ndarray:
@@ -137,17 +137,10 @@ def build_node_cpt(node: str, ktable: CondCommonalityTable, n_successors: int) -
         child_domain: tuple = subsets_of(frame)
     else:
         child_domain = ext_vectors(frame, n_successors)
-    parent_domains = tuple(ext_values(f) for f in ktable.parent_frames)
-    shape = tuple(map(len, parent_domains)) + (len(child_domain),)
-    if math.prod(shape) > MAX_CPT_CELLS:
-        raise SizeGuardError(
-            f"node {node}: extended CPT would hold {math.prod(shape)} cells "
-            f"(limit {MAX_CPT_CELLS})"
-        )
-
-    def where(idx) -> str:
-        return cfg_text(tuple(d[i] for d, i in zip(parent_domains, idx)))
-
+    tables = [ext_table(f) for f in ktable.parent_frames]
+    shape = tuple(len(t.first) for t in tables) + (len(child_domain),)
+    _guard_cells(node, math.prod(shape))
+    where = _row_names(ktable.parent_frames)
     plain_dims = tuple(len(subsets_of(f)) for f in ktable.parent_frames)
     if n_successors == 0:
         plain = ktable.values.copy()
@@ -157,25 +150,22 @@ def build_node_cpt(node: str, ktable: CondCommonalityTable, n_successors: int) -
     _clip_checked(node, plain, child_domain, where)
     probs = np.empty(shape)
     probs[tuple(map(slice, plain_dims))] = plain
-    # rows whose first compound coordinate is on this axis, last axis first
-    for axis in reversed(range(len(parent_domains))):
+    # rows whose first derived coordinate is on this axis, last axis first
+    for axis, table in reversed(list(enumerate(tables))):
         head = tuple(map(slice, plain_dims[:axis]))
-        table = ext_table(ktable.parent_frames[axis])
-        for lo, hi in _blocks(table.sup, plain_dims[axis]):
-            dot = lo + np.flatnonzero(~table.at[lo:hi])
-            probs[head + (dot,)] = probs[head + (table.sup[dot],)]
-            at = lo + np.flatnonzero(table.at[lo:hi])
-            rows = probs[head + (table.own[at],)]
+        own, sup = table.own[table.first], table.row[table.sup[table.first]]
+        for lo, hi in _blocks(sup, plain_dims[axis]):
+            rows = probs[head + (own[lo:hi],)]
             rows *= 2.0
-            rows -= probs[head + (table.sup[at],)]
-            # the slices in domain order, each in row order
+            rows -= probs[head + (sup[lo:hi],)]
+            # the derived rows in order, each slice in row order
             _clip_checked(
                 node,
                 np.moveaxis(rows, axis, 0),
                 child_domain,
-                lambda idx: where(idx[1 : axis + 1] + (at[idx[0]],) + idx[axis + 1 :]),
+                lambda idx: where(idx[1 : axis + 1] + (lo + idx[0],) + idx[axis + 1 :]),
             )
-            probs[head + (at,)] = rows
+            probs[head + (slice(lo, hi),)] = rows
     probs = probs.reshape(-1, len(child_domain))
     probs.setflags(write=False)
     return ExtCPT(
@@ -183,15 +173,15 @@ def build_node_cpt(node: str, ktable: CondCommonalityTable, n_successors: int) -
         n_successors=n_successors,
         child_domain=child_domain,
         parent_names=tuple(f.name for f in ktable.parent_frames),
-        parent_domains=parent_domains,
+        parent_domains=tuple(map(ext_values, ktable.parent_frames)),
         probs=probs,
         source=ktable,
     )
 
 
 def _blocks(sup: np.ndarray, start: int):
-    """Runs ``[lo, hi)`` of the compound values, from ``start`` on, whose
-    superset values all lie before the run, so can be derived together."""
+    """Runs ``[lo, hi)`` of the derived rows, from ``start`` on, whose
+    superset rows all lie before the run, so can be derived together."""
     lo = start
     for j in range(start, len(sup)):
         if sup[j] >= lo:
@@ -228,16 +218,16 @@ def build_network_cpts(net: Network) -> dict[str, ExtCPT]:
 
 
 def check_feasibility(cpt: ExtCPT) -> ValidationReport:
-    """Verify every CPT contract: nonnegativity, unit row sums, class sums
-    matching the commonality table, and along every parent axis, deferral
-    slices identical to their superset slices and the substitution average of
-    each ``@`` slice and its superset slice reproducing its own-subset slice."""
+    """Verify every CPT contract, in row order: nonnegativity, unit row sums,
+    class sums matching the commonality table, and along every parent axis,
+    the substitution average of each derived slice and its superset slice
+    reproducing its own-subset slice.  An ``o`` value shares its superset
+    value's row, so its identity holds by construction."""
     report = ValidationReport()
-    node, domains, probs = cpt.node, cpt.parent_domains, cpt.probs
-    dims = tuple(map(len, domains))
-
-    def cfg(idx) -> str:
-        return cfg_text(tuple(d[i] for d, i in zip(domains, idx)))
+    node, probs, frames = cpt.node, cpt.probs, cpt.source.parent_frames
+    tables = [ext_table(f) for f in frames]
+    dims = tuple(len(t.first) for t in tables)
+    cfg = _row_names(frames)
 
     for r, c in zip(*np.nonzero(probs < 0.0)):
         report.errors.append(
@@ -252,7 +242,7 @@ def check_feasibility(cpt: ExtCPT) -> ValidationReport:
 
     # class sums against the source table on plain configurations
     tensor = probs.reshape(dims + (-1,))
-    plain_dims = tuple(len(subsets_of(f)) for f in cpt.source.parent_frames)
+    plain_dims = tuple(len(subsets_of(f)) for f in frames)
     classes = subsets_of(cpt.source.child_frame)
     members = np.eye(len(classes))[own_index(cpt.child_domain)]
     got = tensor[tuple(map(slice, plain_dims))].reshape(-1, len(members)) @ members
@@ -263,22 +253,14 @@ def check_feasibility(cpt: ExtCPT) -> ValidationReport:
             f"sums to {got[r, s]:.12f}, table says {want[r, s]:.12f}"
         )
 
-    # per axis, every compound slice against the slices it is defined by
-    for axis, frame in enumerate(cpt.source.parent_frames):
-        table = ext_table(frame)
+    # per axis, every derived slice against the slices it is defined by
+    for axis, (table, p) in enumerate(zip(tables, plain_dims)):
         moved = np.moveaxis(tensor, axis, 0)
-        dot = np.flatnonzero((table.sup >= 0) & ~table.at)
-        at = np.flatnonzero(table.at)
-        bad = np.zeros(moved.shape[:-1], dtype=bool)
-        bad[dot] = (moved[dot] != moved[table.sup[dot]]).any(axis=-1)
-        average = (moved[at] + moved[table.sup[at]]) / 2.0
-        bad[at] = (np.abs(average - moved[table.own[at]]) > ROWSUM_TOL).any(axis=-1)
-        # the slices in domain order, each in row order
+        own, sup = table.own[table.first[p:]], table.row[table.sup[table.first[p:]]]
+        bad = (np.abs((moved[p:] + moved[sup]) / 2.0 - moved[own]) > ROWSUM_TOL).any(axis=-1)
+        # the derived rows in order, each slice in row order
         for j, *idx in zip(*np.nonzero(bad)):
-            rows = (cfg((*idx[:axis], i, *idx[axis:])) for i in (j, table.sup[j], table.own[j]))
-            if table.at[j]:
-                text = "substitution average of {0} and {1} does not reproduce {2}"
-            else:
-                text = "deferral row {0} differs from {1}"
-            report.errors.append(f"node {node}: " + text.format(*rows))
+            rows = (cfg((*idx[:axis], i, *idx[axis:])) for i in (p + j, sup[j], own[j]))
+            text = "node {}: substitution average of {} and {} does not reproduce {}"
+            report.errors.append(text.format(node, *rows))
     return report

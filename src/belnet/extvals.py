@@ -166,22 +166,36 @@ def ext_value_index(value: ExtValue) -> int:
 class ExtTable(NamedTuple):
     """Per extended value of a frame, in ``ext_values`` order: the index of
     its own plain value, that of its superset value (-1 for a plain value),
-    and whether it is an ``@`` compound."""
+    whether it is an ``@`` compound, and its CPT row; per row, its first value.
+
+    A row is a derivation: a plain value is its own row, an ``o`` value takes
+    its superset value's row, and each pair (own subset, superset row) of an
+    ``@`` value is a row, numbered in order of first appearance."""
 
     own: np.ndarray
     sup: np.ndarray
     at: np.ndarray
+    row: np.ndarray
+    first: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def ext_table(frame: Frame) -> ExtTable:
     values = ext_values(frame)
     pos, plain = _ext_value_pos(frame), _subset_pos(frame)
-    table = ExtTable(
-        np.array([plain[v.own.bits] for v in values]),
-        np.array([-1 if v.is_plain else pos[v.sup] for v in values]),
-        np.array([v.op == OP_AT for v in values]),
-    )
+    own = [plain[v.own.bits] for v in values]
+    sup = [-1 if v.is_plain else pos[v.sup] for v in values]
+    at = [v.op == OP_AT for v in values]
+    row, derived = [], {}
+    for o, s, a in zip(own, sup, at):
+        if s < 0:
+            row.append(o)
+        elif a:
+            row.append(derived.setdefault((o, row[s]), len(plain) + len(derived)))
+        else:
+            row.append(row[s])
+    first = np.unique(row, return_index=True)[1]
+    table = ExtTable(*map(np.array, (own, sup, at, row)), first)
     for column in table:
         column.setflags(write=False)
     return table

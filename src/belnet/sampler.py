@@ -19,7 +19,7 @@ import numpy as np
 from .cpt import ExtCPT, build_network_cpts
 from .errors import SizeGuardError
 from .tables import csv_cells, subsets_of
-from .extvals import component, ext_value_index, own_index
+from .extvals import component, ext_table, ext_value_index, own_index
 from .network import Network, edge_index, topological_order
 
 _CHUNK = 1 << 18
@@ -33,16 +33,18 @@ _CSV_CLASSES = 1 << 12
 def row_offsets(net: Network, cpts: dict[str, ExtCPT], name: str) -> list[tuple[str, np.ndarray]]:
     """How the parents' drawn values address a row of ``name``'s CPT.
 
-    Per parent: its name and, per index into its child domain, that value's
-    contribution to the row index (the sum over parents is the row).
+    Per parent: its name and, per index into its child domain, the row of that
+    value's component (``ext_table.row``) times the parent's stride in the row
+    index (the sum over parents is the row).
     """
     out = []
     stride = cpts[name].probs.shape[0]
-    for parent, domain in zip(cpts[name].parent_names, cpts[name].parent_domains):
-        stride //= len(domain)
+    for parent, frame in zip(cpts[name].parent_names, cpts[name].source.parent_frames):
+        table = ext_table(frame)
+        stride //= len(table.first)
         h = edge_index(net, parent, name)
         comp = [ext_value_index(component(x, h)) for x in cpts[parent].child_domain]
-        out.append((parent, np.asarray(comp, dtype=np.int64) * stride))
+        out.append((parent, table.row[comp] * stride))
     return out
 
 

@@ -1,10 +1,13 @@
 """Shared fixtures: canonical tables and networks used across the suite."""
 
+import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from belnet import CondMassTable, Frame, load_network, parse_subset_label
+from belnet import CondMassTable, Frame, load_network, parse_subset_label, subsets_of
+from belnet.cpt import value_rows
 from belnet.tables import subset_index
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -56,6 +59,37 @@ def mask(frame: Frame, literal: str):
 def by_text(domain, text: str):
     """The value of ``domain``, such as ``ext_values(frame)``, that prints as ``text``."""
     return next(v for v in domain if str(v) == text)
+
+
+def cpt_row(cpt, cfg=()):
+    """The row of ``cpt`` given the parent extended values ``cfg``, read from
+    the per-value view ``value_rows``."""
+    index = 0
+    for domain, value in zip(cpt.parent_domains, cfg):
+        index = index * len(domain) + domain.index(value)
+    return value_rows(cpt)[index]
+
+
+def ternary_collider(parents: int, spread: float, seed: int = 0) -> str:
+    """``.dsn`` text of a ternary leaf C under ``parents`` ternary roots A1, A2,
+    ...: every root row heavy on singletons (a cell shrinks by 0.1 per extra
+    member), every leaf row the same with 0.3, perturbed by up to ``spread``
+    (relative, per cell) and renormalized."""
+    rng = np.random.default_rng(seed)
+    subsets = [str(s) for s in subsets_of(Frame("C", ("a", "b", "c")))]
+    sizes = np.array([s.count(",") for s in subsets])
+    roots = [f"A{i}" for i in range(1, parents + 1)]
+    lines = [f"var {v} : a b c" for v in roots + ["C"]] + [f"edge {v} -> C" for v in roots]
+    for v in roots:
+        row = 0.1**sizes / (0.1**sizes).sum()
+        lines += [f"table {v} | kind=k"] + [f"  {s} : {float(x)!r}" for s, x in zip(subsets, row)]
+        lines.append("end")
+    lines.append(f"table C | {' '.join(roots)} kind=k")
+    for cfg in itertools.product(subsets, repeat=parents):
+        row = 0.3**sizes * (1 + rng.uniform(-spread, spread, len(subsets)))
+        row /= row.sum()
+        lines += [f"  {s} | {' '.join(cfg)} : {float(x)!r}" for s, x in zip(subsets, row)]
+    return "\n".join(lines + ["end"]) + "\n"
 
 
 def joint_cell(joint, *literals) -> float:

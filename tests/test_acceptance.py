@@ -26,7 +26,9 @@ from belnet import (
 )
 from belnet.cli import main as cli_main
 
-from conftest import bframe, by_text, cond_table, fixture_path, joint_cell, load, mask, LOOSE_ROWS
+from conftest import (
+    bframe, by_text, cond_table, cpt_row, fixture_path, joint_cell, load, mask, LOOSE_ROWS,
+)
 
 
 @contextmanager
@@ -106,7 +108,7 @@ def test_c02_cpt_golden(loose_cond):
                         i for i, x in enumerate(cpt.child_domain)
                         if x.is_plain and x.own == own
                     )
-                return float(cpt.row(cfg)[col])
+                return float(cpt_row(cpt, cfg)[col])
 
             assert len(printed) >= 25
             for (cfg_lit, ch_lit), want in printed.items():
@@ -158,7 +160,7 @@ def test_c06_feasibility_pair():
             i for i, x in enumerate(star["X1"].child_domain)
             if not x.is_plain and str(x.own) == "{a}"
         ]
-        assert star["X1"].row(())[fam] == pytest.approx([0.2 / 15] * 15, abs=1e-12)
+        assert cpt_row(star["X1"])[fam] == pytest.approx([0.2 / 15] * 15, abs=1e-12)
         with pytest.raises(InfeasibleModelError, match=r"P\(\{b\}\|\{a\}\) = -0\.06"):
             build_network_cpts(load("chain4_negjoint.dsn"))
 

@@ -11,7 +11,7 @@ import belnet.cli as cli_mod
 import belnet.cpt as cpt_mod
 from belnet.cli import main
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, fixture_path, ternary_collider
 
 
 def run(capsys, *argv):
@@ -424,6 +424,42 @@ def test_refusal_creates_no_output(capsys, tmp_path, argv, text, code):
     net.write_text(text)
     got, out, err = run(capsys, argv[0], str(net), *argv[1:], "-o", str(dest))
     assert (got, out) == (code, "") and err and not dest.exists()
+
+
+class TestWideLeaf:
+    """A ternary leaf under four ternary roots: 25^4 * 7 cells, one row per
+    combination of parent derivations, against 55^4 * 7 per parent value."""
+
+    def test_builds_samples_and_verifies(self, capsys, tmp_path):
+        net = tmp_path / "net.dsn"
+        net.write_text(ternary_collider(4, 0.001))
+        assert run(capsys, "validate", str(net)) == (0, "ok\n", "")
+        code, out, _ = run(capsys, "sample", str(net), "-n", "1000")
+        assert code == 0 and len(out.splitlines()) == 1001
+        code, out, _ = run(capsys, "verify", str(net), "-n", "100000")
+        assert code == 0 and out.endswith("result: PASS\n")
+
+    def test_dump_refused_by_the_per_value_guard(self, capsys, tmp_path):
+        net, dest = tmp_path / "net.dsn", tmp_path / "out"
+        net.write_text(ternary_collider(4, 0.001))
+        code, out, err = run(capsys, "cpt", str(net), "-o", str(dest))
+        assert (code, out) == (1, "") and not dest.exists()
+        assert err == "error: node C: extended CPT would hold 64054375 cells (limit 10000000)\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["validate"], ["cpt"], ["sample", "-n", "10"], ["verify", "-n", "10"]]
+    )
+    def test_infeasible_row_named(self, capsys, tmp_path, argv):
+        # per_slice_probs (tests/test_cpt.py) names this row too; at 55^4 * 7 cells it is
+        # too large to run in the suite
+        net = tmp_path / "net.dsn"
+        net.write_text(ternary_collider(4, 0.01))
+        code, out, err = run(capsys, argv[0], str(net), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == (
+            "infeasible: node C: P({a,b,c}|{a}@{a,b},{a}@{a,b}@{a,b,c},{c}@{a,c}@{a,b,c},"
+            "{a}@{a,b}@{a,b,c}) = -0.00248283 is negative\n"
+        )
 
 
 def _ternary_chain(tmp_path, k: int) -> str:

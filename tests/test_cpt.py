@@ -27,9 +27,13 @@ from belnet import (
     subsets_of,
     topological_order,
 )
+from belnet.cpt import value_rows
+from belnet.extvals import ext_table
 from belnet.tables import EXACT_TOL, ROWSUM_TOL
 
-from conftest import bframe, by_text, cond_table, load, mask, LOOSE_ROWS, TIGHT_ROWS
+from conftest import (
+    bframe, by_text, cond_table, cpt_row, load, mask, ternary_collider, LOOSE_ROWS, TIGHT_ROWS,
+)
 
 # Expected one-successor CPT of the milder conditional.  Parent rows follow
 # the extended-value order, children the extended-vector order.
@@ -162,29 +166,30 @@ def per_slice_probs(node, ktable, n_successors):
 
 
 def per_slice_check(cpt):
-    """Reference for the slice identities of ``check_feasibility``: per parent
-    axis, each compound slice in domain order against the slices it is
-    defined by, reporting rows in row order."""
-    errors = []
-    tensor = cpt.probs.reshape(tuple(map(len, cpt.parent_domains)) + (-1,))
-    for axis, domain in enumerate(cpt.parent_domains):
-        for j, v in enumerate(domain):
+    """Reference for the slice identity of ``check_feasibility``: per parent
+    axis, each derived row's slice in row order against the slices it is
+    defined by, reporting rows in row order, each named by its first value."""
+    errors, domains = [], cpt.parent_domains
+    tables = [ext_table(f) for f in cpt.source.parent_frames]
+    tensor = cpt.probs.reshape(tuple(len(t.first) for t in tables) + (-1,))
+    for axis, (domain, table) in enumerate(zip(domains, tables)):
+        for r, j in enumerate(table.first):
+            v = domain[j]
             if v.is_plain:
                 continue
-            i = (j, domain.index(v.sup), domain.index(ExtValue(v.own)))
+            i = (r, table.row[domain.index(v.sup)], table.row[domain.index(ExtValue(v.own))])
             mine, theirs, base = (np.take(tensor, k, axis=axis) for k in i)
-            if v.op == "o":
-                bad, text = mine != theirs, "deferral row {0} differs from {1}"
-            else:
-                bad = np.abs((mine + theirs) / 2.0 - base) > ROWSUM_TOL
-                text = "substitution average of {0} and {1} does not reproduce {2}"
+            bad = np.abs((mine + theirs) / 2.0 - base) > ROWSUM_TOL
             for idx in np.ndindex(bad.shape[:-1]):
                 if bad[idx].any():
                     cfgs = [
-                        ",".join(map(str, (d[c] for d, c in zip(cpt.parent_domains, cfg))))
+                        ",".join(str(d[t.first[c]]) for d, t, c in zip(domains, tables, cfg))
                         for cfg in (idx[:axis] + (k,) + idx[axis:] for k in i)
                     ]
-                    errors.append(f"node {cpt.node}: " + text.format(*cfgs))
+                    errors.append(
+                        f"node {cpt.node}: substitution average of {cfgs[0]} and {cfgs[1]} "
+                        f"does not reproduce {cfgs[2]}"
+                    )
     return errors
 
 
@@ -220,26 +225,28 @@ def _random_net(rng, shape, sizes, spread):
 class TestSplitRows:
     def test_one_successor_full_table(self, loose_cond):
         cpt = _mid_cpt(loose_cond)
-        assert cpt.probs.shape == (7, 5)
-        assert np.abs(cpt.probs - MID_EXPECTED).max() <= 1e-9
+        # one row per derivation: {a}o{a,b} and {b}o{a,b} share the row of {a,b}
+        assert cpt.probs.shape == (5, 5)
+        assert np.array_equal(value_rows(cpt)[[2, 3, 4]], cpt.probs[[2, 2, 2]])
+        assert np.abs(value_rows(cpt) - MID_EXPECTED).max() <= 1e-9
 
     def test_leaf_rows_equal_commonality(self, loose_cond):
         k = mass_to_commonality(loose_cond)
         cpt = build_node_cpt("X2", k, 0)
         for cfg in k.configs():
             key = tuple(ExtValue(m) for m in cfg)
-            assert np.array_equal(cpt.row(key), k.row(cfg))
+            assert np.array_equal(cpt_row(cpt, key), k.row(cfg))
 
     def test_leaf_extension_row(self, loose_cond):
         cpt = build_node_cpt("X2", mass_to_commonality(loose_cond), 0)
         cfg = (by_text(ext_values(loose_cond.parent_frames[0]), "{a}@{a,b}"),)
-        assert cpt.row(cfg) == pytest.approx(LEAF_AT_ROW, abs=1e-9)
+        assert cpt_row(cpt, cfg) == pytest.approx(LEAF_AT_ROW, abs=1e-9)
 
     def test_star_root_division(self):
         net = load("star5_negjoint.dsn")
         cpts = build_network_cpts(net)
         root = cpts["X1"]
-        row = root.row(())
+        row = cpt_row(root)
         frame = net.frame("X1")
         full = ExtVector(mask(frame, "{a,b}"), 4)
         assert row[root.child_domain.index(full)] == pytest.approx(0.2, abs=1e-12)
@@ -258,7 +265,7 @@ class TestSplitRows:
         cpt = build_node_cpt("X2", k, 3)
         for cfg in k.configs():
             key = tuple(ExtValue(m) for m in cfg)
-            row = cpt.row(key)
+            row = cpt_row(cpt, key)
             for s in subsets_of(k.child_frame):
                 cols = [
                     i for i, x in enumerate(cpt.child_domain) if x.own.bits == s.bits
@@ -273,22 +280,23 @@ class TestExtensionRows:
         at = (by_text(ext_values(f), "{a}@{a,b}"),)
         own = (by_text(ext_values(f), "{a}"),)
         sup = (by_text(ext_values(f), "{a,b}"),)
-        assert cpt.row(at) == pytest.approx(2 * cpt.row(own) - cpt.row(sup), abs=1e-12)
-        assert cpt.get(at, cpt.child_domain[0]) == pytest.approx(0.55, abs=1e-9)
+        want = 2 * cpt_row(cpt, own) - cpt_row(cpt, sup)
+        assert cpt_row(cpt, at) == pytest.approx(want, abs=1e-12)
+        assert cpt_row(cpt, at)[0] == pytest.approx(0.55, abs=1e-9)
 
     def test_dot_rows_are_bit_identical(self, loose_cond):
         cpt = _mid_cpt(loose_cond)
         f = loose_cond.parent_frames[0]
         dot = (by_text(ext_values(f), "{b}o{a,b}"),)
         sup = (by_text(ext_values(f), "{a,b}"),)
-        assert np.array_equal(cpt.row(dot), cpt.row(sup))
+        assert np.array_equal(cpt_row(cpt, dot), cpt_row(cpt, sup))
 
     def test_at_equals_both_when_rows_agree(self):
         # commonality with identical rows: 2x - x = x
         child, parent = bframe("C"), bframe("P")
         vals = np.tile(np.array([0.5, 0.3, 0.2]), (3, 1))
         cpt = build_node_cpt("C", CondCommonalityTable(child, (parent,), vals), 0)
-        rows = {str(cfg[0]): cpt.row(cfg) for cfg in cpt.configs()}
+        rows = dict(zip(map(str, ext_values(parent)), value_rows(cpt)))
         assert np.array_equal(rows["{a}@{a,b}"], rows["{a}"])
 
     def test_rounding_negatives_clip_to_zero(self):
@@ -298,7 +306,7 @@ class TestExtensionRows:
         cpt = build_node_cpt("C", CondCommonalityTable(child, (parent,), vals), 0)
         at = (by_text(ext_values(parent), "{a}@{a,b}"),)
         assert 2 * 0.1 - 0.2000000000000001 < 0.0
-        assert cpt.get(at, mask(child, "{a}")) == 0.0
+        assert cpt_row(cpt, at)[cpt.child_domain.index(mask(child, "{a}"))] == 0.0
         assert cpt.probs.min() == 0.0
 
     def test_two_at_coordinates_resolve_per_coordinate(self):
@@ -309,17 +317,14 @@ class TestExtensionRows:
         yb = by_text(ext_values(f2), "{b}@{a,b}")
         a, ab1 = ExtValue(mask(f1, "{a}")), ExtValue(mask(f1, "{a,b}"))
         b, ab2 = ExtValue(mask(f2, "{b}")), ExtValue(mask(f2, "{a,b}"))
-        want = (
-            4 * cpt.row((a, b))
-            - 2 * cpt.row((a, ab2))
-            - 2 * cpt.row((ab1, b))
-            + cpt.row((ab1, ab2))
-        )
-        assert cpt.row((xa, yb)) == pytest.approx(want, abs=1e-12)
-        mean = (
-            cpt.row((xa, yb)) + cpt.row((xa, ab2)) + cpt.row((ab1, yb)) + cpt.row((ab1, ab2))
-        ) / 4
-        assert mean == pytest.approx(cpt.row((a, b)), abs=1e-9)
+
+        def row(*cfg):
+            return cpt_row(cpt, cfg)
+
+        want = 4 * row(a, b) - 2 * row(a, ab2) - 2 * row(ab1, b) + row(ab1, ab2)
+        assert row(xa, yb) == pytest.approx(want, abs=1e-12)
+        mean = (row(xa, yb) + row(xa, ab2) + row(ab1, yb) + row(ab1, ab2)) / 4
+        assert mean == pytest.approx(row(a, b), abs=1e-9)
 
 
 class TestFeasibility:
@@ -398,7 +403,7 @@ class TestFeasibility:
         vals = np.tile(np.array([0.0, 0.0, 1.0]), (3, 1))
         k = CondCommonalityTable(child, (parent,), vals)
         domain = ext_vectors(child, 2)
-        probs = np.zeros((7, len(domain)))
+        probs = np.zeros((len(ext_table(parent).first), len(domain)))
         probs[:, domain.index(ExtVector(mask(child, "{a,b}"), 2))] = 1.0
         cpt = ExtCPT(
             node="C",
@@ -448,20 +453,18 @@ class TestFeasibility:
         plain = errors(0, [(0, 0.5)])
         assert any("sums to" in e for e in plain)
         assert any("class" in e for e in plain)
-        # mass moved within a compound row keeps its row sum and every class sum
-        assert errors(3, [(2, -0.1), (0, 0.1)]) == [
-            "node X2: deferral row {a}o{a,b} differs from {a,b}"
-        ]
-        assert errors(5, [(0, -0.1), (1, 0.1)]) == [
+        # mass moved within a derived row keeps its row sum and every class sum
+        assert errors(3, [(0, -0.1), (1, 0.1)]) == [
             "node X2: substitution average of {a}@{a,b} and {a,b} does not reproduce {a}"
         ]
-        assert "node X2: negative P({a}|{b}@{a,b}) = -0.05" in errors(6, [(0, -0.1), (1, 0.1)])
+        assert "node X2: negative P({a}|{b}@{a,b}) = -0.05" in errors(4, [(0, -0.1), (1, 0.1)])
 
     def test_check_report_on_two_parents(self):
         cpt = build_network_cpts(load("collider3.dsn"))["X3"]
         probs = cpt.probs.copy()
-        # mass moved within rows, so every row sum holds
-        for r, c, delta in [(26, 0, 1e-3), (26, 1, -1e-3), (44, 2, 0.01), (44, 0, -0.01),
+        # mass moved within rows {a,b},{a}@{a,b}; {b}@{a,b},{a,b}; {a},{b} of 5 x 5,
+        # so every row sum holds
+        for r, c, delta in [(13, 0, 1e-3), (13, 1, -1e-3), (22, 2, 0.01), (22, 0, -0.01),
                             (1, 0, 1e-3), (1, 1, -1e-3)]:
             probs[r, c] += delta
         bad = ExtCPT(
@@ -471,15 +474,16 @@ class TestFeasibility:
         assert check_feasibility(bad).errors == [
             "node X3: class {a} of row {a},{b} sums to 0.501000000000, table says 0.500000000000",
             "node X3: class {b} of row {a},{b} sums to 0.399000000000, table says 0.400000000000",
-            "node X3: deferral row {a}o{a,b},{a}@{a,b} differs from {a,b},{a}@{a,b}",
             "node X3: substitution average of {a}@{a,b},{b} and {a,b},{b} does not reproduce "
             "{a},{b}",
+            "node X3: substitution average of {a}@{a,b},{a}@{a,b} and {a,b},{a}@{a,b} does not "
+            "reproduce {a},{a}@{a,b}",
             "node X3: substitution average of {b}@{a,b},{a,b} and {a,b},{a,b} does not "
             "reproduce {b},{a,b}",
-            "node X3: deferral row {b}@{a,b},{a}o{a,b} differs from {b}@{a,b},{a,b}",
-            "node X3: deferral row {b}@{a,b},{b}o{a,b} differs from {b}@{a,b},{a,b}",
-            "node X3: substitution average of {a}o{a,b},{a}@{a,b} and {a}o{a,b},{a,b} does not "
-            "reproduce {a}o{a,b},{a}",
+            "node X3: substitution average of {b}@{a,b},{a}@{a,b} and {a,b},{a}@{a,b} does not "
+            "reproduce {b},{a}@{a,b}",
+            "node X3: substitution average of {a,b},{a}@{a,b} and {a,b},{a,b} does not "
+            "reproduce {a,b},{a}",
             "node X3: substitution average of {b}@{a,b},{a}@{a,b} and {b}@{a,b},{a,b} does not "
             "reproduce {b}@{a,b},{a}",
             "node X3: substitution average of {a},{b}@{a,b} and {a},{a,b} does not reproduce "
@@ -511,7 +515,17 @@ class TestAgainstSlices:
                     build_node_cpt(*args)
                 assert str(got.value) == str(err)
             else:
-                assert build_node_cpt(*args).probs.tobytes() == want.tobytes(), name
+                assert value_rows(build_node_cpt(*args)).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("parents, spread", [(2, 0.1), (3, 0.03)])
+    def test_refusal_names_the_per_value_row(self, parents, spread):
+        # each refused row is derived along every parent axis
+        args = ("C", parse_network(ternary_collider(parents, spread)).node("C").table, 0)
+        with pytest.raises(InfeasibleModelError) as want:
+            per_slice_probs(*args)
+        with pytest.raises(InfeasibleModelError) as got:
+            build_node_cpt(*args)
+        assert str(got.value) == str(want.value)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
@@ -526,7 +540,7 @@ class TestAgainstSlices:
             cpt.node, cpt.n_successors, cpt.child_domain, cpt.parent_names,
             cpt.parent_domains, probs, cpt.source,
         )
-        slices = [e for e in check_feasibility(bad).errors if "deferral" in e or "average" in e]
+        slices = [e for e in check_feasibility(bad).errors if "average" in e]
         assert slices == per_slice_check(bad)
 
 
@@ -546,7 +560,7 @@ class TestAgainstRecursion:
         net = load(fixture)
         for name, cpt in build_network_cpts(net).items():
             want = recursive_probs(name, cpt.source, cpt.n_successors)
-            assert cpt.probs.tobytes() == want.tobytes(), name
+            assert value_rows(cpt).tobytes() == want.tobytes(), name
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -581,7 +595,7 @@ class TestAgainstRecursion:
         else:
             assert got is None, got
             for name, probs in want.items():
-                assert cpts[name].probs.tobytes() == probs.tobytes(), name
+                assert value_rows(cpts[name]).tobytes() == probs.tobytes(), name
                 report = check_feasibility(cpts[name])
                 assert report.ok, report
 
@@ -612,7 +626,7 @@ class TestNestedFrames:
         ]
         col_full = cpt.child_domain.index(full_plain)
         for cfg in cpt.source.configs():
-            row = cpt.row(tuple(ExtValue(m) for m in cfg))
+            row = cpt_row(cpt, tuple(ExtValue(m) for m in cfg))
             # n=1 families hold exactly their superset vector's probability
             assert row[nested].sum() == pytest.approx(
                 2 * row[col_full], abs=1e-12
@@ -620,11 +634,11 @@ class TestNestedFrames:
 
 
 def test_cpt_size_guard():
+    # one row per derivation: 149^3 * 281 cells, where two parents would fit in 149^2 * 281
     frame = Frame("Q", ("a", "b", "c", "d"))
-    p1 = Frame("P1", ("a", "b", "c", "d"))
-    p2 = Frame("P2", ("a", "b", "c", "d"))
-    vals = np.zeros((15 * 15, 15))
+    parents = tuple(Frame(f"P{i}", ("a", "b", "c", "d")) for i in (1, 2, 3))
+    vals = np.zeros((15**3, 15))
     vals[:, 14] = 1.0
-    k = CondCommonalityTable(frame, (p1, p2), vals)
-    with pytest.raises(SizeGuardError, match="cells"):
+    k = CondCommonalityTable(frame, parents, vals)
+    with pytest.raises(SizeGuardError, match="would hold 929533669 cells"):
         build_node_cpt("Q", k, 1)

@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from belnet import (
     full_set,
     subsets_of,
 )
+from belnet.extvals import ext_table
 
 from conftest import bframe, by_text, mask
 
@@ -68,6 +70,50 @@ def _closure_bruteforce(frame):
                             by_key[k2] = ExtValue(s, op, v)
                             changed = True
     return set(by_key.values())
+
+
+class TestExtTable:
+    """Each extended value's CPT row is its derivation."""
+
+    @pytest.mark.parametrize("k, rows", [(1, 1), (2, 5), (3, 25), (4, 149)])
+    def test_row_counts(self, k, rows):
+        table = ext_table(_frame(k))
+        assert len(table.first) == table.row.max() + 1 == rows
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_row_layout(self, k):
+        values, table = ext_values(_frame(k)), ext_table(_frame(k))
+        assert (np.diff(table.first) > 0).all()
+        for i, v in enumerate(values):
+            assert table.first[table.row[i]] <= i
+            if v.is_plain:
+                assert table.row[i] == i
+            elif v.op == "o":
+                assert table.row[i] == table.row[table.sup[i]]
+            else:
+                assert table.row[table.sup[i]] < table.row[i]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_rows_are_distinct_coefficient_rows(self, k):
+        # a value's slice as integer coefficients over the plain slices:
+        # o copies its superset's, @ is 2 * own - superset's
+        values = ext_values(_frame(k))
+        plain = [v for v in values if v.is_plain]
+        coef = {}
+        for v in values:
+            unit = np.eye(len(plain), dtype=np.int64)[plain.index(ExtValue(v.own))]
+            if v.is_plain:
+                coef[v] = unit
+            elif v.op == "o":
+                coef[v] = coef[v.sup]
+            else:
+                coef[v] = 2 * unit - coef[v.sup]
+        rows = ext_table(_frame(k)).row
+        by_row = {}
+        for v, r in zip(values, rows):
+            by_row.setdefault(int(r), set()).add(coef[v].tobytes())
+        assert all(len(c) == 1 for c in by_row.values())
+        assert len(set.union(*by_row.values())) == len(by_row)
 
 
 def SubsetMaskOf(frame, bits):

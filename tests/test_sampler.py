@@ -26,7 +26,7 @@ from belnet import (
     write_csv,
 )
 
-from conftest import bframe, load, mask
+from conftest import bframe, cpt_row, load, mask
 
 
 class TestDeterminism:
@@ -242,7 +242,7 @@ class TestRecords:
                     component(byname[p], edge_index(sampling_net, p, name))
                     for p in cpt.parent_names
                 )
-                assert cpt.get(cfg, byname[name]) > 0.0
+                assert cpt_row(cpt, cfg)[cpt.child_domain.index(byname[name])] > 0.0
 
     def test_collapse_is_coordinatewise_own(self, sampling_net):
         s = generate(sampling_net, 50, seed=1)

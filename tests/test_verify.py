@@ -33,7 +33,7 @@ from belnet.extvals import own_index
 from belnet.sampler import row_offsets
 from belnet.tables import subset_index
 
-from conftest import load
+from conftest import cpt_row, load
 
 # the benchmark's seeded network generator, clibench/gen.py
 _GEN_PATH = Path(__file__).parents[1] / "clibench" / "gen.py"
@@ -88,7 +88,7 @@ def recursive_extended_joint(net, cpts):
         name = topo[len(values)]
         cpt = cpts[name]
         cfg = tuple(component(values[p], edge_index(net, p, name)) for p in cpt.parent_names)
-        row = cpt.row(cfg)
+        row = cpt_row(cpt, cfg)
         for c in np.nonzero(row)[0]:
             rec({**values, name: cpt.child_domain[c]}, acc * float(row[c]))
 
