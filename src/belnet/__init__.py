@@ -41,7 +41,6 @@ _EXPORTS = {
         "SubsetMask",
         "ValidationReport",
         "commonality_to_mass",
-        "full_set",
         "mass_to_commonality",
         "parse_subset_label",
         "subsets_of",
@@ -52,7 +51,6 @@ _EXPORTS = {
         "ExactDistribution",
         "compare_empirical",
         "exact_collapsed_joint",
-        "exact_extended_joint",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -177,15 +177,15 @@ def _cmd_cpt(args) -> int:
     failures = ValidationReport()
     for name in net.variables:
         failures.extend(check_feasibility(cpts[name]))
+    if not failures.ok:  # refused before the output opens, so no file is created
+        print(failures, file=sys.stderr)
+        return 3
     rows = {name: value_rows(cpt) for name, cpt in cpts.items()}
     with _output(args.output) as stream:
         for cpt in map(cpts.get, net.variables):
             print(f"# node {cpt.node}", file=stream)
             domains = [*cpt.parent_domains, cpt.child_domain]
             write_cells(stream, [*cpt.parent_names, cpt.node, "p"], domains, rows[cpt.node])
-    if not failures.ok:
-        print(failures, file=sys.stderr)
-        return 3
     return 0
 
 

@@ -57,7 +57,6 @@ class ExtCPT:
     in C order.  Immutable after construction."""
 
     node: str
-    n_successors: int
     child_domain: tuple
     parent_names: tuple[str, ...]
     parent_domains: tuple[tuple[ExtValue, ...], ...]
@@ -170,7 +169,6 @@ def build_node_cpt(node: str, ktable: CondCommonalityTable, n_successors: int) -
     probs.setflags(write=False)
     return ExtCPT(
         node=node,
-        n_successors=n_successors,
         child_domain=child_domain,
         parent_names=tuple(f.name for f in ktable.parent_frames),
         parent_domains=tuple(map(ext_values, ktable.parent_frames)),

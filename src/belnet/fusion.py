@@ -67,9 +67,6 @@ class JointMass:
         keys = itertools.product(*(_bits_of(f).tolist() for f in self.frames))
         return dict(zip(keys, self.array.ravel().tolist()))
 
-    def total(self) -> float:
-        return float(self.array.sum()) + self.empty_mass
-
 
 @dataclass(eq=False)
 class NegativityReport:

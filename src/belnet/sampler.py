@@ -119,12 +119,11 @@ class Sample:
 
     ``source()`` starts a pass: an iterable of the records in order, in chunks
     of per-variable child-domain indices (records x variables, declaration
-    order), axis j indexing ``domains[j]``.
+    order), axis j indexing ``domains[j]``, variable j's child domain.
     """
 
     def __init__(self, variables: tuple[str, ...], domains: list, count: int, source: Callable):
         self.variables = variables
-        self.domains = domains
         self.count = count
         self._source = source
         self._subsets = [subsets_of(domain[0].frame) for domain in domains]

@@ -13,13 +13,14 @@ import io
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from .errors import InfeasibleModelError, SubsetParseError
 
-# Tolerance ladder: algebraic identities / computed row sums / 6-digit inputs.
+# Tolerance ladder: algebraic identities / row sums, of given and computed
+# tables alike / the joint's total nonempty mass, a warning only.
 EXACT_TOL = 1e-12
 ROWSUM_TOL = 1e-9
 REPORT_TOL = 1e-6
@@ -90,10 +91,6 @@ class SubsetMask:
     def size(self) -> int:
         return self.bits.bit_count()
 
-    @property
-    def is_full(self) -> bool:
-        return self.bits == self.frame.full_bits
-
     def labels(self) -> tuple[str, ...]:
         return tuple(v for i, v in enumerate(self.frame.values) if self.bits >> i & 1)
 
@@ -128,10 +125,6 @@ def subset_index(text: str, frame: Frame) -> int:
     if pos is None:
         pos = _subset_pos(frame)[parse_subset_label(text, frame).bits]
     return pos
-
-
-def full_set(frame: Frame) -> SubsetMask:
-    return SubsetMask(frame, frame.full_bits)
 
 
 def parse_subset_label(text: str, frame: Frame) -> SubsetMask:
@@ -184,21 +177,6 @@ class _CondTable:
         values.setflags(write=False)
         self.values = values
 
-    @classmethod
-    def from_entries(
-        cls,
-        child_frame: Frame,
-        parent_frames: tuple[Frame, ...],
-        entries: Mapping[tuple[tuple[SubsetMask, ...], SubsetMask], float],
-    ):
-        """Build from a sparse mapping; absent pairs default to zero."""
-        dims = tuple(len(subsets_of(f)) for f in parent_frames)
-        rows = int(np.prod(dims)) if dims else 1
-        vals = np.zeros((rows, len(subsets_of(child_frame))))
-        for (cfg, child), v in entries.items():
-            vals[_config_index(parent_frames, cfg), _subset_pos(child_frame)[child.bits]] = v
-        return cls(child_frame, parent_frames, vals)
-
     def configs(self) -> Iterator[tuple[SubsetMask, ...]]:
         """Parent configurations in row order."""
         return itertools.product(*(subsets_of(f) for f in self.parent_frames))
@@ -208,28 +186,11 @@ class _CondTable:
         idx = np.unravel_index(r, self._dims)
         return tuple(subsets_of(f)[i] for f, i in zip(self.parent_frames, idx))
 
-    def row(self, cfg: tuple[SubsetMask, ...]) -> np.ndarray:
-        return self.values[_config_index(self.parent_frames, cfg)]
-
-    def get(self, cfg: tuple[SubsetMask, ...], child: SubsetMask) -> float:
-        return float(self.row(cfg)[_subset_pos(self.child_frame)[child.bits]])
-
     def items(self) -> Iterator[tuple[tuple[SubsetMask, ...], SubsetMask, float]]:
         children = subsets_of(self.child_frame)
         for r, cfg in enumerate(self.configs()):
             for c, child in enumerate(children):
                 yield cfg, child, float(self.values[r, c])
-
-
-def _config_index(parent_frames: tuple[Frame, ...], cfg: tuple[SubsetMask, ...]) -> int:
-    if len(cfg) != len(parent_frames):
-        raise ValueError(f"configuration arity {len(cfg)} != parent count {len(parent_frames)}")
-    idx = 0
-    for frame, mask in zip(parent_frames, cfg):
-        if mask.frame != frame:
-            raise ValueError(f"configuration subset {mask} does not belong to frame {frame.name!r}")
-        idx = idx * len(subsets_of(frame)) + _subset_pos(frame)[mask.bits]
-    return idx
 
 
 class CondMassTable(_CondTable):
@@ -367,7 +328,7 @@ def validate_table(t: _CondTable) -> ValidationReport:
 def commonality_faults(t: _CondTable) -> tuple[list[str], list[str]]:
     """Where ``t`` breaks the commonality-table contract: its cells below
     -EXACT_TOL, as ``v at (cfg ; child)``, and its rows that do not sum to one
-    within REPORT_TOL, as ``row cfg sums to s, expected 1``; each in row order."""
+    within ROWSUM_TOL, as ``row cfg sums to s, expected 1``; each in row order."""
     children = subsets_of(t.child_frame)
     negatives = [
         f"{t.values[r, c]:.6g} at ({cfg_text(t.config(r))} ; {children[c]})"
@@ -376,7 +337,7 @@ def commonality_faults(t: _CondTable) -> tuple[list[str], list[str]]:
     sums = t.values.sum(axis=1)
     rows = [
         f"row {cfg_text(t.config(r))} sums to {sums[r]:.9f}, expected 1"
-        for r in np.flatnonzero(np.abs(sums - 1.0) > REPORT_TOL)
+        for r in np.flatnonzero(np.abs(sums - 1.0) > ROWSUM_TOL)
     ]
     return negatives, rows
 

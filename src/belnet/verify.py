@@ -1,16 +1,14 @@
-"""Exact distributions of the extended model and empirical comparison.
+"""The exact collapsed distribution of the extended model, and empirical comparison.
 
-The sampler realizes the chain-rule product of the extended CPT rows; that
-product, summed by tensor contraction rather than enumerated, is the reference
-the sample is checked against.  The collapsed form is its push-forward under
-per-variable collapse.
+The sampler realizes the chain-rule product of the extended CPT rows.  Its
+push-forward under per-variable collapse, summed by one tensor contraction
+rather than enumerated, is the one oracle a sample is checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,67 +30,39 @@ class ExactDistribution:
     labels: tuple[tuple, ...]
     array: np.ndarray
 
-    @cached_property
-    def probs(self) -> dict[tuple, float]:
-        """The support, keyed by state tuples (one value per variable)."""
-        support = np.nonzero(self.array)
-        values = (np.array(lab, dtype=object)[i] for lab, i in zip(self.labels, support))
-        return dict(zip(zip(*values), self.array[support].tolist()))
-
-    def total(self) -> float:
-        return float(self.array.sum())
-
-    def marginal(self, variable: str) -> dict:
-        j = self.variables.index(variable)
-        sums = self.array.sum(axis=tuple(a for a in range(self.array.ndim) if a != j))
-        return {lab: p for lab, p in zip(self.labels[j], sums.tolist()) if p}
-
-
-def exact_extended_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -> ExactDistribution:
-    """The chain-rule product over all extended states; axis j runs over the
-    child domain of ``net.variables[j]``."""
-    return _contracted(net, cpts, extended=True)
-
 
 def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -> ExactDistribution:
-    """Push-forward of the extended joint under per-variable collapse; axis j
-    runs over ``subsets_of`` the frame of ``net.variables[j]``."""
-    return _contracted(net, cpts, extended=False)
-
-
-def _contracted(net: Network, cpts: dict[str, ExtCPT] | None, extended: bool) -> ExactDistribution:
-    """The extended joint, or its collapsed form, as one tensor contraction.
+    """The chain-rule product of the extended CPT rows, pushed forward under
+    per-variable collapse, as one tensor contraction; axis j runs over
+    ``subsets_of`` the frame of ``net.variables[j]``.
 
     Axis j is variable j's extended value, axis n + j its collapsed class.  Per
     node: its CPT, each parent axis gathered through the edge's ``row_offsets``,
-    and unless ``extended`` a 0/1 collapse matrix (``own_index``) from axis j to
-    axis n + j.  The guard bounds the answer and every operand; numpy's greedy
-    path makes no intermediate larger than the largest of those.
+    and a 0/1 collapse matrix (``own_index``) from axis j to axis n + j.  The
+    guard bounds the answer and every operand; numpy's greedy path makes no
+    intermediate larger than the largest of those.
     """
     if cpts is None:
         cpts = build_network_cpts(net)
-    kind = "extended" if extended else "collapsed"
-    labels = [cpts[v].child_domain if extended else subsets_of(net.frame(v)) for v in net.variables]
+    labels = [subsets_of(net.frame(v)) for v in net.variables]
     if (size := math.prod(map(len, labels))) > MAX_STATES:
-        raise SizeGuardError(f"{kind} state space holds {size} states (limit {MAX_STATES})")
+        raise SizeGuardError(f"collapsed state space holds {size} states (limit {MAX_STATES})")
     axis = {name: j for j, name in enumerate(net.variables)}
     n, operands = len(axis), []
     for name, j in axis.items():
         parents = row_offsets(net, cpts, name)
         width = len(cpts[name].child_domain)
         # the larger operand: the gathered CPT (parents x own) or the collapse matrix (own x subsets)
-        subsets = 1 if extended else len(labels[j])
-        if (size := max(math.prod(len(o) for _, o in parents), subsets) * width) > MAX_STATES:
+        size = max(math.prod(len(o) for _, o in parents), len(labels[j])) * width
+        if size > MAX_STATES:
             raise SizeGuardError(
-                f"{kind} joint needs an operand of {size} cells at {name} (limit {MAX_STATES})"
+                f"collapsed joint needs an operand of {size} cells at {name} (limit {MAX_STATES})"
             )
         # the CPT row of every combination of parent values, one axis per parent
         rows = sum(np.ix_(*(offsets for _, offsets in parents)), np.int64(0))
         operands += [cpts[name].probs[rows], [axis[p] for p, _ in parents] + [j]]
-        if not extended:
-            operands += [np.eye(len(labels[j]))[own_index(cpts[name].child_domain)], [j, n + j]]
-    out = [j if extended else n + j for j in range(n)]
-    array = np.einsum(*operands, out, optimize="greedy")
+        operands += [np.eye(len(labels[j]))[own_index(cpts[name].child_domain)], [j, n + j]]
+    array = np.einsum(*operands, [n + j for j in range(n)], optimize="greedy")
     return ExactDistribution(tuple(net.variables), tuple(labels), array)
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: canonical tables and networks used across the suite."""
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -61,13 +62,55 @@ def by_text(domain, text: str):
     return next(v for v in domain if str(v) == text)
 
 
+def _row_index(domains, cfg) -> int:
+    """The C-order row of the parent values ``cfg``, one from each of ``domains``."""
+    assert len(cfg) == len(domains), f"{len(cfg)} parent values for {len(domains)} parents"
+    index = 0
+    for domain, value in zip(domains, cfg):
+        index = index * len(domain) + domain.index(value)
+    return index
+
+
 def cpt_row(cpt, cfg=()):
     """The row of ``cpt`` given the parent extended values ``cfg``, read from
     the per-value view ``value_rows``."""
-    index = 0
-    for domain, value in zip(cpt.parent_domains, cfg):
-        index = index * len(domain) + domain.index(value)
-    return value_rows(cpt)[index]
+    return value_rows(cpt)[_row_index(cpt.parent_domains, cfg)]
+
+
+def mass_table(child: Frame, parents: tuple, entries: dict) -> CondMassTable:
+    """A conditional mass table from a sparse mapping ``{(cfg, child subset): v}``,
+    ``cfg`` a tuple of parent subsets; absent cells are zero."""
+    domains = [subsets_of(f) for f in parents]
+    values = np.zeros((math.prod(map(len, domains)), len(subsets_of(child))))
+    for (cfg, subset), v in entries.items():
+        values[_row_index(domains, cfg), subsets_of(child).index(subset)] = v
+    return CondMassTable(child, parents, values)
+
+
+def table_row(table, cfg=()) -> np.ndarray:
+    """The row of a conditional table given the parent subsets ``cfg``."""
+    return table.values[_row_index([subsets_of(f) for f in table.parent_frames], cfg)]
+
+
+def table_cell(table, cfg, child) -> float:
+    """The cell of a conditional table at the parent subsets ``cfg`` and the
+    child subset ``child``."""
+    return float(table_row(table, cfg)[subsets_of(table.child_frame).index(child)])
+
+
+def support(exact) -> dict:
+    """The nonzero cells of an exact distribution, keyed by state tuples (one
+    label per variable)."""
+    cells = np.argwhere(exact.array)
+    return {tuple(lab[i] for lab, i in zip(exact.labels, cell)): float(exact.array[tuple(cell)])
+            for cell in cells}
+
+
+def marginal(exact, variable: str) -> dict:
+    """The nonzero marginal probabilities of ``variable``, keyed by its labels."""
+    j = exact.variables.index(variable)
+    sums = exact.array.sum(axis=tuple(a for a in range(exact.array.ndim) if a != j))
+    return {lab: p for lab, p in zip(exact.labels[j], sums.tolist()) if p}
 
 
 def ternary_collider(parents: int, spread: float, seed: int = 0) -> str:
@@ -102,12 +145,12 @@ def cond_table(child: Frame, parent: Frame, rows: dict) -> CondMassTable:
     entries = {
         ((mask(parent, cfg),), mask(child, ch)): v for (ch, cfg), v in rows.items()
     }
-    return CondMassTable.from_entries(child, (parent,), entries)
+    return mass_table(child, (parent,), entries)
 
 
 def root_table(frame: Frame, rows: dict = ROOT_ROWS) -> CondMassTable:
     entries = {((), mask(frame, lit)): v for lit, v in rows.items()}
-    return CondMassTable.from_entries(frame, (), entries)
+    return mass_table(frame, (), entries)
 
 
 @pytest.fixture(scope="session")

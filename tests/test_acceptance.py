@@ -27,7 +27,8 @@ from belnet import (
 from belnet.cli import main as cli_main
 
 from conftest import (
-    bframe, by_text, cond_table, cpt_row, fixture_path, joint_cell, load, mask, LOOSE_ROWS,
+    bframe, by_text, cond_table, cpt_row, fixture_path, joint_cell, load, mask, table_cell,
+    LOOSE_ROWS,
 )
 
 
@@ -64,7 +65,8 @@ def test_c01_commonality_golden(loose_cond):
             k = mass_to_commonality(loose_cond)
             parent, child = loose_cond.parent_frames[0], loose_cond.child_frame
             for (cfg_lit, ch_lit), want in printed.items():
-                got = k.get((parse_subset_label(cfg_lit, parent),), parse_subset_label(ch_lit, child))
+                cfg = (parse_subset_label(cfg_lit, parent),)
+                got = table_cell(k, cfg, parse_subset_label(ch_lit, child))
                 assert got == pytest.approx(want, abs=1e-6), (cfg_lit, ch_lit)
 
 

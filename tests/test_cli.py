@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from belnet import load_network, mass_to_commonality, validate_structure
+from belnet import ValidationReport, load_network, mass_to_commonality, validate_structure
 import belnet.cli as cli_mod
 import belnet.cpt as cpt_mod
 from belnet.cli import main
@@ -214,6 +214,29 @@ class TestCpt:
         assert code == 3
 
 
+# a root row of three 0.3333333 cells sums to 1 - 1e-7: within 1e-6 of one, not 1e-9
+SHORT_ROOT_ROW = (
+    "var X1 : a b\ntable X1 | kind=k\n"
+    "  {a} : 0.3333333\n  {b} : 0.3333333\n  {a,b} : 0.3333333\nend\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["cpt"], ["sample", "-n", "10"], ["verify", "-n", "100000"]],
+    ids=lambda a: a[0],
+)
+def test_short_row_refused_by_every_command(capsys, tmp_path, argv):
+    # a given table's rows are held to the tolerance of the built CPT's rows
+    bad = tmp_path / "short.dsn"
+    bad.write_text(SHORT_ROOT_ROW)
+    code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+    if argv[0] == "validate":
+        assert (code, out, err) == (3, "error: X1: row () sums to 0.999999900, expected 1\n", "")
+    else:
+        row = "node X1: commonality row () sums to 0.999999900, expected 1"
+        assert (code, out, err) == (2, "", f"infeasible: {row}\n")
+
+
 @pytest.mark.parametrize(
     "argv", [["cpt"], ["sample", "-n", "10"], ["verify", "-n", "10", "--linf", "1"]],
     ids=lambda a: a[0],
@@ -408,18 +431,25 @@ SIX_QUATERNARY = "".join(f"var X{i} : a b c d\n" for i in range(1, 7)) + "".join
 )
 
 
+def _one_failed_check(cpt):
+    return ValidationReport(errors=[f"node {cpt.node}: a failed check"])
+
+
 @pytest.mark.parametrize(
-    "argv, text, code",
+    "argv, text, code, check",
     [
-        (["sample", "-n", "10"], (FIXTURES / "vacuous3.dsn").read_text(), 2),
-        (["cpt"], (FIXTURES / "vacuous3.dsn").read_text(), 2),
-        (["transform", "--to", "k"], NEGATIVE_SECOND_TABLE, 2),
-        (["joint"], SIX_QUATERNARY, 1),
+        (["sample", "-n", "10"], (FIXTURES / "vacuous3.dsn").read_text(), 2, None),
+        (["cpt"], (FIXTURES / "vacuous3.dsn").read_text(), 2, None),
+        (["cpt"], (FIXTURES / "chain4_sampling.dsn").read_text(), 3, _one_failed_check),
+        (["transform", "--to", "k"], NEGATIVE_SECOND_TABLE, 2, None),
+        (["joint"], SIX_QUATERNARY, 1, None),
     ],
-    ids=["sample", "cpt", "transform", "joint"],
+    ids=["sample", "cpt", "cpt-check", "transform", "joint"],
 )
-def test_refusal_creates_no_output(capsys, tmp_path, argv, text, code):
-    # every -o command builds all it writes before it opens the output file
+def test_refusal_creates_no_output(capsys, monkeypatch, tmp_path, argv, text, code, check):
+    # every -o command builds and checks all it writes before it opens the output file
+    if check is not None:
+        monkeypatch.setattr(cli_mod, "check_feasibility", check)
     net, dest = tmp_path / "net.dsn", tmp_path / "out"
     net.write_text(text)
     got, out, err = run(capsys, argv[0], str(net), *argv[1:], "-o", str(dest))

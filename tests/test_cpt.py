@@ -1,5 +1,6 @@
 """Extended-domain CPT construction and its identities."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -32,7 +33,8 @@ from belnet.extvals import ext_table
 from belnet.tables import EXACT_TOL, ROWSUM_TOL
 
 from conftest import (
-    bframe, by_text, cond_table, cpt_row, load, mask, ternary_collider, LOOSE_ROWS, TIGHT_ROWS,
+    bframe, by_text, cond_table, cpt_row, load, mask, table_cell, table_row, ternary_collider,
+    LOOSE_ROWS, TIGHT_ROWS,
 )
 
 # Expected one-successor CPT of the milder conditional.  Parent rows follow
@@ -110,7 +112,7 @@ def recursive_probs(node, ktable, n_successors):
 
     resolved = {}
     for cfg in ktable.configs():
-        row = _plain_row(ktable.row(cfg), ktable, n_successors)
+        row = _plain_row(table_row(ktable, cfg), ktable, n_successors)
         key = tuple(ExtValue(m) for m in cfg)
         resolved[key] = checked(key, row, InfeasibleModelError)
 
@@ -235,7 +237,7 @@ class TestSplitRows:
         cpt = build_node_cpt("X2", k, 0)
         for cfg in k.configs():
             key = tuple(ExtValue(m) for m in cfg)
-            assert np.array_equal(cpt_row(cpt, key), k.row(cfg))
+            assert np.array_equal(cpt_row(cpt, key), table_row(k, cfg))
 
     def test_leaf_extension_row(self, loose_cond):
         cpt = build_node_cpt("X2", mass_to_commonality(loose_cond), 0)
@@ -270,7 +272,7 @@ class TestSplitRows:
                 cols = [
                     i for i, x in enumerate(cpt.child_domain) if x.own.bits == s.bits
                 ]
-                assert row[cols].sum() == pytest.approx(k.get(cfg, s), abs=1e-9)
+                assert row[cols].sum() == pytest.approx(table_cell(k, cfg, s), abs=1e-9)
 
 
 class TestExtensionRows:
@@ -407,7 +409,6 @@ class TestFeasibility:
         probs[:, domain.index(ExtVector(mask(child, "{a,b}"), 2))] = 1.0
         cpt = ExtCPT(
             node="C",
-            n_successors=2,
             child_domain=domain,
             parent_names=("P",),
             parent_domains=(ext_values(parent),),
@@ -439,16 +440,7 @@ class TestFeasibility:
             probs = cpt.probs.copy()
             for c, delta in moves:
                 probs[row, c] += delta
-            bad = ExtCPT(
-                node=cpt.node,
-                n_successors=cpt.n_successors,
-                child_domain=cpt.child_domain,
-                parent_names=cpt.parent_names,
-                parent_domains=cpt.parent_domains,
-                probs=probs,
-                source=cpt.source,
-            )
-            return check_feasibility(bad).errors
+            return check_feasibility(dataclasses.replace(cpt, probs=probs)).errors
 
         plain = errors(0, [(0, 0.5)])
         assert any("sums to" in e for e in plain)
@@ -467,10 +459,7 @@ class TestFeasibility:
         for r, c, delta in [(13, 0, 1e-3), (13, 1, -1e-3), (22, 2, 0.01), (22, 0, -0.01),
                             (1, 0, 1e-3), (1, 1, -1e-3)]:
             probs[r, c] += delta
-        bad = ExtCPT(
-            cpt.node, cpt.n_successors, cpt.child_domain, cpt.parent_names,
-            cpt.parent_domains, probs, cpt.source,
-        )
+        bad = dataclasses.replace(cpt, probs=probs)
         assert check_feasibility(bad).errors == [
             "node X3: class {a} of row {a},{b} sums to 0.501000000000, table says 0.500000000000",
             "node X3: class {b} of row {a},{b} sums to 0.399000000000, table says 0.400000000000",
@@ -536,10 +525,7 @@ class TestAgainstSlices:
         probs = cpt.probs.copy()
         at = rng.integers(0, probs.size, cells)
         probs.ravel()[at] += rng.choice([1e-12, 1e-3, -1e-3, 0.5], cells)
-        bad = ExtCPT(
-            cpt.node, cpt.n_successors, cpt.child_domain, cpt.parent_names,
-            cpt.parent_domains, probs, cpt.source,
-        )
+        bad = dataclasses.replace(cpt, probs=probs)
         slices = [e for e in check_feasibility(bad).errors if "average" in e]
         assert slices == per_slice_check(bad)
 
@@ -559,7 +545,7 @@ class TestAgainstRecursion:
     def test_bitwise_equal_on_feasible_fixtures(self, fixture):
         net = load(fixture)
         for name, cpt in build_network_cpts(net).items():
-            want = recursive_probs(name, cpt.source, cpt.n_successors)
+            want = recursive_probs(name, cpt.source, len(net.node(name).successors))
             assert value_rows(cpt).tobytes() == want.tobytes(), name
 
     @given(

@@ -19,7 +19,6 @@ from belnet import (
     component,
     ext_values,
     ext_vectors,
-    full_set,
     subsets_of,
 )
 from belnet.extvals import ext_table
@@ -252,7 +251,8 @@ class TestHashes:
 
     VALUES = (
         "frame = Frame('X', ('a', 'b', 'c'))\n"
-        "values = [frame, full_set(frame), *ext_values(frame)[::9], *ext_vectors(frame, 2)[::40]]\n"
+        "values = [frame, subsets_of(frame)[-1], *ext_values(frame)[::9],"
+        " *ext_vectors(frame, 2)[::40]]\n"
     )
 
     def test_pickle_round_trip_keeps_hash_and_equality(self):
@@ -268,14 +268,14 @@ class TestHashes:
         dump = tmp_path / "values.pickle"
         script = (
             "import pickle, sys\n"
-            "from belnet import Frame, ext_values, ext_vectors, full_set\n" + self.VALUES +
+            "from belnet import Frame, ext_values, ext_vectors, subsets_of\n" + self.VALUES +
             "pickle.dump((values, [hash(v) for v in values]), open(sys.argv[1], 'wb'))\n"
         )
         env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", script, str(dump)], env=env, check=True)
         with open(dump, "rb") as fh:
             theirs, their_hashes = pickle.load(fh)
-        namespace = {"Frame": Frame, "full_set": full_set, "ext_values": ext_values,
+        namespace = {"Frame": Frame, "subsets_of": subsets_of, "ext_values": ext_values,
                      "ext_vectors": ext_vectors}
         exec(self.VALUES, namespace)
         ours = namespace["values"]

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belnet import (
-    CondMassTable,
     Frame,
     NetworkParseError,
     SubsetParseError,
@@ -17,7 +16,7 @@ from belnet import (
     validate_structure,
 )
 
-from conftest import load
+from conftest import load, mass_table
 
 
 class TestParse:
@@ -280,7 +279,7 @@ class TestLiteralLookup:
             ((parse_subset_label(p, parent),), parse_subset_label(c, child)): v
             for p, c, v in rows
         }
-        want = CondMassTable.from_entries(child, (parent,), entries)
+        want = mass_table(child, (parent,), entries)
         got = parse_network(text).node("C").table
         assert got.values.tobytes() == want.values.tobytes()
 

@@ -7,6 +7,23 @@ import sys
 import belnet
 
 SUBMODULES = ("cpt", "errors", "extvals", "fusion", "network", "sampler", "tables", "verify")
+# every export, sorted: adding or removing one shows in this list
+EXPORTS = [
+    "BelnetError", "ComparisonReport", "CondCommonalityTable", "CondMassTable",
+    "ExactDistribution", "ExtCPT", "ExtValue", "ExtVector", "Frame", "InfeasibleModelError",
+    "JointMass", "NegativityReport", "Network", "NetworkParseError", "Node", "Sample",
+    "SizeGuardError", "StructureError", "SubsetMask", "SubsetParseError", "ValidationReport",
+    "build_network_cpts", "build_node_cpt", "check_feasibility", "commonality_to_mass",
+    "compare_empirical", "component", "cpt", "edge_index", "errors", "exact_collapsed_joint",
+    "ext_values", "ext_vectors", "extvals", "fusion", "generate", "load_network",
+    "mass_to_commonality", "network", "network_joint", "parse_network", "parse_subset_label",
+    "sampler", "subsets_of", "tables", "topological_order", "validate_structure",
+    "validate_table", "verify", "write_csv", "write_joint_csv",
+]
+
+
+def test_export_list_is_pinned():
+    assert belnet.__all__ == EXPORTS
 
 
 def test_every_exported_name_resolves():

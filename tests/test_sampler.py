@@ -83,10 +83,16 @@ def codes_of(sample):
     return np.concatenate(list(sample.chunks()))
 
 
-def records(sample):
+def domains_of(net):
+    """Per variable in declaration order, its child domain: the axis its codes index."""
+    cpts = build_network_cpts(net)
+    return [cpts[name].child_domain for name in net.variables]
+
+
+def records(sample, domains):
     """Per record, in order, its extended value of each variable."""
     for row in codes_of(sample).tolist():
-        yield tuple(domain[c] for domain, c in zip(sample.domains, row))
+        yield tuple(domain[c] for domain, c in zip(domains, row))
 
 
 def collapse(record):
@@ -228,13 +234,14 @@ class TestRecords:
     def test_degenerate_network(self):
         net = load("vacuous1.dsn")
         s = generate(net, 25, seed=5)
-        assert all(str(rec[0]) == "{a,b}" for rec in map(collapse, records(s)))
+        assert all(str(rec[0]) == "{a,b}" for rec in map(collapse, records(s, domains_of(net))))
 
     def test_support_has_positive_probability(self, sampling_net):
         cpts = build_network_cpts(sampling_net)
         s = generate(sampling_net, 1500, seed=2, cpts=cpts)
         order = sampling_net.variables
-        for rec in itertools.islice(records(s), 0, None, 97):
+        domains = [cpts[name].child_domain for name in order]
+        for rec in itertools.islice(records(s, domains), 0, None, 97):
             byname = dict(zip(order, rec))
             for name in order:
                 cpt = cpts[name]
@@ -248,7 +255,7 @@ class TestRecords:
         s = generate(sampling_net, 50, seed=1)
         buf = io.StringIO()
         write_csv(s, buf)
-        rec = list(records(s))[9]
+        rec = list(records(s, domains_of(sampling_net)))[9]
         row = list(csv.reader(io.StringIO(buf.getvalue())))[10]
         assert row == [str(v.own if isinstance(v, ExtVector) else v) for v in rec]
 
@@ -270,17 +277,17 @@ class TestRecords:
         s = generate(net, 3000, seed=8)
         subsets = [subsets_of(net.frame(v)) for v in s.variables]
         want = np.zeros([len(subs) for subs in subsets], dtype=np.int64)
-        for rec in map(collapse, records(s)):
+        for rec in map(collapse, records(s, domains_of(net))):
             want[tuple(subs.index(m) for subs, m in zip(subsets, rec))] += 1
         counts = s.collapsed_counts()
         assert counts.dtype == np.int64 and np.array_equal(counts, want)
 
 
-def write_records(sample, stream):
+def write_records(sample, domains, stream):
     """Reference CSV writer: one csv row per record, in record order."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(sample.variables)
-    for rec in map(collapse, records(sample)):
+    for rec in map(collapse, records(sample, domains)):
         writer.writerow([str(m) for m in rec])
 
 
@@ -305,22 +312,19 @@ class TestCsv:
         frame = Frame("X", tuple("abcdefghijklm"))
         rows = "".join(f"  {m} : {1 / 8191!r}\n" for m in subsets_of(frame))
         wide = parse_network(f"var X : {' '.join(frame.values)}\ntable X | kind=m\n{rows}end\n")
-        samples = [
-            generate(sampling_net, 40, seed=6),
-            generate(load("chain3_ternary.dsn"), 500, seed=6),
-            generate(load("star4_proper.dsn"), 500, seed=6),
-            generate(wide, 3000, seed=6),
-        ]
+        nets = [(sampling_net, 40), (load("chain3_ternary.dsn"), 500),
+                (load("star4_proper.dsn"), 500), (wide, 3000)]
+        samples = [(generate(net, n, seed=6), domains_of(net)) for net, n in nets]
         # runs of one variable each and of the default cap; chunks of 7 and the default
         for runs, chunk in itertools.product(
             [1, sampler_mod._CSV_CLASSES], [7, sampler_mod._CHUNK]
         ):
             monkeypatch.setattr(sampler_mod, "_CSV_CLASSES", runs)
             monkeypatch.setattr(sampler_mod, "_CHUNK", chunk)
-            for s in samples:
+            for s, domains in samples:
                 fast, slow = io.StringIO(), io.StringIO()
                 write_csv(s, fast)
-                write_records(s, slow)
+                write_records(s, domains, slow)
                 assert fast.getvalue() == slow.getvalue()
 
     def test_classes_beyond_int64_stay_distinct(self):
@@ -333,12 +337,11 @@ class TestCsv:
             digits.append(d)
         far = [0] * (45 - len(digits)) + digits[::-1]
         codes = np.array([[0] * 45, far, [0] * 45], dtype=np.int64)
-        sample = sampler_mod.Sample(
-            tuple(f.name for f in frames), [subsets_of(f) for f in frames], 3, lambda: [codes]
-        )
+        domains = [subsets_of(f) for f in frames]
+        sample = sampler_mod.Sample(tuple(f.name for f in frames), domains, 3, lambda: [codes])
         fast, slow = io.StringIO(), io.StringIO()
         write_csv(sample, fast)
-        write_records(sample, slow)
+        write_records(sample, domains, slow)
         assert fast.getvalue() == slow.getvalue()
         # 3^45 collapsed cells: too many to count densely
         with pytest.raises(SizeGuardError, match="collapsed state space"):

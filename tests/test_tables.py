@@ -20,7 +20,7 @@ from belnet import (
 from belnet import tables
 from belnet.tables import bit_ordered, superset_sums
 
-from conftest import LOOSE_ROWS, TIGHT_ROWS, bframe, cond_table, mask
+from conftest import LOOSE_ROWS, TIGHT_ROWS, bframe, cond_table, mask, mass_table, table_cell
 
 # Commonality of the milder conditional, child values in order {a},{b},{a,b}.
 LOOSE_COMM = {
@@ -70,7 +70,7 @@ class TestMassToCommonality:
         for cfg_lit, row in LOOSE_COMM.items():
             cfg = (mask(loose_cond.parent_frames[0], cfg_lit),)
             for child_lit, want in zip(("{a}", "{b}", "{a,b}"), row):
-                got = k.get(cfg, mask(loose_cond.child_frame, child_lit))
+                got = table_cell(k, cfg, mask(loose_cond.child_frame, child_lit))
                 assert got == pytest.approx(want, abs=1e-6)
 
     def test_rows_are_distributions(self, loose_cond, tight_cond):
@@ -82,21 +82,22 @@ class TestMassToCommonality:
     def test_single_superset_term(self, loose_cond):
         k = mass_to_commonality(loose_cond)
         full = mask(loose_cond.parent_frames[0], "{a,b}")
-        assert k.get((full,), mask(loose_cond.child_frame, "{a,b}")) == pytest.approx(0.3, abs=1e-9)
+        got = table_cell(k, (full,), mask(loose_cond.child_frame, "{a,b}"))
+        assert got == pytest.approx(0.3, abs=1e-9)
 
     def test_vacuous(self):
         child, parent = bframe("C"), bframe("P")
-        m = CondMassTable.from_entries(
+        m = mass_table(
             child, (parent,), {((mask(parent, "{a,b}"),), mask(child, "{a,b}")): 1.0}
         )
         k = mass_to_commonality(m)
         for cfg in k.configs():
-            assert k.get(cfg, mask(child, "{a,b}")) == 1.0
-            assert k.get(cfg, mask(child, "{a}")) == 0.0
+            assert table_cell(k, cfg, mask(child, "{a,b}")) == 1.0
+            assert table_cell(k, cfg, mask(child, "{a}")) == 0.0
 
     def test_not_representable(self):
         child, parent = bframe("C"), bframe("P")
-        m = CondMassTable.from_entries(
+        m = mass_table(
             child,
             (parent,),
             {
@@ -109,7 +110,7 @@ class TestMassToCommonality:
 
     def test_root_table_is_identity(self):
         f = bframe()
-        m = CondMassTable.from_entries(
+        m = mass_table(
             f, (), {((), mask(f, "{a}")): 0.4, ((), mask(f, "{b}")): 0.4, ((), mask(f, "{a,b}")): 0.2}
         )
         k = mass_to_commonality(m)
@@ -122,7 +123,8 @@ class TestCommonalityToMass:
         m = commonality_to_mass(k)
         cfg = (mask(loose_cond.parent_frames[0], "{a}"),)
         # 0.516667 - 0.35
-        assert m.get(cfg, mask(loose_cond.child_frame, "{a}")) == pytest.approx(1 / 6, abs=1e-9)
+        got = table_cell(m, cfg, mask(loose_cond.child_frame, "{a}"))
+        assert got == pytest.approx(1 / 6, abs=1e-9)
 
     def test_roundtrip_identity(self, loose_cond, tight_cond):
         for t in (loose_cond, tight_cond):

@@ -22,7 +22,6 @@ from belnet import (
     component,
     edge_index,
     exact_collapsed_joint,
-    exact_extended_joint,
     generate,
     network_joint,
     parse_network,
@@ -33,7 +32,7 @@ from belnet.extvals import own_index
 from belnet.sampler import row_offsets
 from belnet.tables import subset_index
 
-from conftest import cpt_row, load
+from conftest import cpt_row, load, marginal, support
 
 # the benchmark's seeded network generator, clibench/gen.py
 _GEN_PATH = Path(__file__).parents[1] / "clibench" / "gen.py"
@@ -116,6 +115,15 @@ def enumerated_extended_joint(net, cpts) -> np.ndarray:
     return joint
 
 
+def extended_joint(net, cpts=None) -> ExactDistribution:
+    """The enumerated extended joint as a distribution: axis j runs over the
+    child domain of ``net.variables[j]``."""
+    if cpts is None:
+        cpts = build_network_cpts(net)
+    labels = tuple(cpts[name].child_domain for name in net.variables)
+    return ExactDistribution(net.variables, labels, enumerated_extended_joint(net, cpts))
+
+
 def enumerated_collapsed_joint(net, cpts) -> np.ndarray:
     """Reference push-forward: the enumerated extended joint bincounted by the
     collapsed class of every state, in mixed radix over own subsets."""
@@ -137,17 +145,13 @@ def _along(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
 
 def _assert_contraction_matches_enumeration(net, cpts):
     # every factor is nonnegative, so the supports agree exactly
-    for oracle, reference in (
-        (exact_extended_joint, enumerated_extended_joint),
-        (exact_collapsed_joint, enumerated_collapsed_joint),
-    ):
-        got, want = oracle(net, cpts).array, reference(net, cpts)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(got > 0.0, want > 0.0)
+    got, want = exact_collapsed_joint(net, cpts).array, enumerated_collapsed_joint(net, cpts)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(got > 0.0, want > 0.0)
 
 
 class TestContraction:
-    """Both oracles contract one factor per node; enumeration is their reference."""
+    """The oracle is one contraction; enumeration is its reference."""
 
     @pytest.mark.parametrize("fixture", FEASIBLE)
     def test_fixtures(self, fixture):
@@ -207,52 +211,51 @@ class TestContraction:
 
 
 class TestExactExtended:
+    """The enumerated extended joint, the reference the collapsed oracle is
+    checked against, and the collapsed oracle's state-space guard."""
+
     @pytest.mark.parametrize("fixture", FEASIBLE)
     def test_matches_recursive_enumeration(self, fixture):
         net = load(fixture)
         cpts = build_network_cpts(net)
         want = recursive_extended_joint(net, cpts)
-        ext = exact_extended_joint(net, cpts)
-        assert set(ext.probs) == set(want)
+        ext = support(extended_joint(net, cpts))
+        assert set(ext) == set(want)
         for key, p in want.items():
-            assert ext.probs[key] == pytest.approx(p, abs=1e-15)
+            assert ext[key] == pytest.approx(p, abs=1e-15)
         collapsed = {tuple(getattr(v, "own", v) for v in key) for key in want}
-        assert set(exact_collapsed_joint(net, cpts).probs) == collapsed
-
+        assert set(support(exact_collapsed_joint(net, cpts))) == collapsed
 
     def test_degenerate_network_unit_mass(self):
-        net = load("vacuous1.dsn")
-        ext = exact_extended_joint(net)
-        assert len(ext.probs) == 1
-        ((key, p),) = ext.probs.items()
+        ext = support(extended_joint(load("vacuous1.dsn")))
+        assert len(ext) == 1
+        ((key, p),) = ext.items()
         assert p == 1.0 and str(key[0]) == "{a,b}"
 
     def test_root_with_one_successor_has_five_states(self):
-        net = parse_network(CHAIN2)
-        ext = exact_extended_joint(net)
-        marg = ext.marginal("X1")
+        marg = marginal(extended_joint(parse_network(CHAIN2)), "X1")
         assert len(marg) == 5
         for p in marg.values():
             assert p == pytest.approx(0.2, abs=1e-12)
 
     def test_chain_total_is_one(self, sampling_net):
-        ext = exact_extended_joint(sampling_net)
-        assert len(ext.probs) <= 5 * 5 * 5 * 3
-        assert ext.total() == pytest.approx(1.0, abs=1e-9)
+        ext = extended_joint(sampling_net)
+        assert len(support(ext)) <= 5 * 5 * 5 * 3
+        assert ext.array.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_star_total_is_one(self):
-        ext = exact_extended_joint(load("star5_negjoint.dsn"))
-        assert ext.total() == pytest.approx(1.0, abs=1e-9)
+        ext = extended_joint(load("star5_negjoint.dsn"))
+        assert ext.array.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_state_space_guard(self, sampling_net, monkeypatch):
-        monkeypatch.setattr(verify_mod, "MAX_STATES", 10)
-        with pytest.raises(SizeGuardError, match="states"):
-            exact_extended_joint(sampling_net)
+        # 3^4 collapsed states
+        monkeypatch.setattr(verify_mod, "MAX_STATES", 80)
+        with pytest.raises(SizeGuardError, match="collapsed state space holds 81 states"):
+            exact_collapsed_joint(sampling_net)
 
     def test_root_class_sums_equal_mass(self, sampling_net):
-        ext = exact_extended_joint(sampling_net)
         marg = {}
-        for key, p in ext.probs.items():
+        for key, p in support(extended_joint(sampling_net)).items():
             own = str(key[0].own)
             marg[own] = marg.get(own, 0.0) + p
         assert marg["{a}"] == pytest.approx(0.4, abs=1e-9)
@@ -262,26 +265,25 @@ class TestExactExtended:
 
 class TestExactCollapsed:
     def test_pushforward_conserves_mass(self, sampling_net):
-        ext = exact_extended_joint(sampling_net)
+        ext = extended_joint(sampling_net)
         col = exact_collapsed_joint(sampling_net)
-        assert col.total() == pytest.approx(ext.total(), abs=1e-12)
-        assert all(p >= 0.0 for p in col.probs.values())
+        assert col.array.sum() == pytest.approx(ext.array.sum(), abs=1e-12)
+        assert col.array.min() >= 0.0
 
     def test_matches_direct_summation(self, sampling_net):
         cpts = build_network_cpts(sampling_net)
-        ext = exact_extended_joint(sampling_net, cpts)
         direct = {}
-        for key, p in ext.probs.items():
+        for key, p in support(extended_joint(sampling_net, cpts)).items():
             ckey = tuple(getattr(v, "own", v) for v in key)
             direct[ckey] = direct.get(ckey, 0.0) + p
-        col = exact_collapsed_joint(sampling_net, cpts)
-        assert set(direct) == set(col.probs)
+        col = support(exact_collapsed_joint(sampling_net, cpts))
+        assert set(direct) == set(col)
         for k, v in direct.items():
-            assert col.probs[k] == pytest.approx(v, abs=1e-15)
+            assert col[k] == pytest.approx(v, abs=1e-15)
 
     def test_star_root_marginal(self):
         col = exact_collapsed_joint(load("star4_proper.dsn"))
-        marg = {str(k): v for k, v in col.marginal("X1").items()}
+        marg = {str(k): v for k, v in marginal(col, "X1").items()}
         assert marg["{a}"] == pytest.approx(0.4, abs=1e-9)
         assert marg["{a,b}"] == pytest.approx(0.2, abs=1e-9)
 
@@ -338,10 +340,10 @@ class TestAgainstCombinationJoint:
         assert np.abs(col.array - joint.array).max() > 1e-3
         for variable, literal, want in (("X1", "{a,b}", 0.2), ("X1", "{a}", 0.4)):
             assert _joint_marginal(joint, variable, literal) == pytest.approx(want, abs=1e-9)
-            got = {str(k): p for k, p in col.marginal(variable).items()}[literal]
+            got = {str(k): p for k, p in marginal(col, variable).items()}[literal]
             assert got == pytest.approx(want, abs=1e-9)
         assert _joint_marginal(joint, "X2", "{a,b}") == pytest.approx(0.2, abs=1e-9)
-        leaf = {str(k): p for k, p in col.marginal("X2").items()}
+        leaf = {str(k): p for k, p in marginal(col, "X2").items()}
         assert leaf["{a,b}"] == pytest.approx(0.2286, abs=1e-4)
 
 
@@ -439,7 +441,8 @@ class TestCompareEmpirical:
 
     def test_impossible_cell_flagged(self, sampling_net):
         exact = exact_collapsed_joint(sampling_net)
-        modal = max(exact.probs, key=exact.probs.get)
+        cells = support(exact)
+        modal = max(cells, key=cells.get)
         index = tuple(lab.index(m) for lab, m in zip(exact.labels, modal))
         trimmed = ExactDistribution(exact.variables, exact.labels, exact.array.copy())
         trimmed.array[index] = 0.0
@@ -451,10 +454,9 @@ class TestCompareEmpirical:
 
     def test_chi_square_degrees_of_freedom(self, sampling_net):
         exact = exact_collapsed_joint(sampling_net)
-        support = sum(1 for p in exact.probs.values() if p > 0)
         sample = generate(sampling_net, 5000, seed=21)
         report = compare_empirical(sample, exact)
-        assert report.dof == support - 1
+        assert report.dof == len(support(exact)) - 1
         assert report.chi2 > 0.0
 
     def test_convergence_schedule(self, sampling_net):
@@ -500,7 +502,7 @@ def test_random_tree_pipeline(seed):
     net = parse_network("\n".join(lines))
     cpts = build_network_cpts(net)
     exact = exact_collapsed_joint(net, cpts)
-    assert exact.total() == pytest.approx(1.0, abs=1e-9)
+    assert exact.array.sum() == pytest.approx(1.0, abs=1e-9)
     sample = generate(net, 20000, seed=seed)
     report = compare_empirical(sample, exact, linf_threshold=0.02)
     assert report.passed, f"tree seed {seed}: linf={report.linf}"
