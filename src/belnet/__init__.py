@@ -35,8 +35,7 @@ _EXPORTS = {
     ),
     "sampler": ("Sample", "generate", "write_csv"),
     "tables": (
-        "CondCommonalityTable",
-        "CondMassTable",
+        "CondTable",
         "Frame",
         "SubsetMask",
         "ValidationReport",
@@ -48,7 +47,6 @@ _EXPORTS = {
     ),
     "verify": (
         "ComparisonReport",
-        "ExactDistribution",
         "compare_empirical",
         "exact_collapsed_joint",
     ),

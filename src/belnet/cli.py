@@ -11,7 +11,7 @@ import contextlib
 import sys
 from typing import IO, Iterator
 
-from .cpt import build_network_cpts, check_feasibility, value_rows
+from .cpt import build_network_cpts, check_feasibility, guard_value_rows, value_rows
 from .errors import BelnetError, InfeasibleModelError, StructureError
 from .fusion import network_joint, write_joint_csv
 from .network import Network, load_network, validate_structure
@@ -180,12 +180,13 @@ def _cmd_cpt(args) -> int:
     if not failures.ok:  # refused before the output opens, so no file is created
         print(failures, file=sys.stderr)
         return 3
-    rows = {name: value_rows(cpt) for name, cpt in cpts.items()}
+    for cpt in cpts.values():  # an oversized dump is refused before the output opens
+        guard_value_rows(cpt)
     with _output(args.output) as stream:
-        for cpt in map(cpts.get, net.variables):
+        for cpt in map(cpts.get, net.variables):  # one node expanded at a time
             print(f"# node {cpt.node}", file=stream)
             domains = [*cpt.parent_domains, cpt.child_domain]
-            write_cells(stream, [*cpt.parent_names, cpt.node, "p"], domains, rows[cpt.node])
+            write_cells(stream, [*cpt.parent_names, cpt.node, "p"], domains, value_rows(cpt))
     return 0
 
 

@@ -35,7 +35,7 @@ from .network import Network, topological_order, validate_structure
 from .tables import (
     EXACT_TOL,
     ROWSUM_TOL,
-    CondCommonalityTable,
+    CondTable,
     Frame,
     SubsetMask,
     ValidationReport,
@@ -54,20 +54,27 @@ class ExtCPT:
     """A CPT whose parents range over extended values and whose child ranges
     over extended vectors (or plain subsets for a node with no successors).
     ``probs`` holds one row per combination of parent rows (``ext_table.row``)
-    in C order.  Immutable after construction."""
+    in C order; ``source`` is the commonality (``kind="k"``) table it was
+    built from.  Immutable after construction."""
 
     node: str
     child_domain: tuple
     parent_names: tuple[str, ...]
     parent_domains: tuple[tuple[ExtValue, ...], ...]
     probs: np.ndarray
-    source: CondCommonalityTable
+    source: CondTable
+
+
+def guard_value_rows(cpt: ExtCPT) -> None:
+    """Refuse a CPT whose ``value_rows`` would exceed MAX_CPT_CELLS, sized
+    from its domains alone."""
+    _guard_cells(cpt.node, math.prod(map(len, cpt.parent_domains)) * len(cpt.child_domain))
 
 
 def value_rows(cpt: ExtCPT) -> np.ndarray:
     """``cpt.probs`` with one row per combination of parent extended values,
     in C order over ``parent_domains``."""
-    _guard_cells(cpt.node, math.prod(map(len, cpt.parent_domains)) * len(cpt.child_domain))
+    guard_value_rows(cpt)
     tables = [ext_table(f) for f in cpt.source.parent_frames]
     tensor = cpt.probs.reshape(tuple(len(t.first) for t in tables) + (-1,))
     return tensor[np.ix_(*(t.row for t in tables))].reshape(-1, tensor.shape[-1])
@@ -129,8 +136,10 @@ def _child_text(child) -> str:
     return str(child)
 
 
-def build_node_cpt(node: str, ktable: CondCommonalityTable, n_successors: int) -> ExtCPT:
+def build_node_cpt(node: str, ktable: CondTable, n_successors: int) -> ExtCPT:
     """Build the extended CPT of one node from its commonality table."""
+    if ktable.kind != "k":
+        raise ValueError(f"node {node}: a CPT is built from a kind=k table, not kind={ktable.kind}")
     frame = ktable.child_frame
     if n_successors == 0:
         child_domain: tuple = subsets_of(frame)

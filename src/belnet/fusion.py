@@ -28,7 +28,6 @@ from .network import Network, topological_order
 from .tables import (
     EXACT_TOL,
     REPORT_TOL,
-    CondCommonalityTable,
     Frame,
     _bits_of,
     _fixed9,
@@ -46,7 +45,8 @@ MAX_CELLS = 1 << 23  # entries of the dense array, one axis of 2^|frame| per var
 
 @dataclass(eq=False)
 class JointMass:
-    """A joint mass function over a fixed variable scope.
+    """A joint mass function over a fixed variable scope, as both exact
+    oracles return it.
 
     ``array`` holds the mass of every product of nonempty subsets, zero or
     not: axis j runs over ``subsets_of(frames[j])``.  ``empty_mass``
@@ -113,7 +113,7 @@ def network_joint(net: Network) -> tuple[JointMass, NegativityReport]:
     commonality = np.ones([1 << len(f) for f in frames])
     for name in topological_order(net):
         table = net.node(name).table
-        if isinstance(table, CondCommonalityTable):
+        if table.kind == "k":
             table = commonality_to_mass(table)
         axes = [names.index(f.name) for f in table.parent_frames + (table.child_frame,)]
         factor = superset_sums(bit_ordered(table), range(len(axes)))

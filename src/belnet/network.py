@@ -23,14 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NetworkParseError
-from .tables import (
-    CondCommonalityTable,
-    CondMassTable,
-    Frame,
-    ValidationReport,
-    subset_index,
-    subsets_of,
-)
+from .tables import CondTable, Frame, ValidationReport, subset_index, subsets_of
 
 
 @dataclass
@@ -41,7 +34,7 @@ class Node:
     frame: Frame
     parents: tuple[str, ...] = ()
     successors: tuple[str, ...] = ()
-    table: CondMassTable | CondCommonalityTable | None = None
+    table: CondTable | None = None
 
 
 @dataclass
@@ -135,6 +128,9 @@ def _parse_var(net: Network, line: str, lineno: int) -> None:
     labels = tuple(values.split())
     if not name:
         raise NetworkParseError("missing variable name", lineno)
+    if any(ch.isspace() for ch in name) or "|" in name or "->" in name:
+        # a table header or an edge line could not name it
+        raise NetworkParseError(f"variable name {name!r} holds whitespace, '|' or '->'", lineno)
     if name in net.nodes:
         raise NetworkParseError(f"duplicate variable {name!r}", lineno)
     if len(labels) < 2:
@@ -237,8 +233,7 @@ def _finish_table(net: Network, cur: dict) -> None:
     values = np.zeros((math.prod(cur["dims"]), len(subsets_of(cur["frame"]))))
     if cur["entries"]:
         values[tuple(np.array(list(cur["entries"])).T)] = list(cur["entries"].values())
-    cls = CondMassTable if cur["kind"] == "m" else CondCommonalityTable
-    net.nodes[cur["child"]].table = cls(cur["frame"], cur["frames"], values)
+    net.nodes[cur["child"]].table = CondTable(cur["frame"], cur["frames"], values, cur["kind"])
 
 
 def topological_order(net: Network) -> tuple[str, ...]:

@@ -9,10 +9,9 @@ row of variates, so output is identical no matter how records are batched.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -115,26 +114,43 @@ def _draw_cells(cdf: np.ndarray, top: np.ndarray, rows: np.ndarray, u: np.ndarra
 
 
 class Sample:
-    """``count`` records of ``variables``, drawn afresh on each pass.
+    """``count`` records of ``variables``, drawn afresh on each pass from a
+    fresh generator seeded by ``seed``.
 
-    ``source()`` starts a pass: an iterable of the records in order, in chunks
-    of per-variable child-domain indices (records x variables, declaration
-    order), axis j indexing ``domains[j]``, variable j's child domain.
+    ``nodes`` are the drawing tables, ``(column, _NodeDraw)`` in topological
+    order, and ``dtype`` the type of a drawn code: the index into
+    ``domains[j]``, variable j's child domain.
     """
 
-    def __init__(self, variables: tuple[str, ...], domains: list, count: int, source: Callable):
+    def __init__(
+        self, variables: tuple[str, ...], domains: list, count: int, seed: int, nodes: list, dtype
+    ):
         self.variables = variables
         self.count = count
-        self._source = source
+        self.seed = seed
+        self._nodes = nodes
+        self._dtype = dtype
         self._subsets = [subsets_of(domain[0].frame) for domain in domains]
         self._own_index = [own_index(domain) for domain in domains]
 
     def __len__(self) -> int:
         return self.count
 
-    def chunks(self) -> Iterable[np.ndarray]:
-        """One pass over the records, chunk by chunk; each pass draws them again."""
-        return self._source()
+    def chunks(self) -> Iterator[np.ndarray]:
+        """One pass over the records, in chunks of ``_CHUNK`` (records x
+        variables, declaration order); each pass draws them again."""
+        rng = np.random.Generator(np.random.Philox(self.seed))
+        for lo in range(0, self.count, _CHUNK):
+            yield self._draw(rng, min(_CHUNK, self.count - lo))
+
+    def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The codes of ``size`` records; their variates are freed before the caller yields."""
+        codes = np.empty((size, len(self._nodes)), dtype=self._dtype, order="F")
+        # one variate per record per node, in topological order; a row per node
+        u = rng.random((size, len(self._nodes))).T.copy()
+        for t, (col, node) in enumerate(self._nodes):
+            codes[:, col] = node.draw(codes, u[t])
+        return codes
 
     def collapsed_counts(self) -> np.ndarray:
         """Counts of collapsed records, as an int64 array with one axis per
@@ -178,25 +194,8 @@ def generate(
     nodes = [(column[name], _NodeDraw(cpts[name].probs, parents[name])) for name in topo]
     # one contiguous column per variable, in the narrowest unsigned type
     dtype = np.min_scalar_type(max(len(cpts[name].child_domain) for name in topo) - 1)
-    source = functools.partial(_draw_chunks, nodes, dtype, count, seed)
-    return Sample(variables, [cpts[name].child_domain for name in variables], count, source)
-
-
-def _draw_chunks(nodes: list, dtype: np.dtype, count: int, seed: int) -> Iterator[np.ndarray]:
-    """``count`` records from a fresh generator seeded by ``seed``, in chunks of ``_CHUNK``."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    for lo in range(0, count, _CHUNK):
-        yield _draw_chunk(nodes, dtype, rng, min(_CHUNK, count - lo))
-
-
-def _draw_chunk(nodes: list, dtype: np.dtype, rng: np.random.Generator, size: int) -> np.ndarray:
-    """The codes of ``size`` records; their variates are freed before the caller yields."""
-    codes = np.empty((size, len(nodes)), dtype=dtype, order="F")
-    # one variate per record per node, in topological order; a row per node
-    u = rng.random((size, len(nodes))).T.copy()
-    for t, (col, node) in enumerate(nodes):
-        codes[:, col] = node.draw(codes, u[t])
-    return codes
+    domains = [cpts[name].child_domain for name in variables]
+    return Sample(variables, domains, count, seed, nodes, dtype)
 
 
 def write_csv(sample: Sample, dest: str | IO[str]) -> None:

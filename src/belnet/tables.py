@@ -1,8 +1,9 @@
 """Frames, subset masks, conditional tables, and the mass <-> commonality transforms.
 
 A conditional table maps (parent configuration of subsets, child subset) to a
-real number.  Mass tables may carry negative values; commonality tables are the
-superset-cumulated form whose rows are probability distributions.
+real number, in one of two forms: mass (``kind="m"``), whose values may be
+negative, or commonality (``kind="k"``), the superset-cumulated form whose rows
+are probability distributions.
 """
 
 from __future__ import annotations
@@ -152,17 +153,21 @@ def parse_subset_label(text: str, frame: Frame) -> SubsetMask:
     return SubsetMask(frame, bits)
 
 
-class _CondTable:
-    """Dense conditional table over product configurations.
+class CondTable:
+    """Dense conditional table over product configurations, in mass
+    (``kind="m"``) or commonality (``kind="k"``) form.
 
     Rows are indexed by the mixed-radix encoding of the parent configuration
     (last parent varies fastest); columns follow the child's canonical subset
     order.  Instances are immutable after construction.
     """
 
-    kind = "?"
-
-    def __init__(self, child_frame: Frame, parent_frames: tuple[Frame, ...], values: np.ndarray):
+    def __init__(
+        self, child_frame: Frame, parent_frames: tuple[Frame, ...], values: np.ndarray, kind: str
+    ):
+        if kind not in ("m", "k"):
+            raise ValueError(f"table kind must be 'm' or 'k', got {kind!r}")
+        self.kind = kind
         self.child_frame = child_frame
         self.parent_frames = tuple(parent_frames)
         self._dims = tuple(len(subsets_of(f)) for f in self.parent_frames)
@@ -191,18 +196,6 @@ class _CondTable:
         for r, cfg in enumerate(self.configs()):
             for c, child in enumerate(children):
                 yield cfg, child, float(self.values[r, c])
-
-
-class CondMassTable(_CondTable):
-    """Conditional mass table; values may be negative."""
-
-    kind = "m"
-
-
-class CondCommonalityTable(_CondTable):
-    """Superset-cumulated conditional table; rows are probability distributions."""
-
-    kind = "k"
 
 
 def superset_sums(a: np.ndarray, axes: Iterable[int], inverse: bool = False) -> np.ndarray:
@@ -238,7 +231,7 @@ def _bits_of(frame: Frame) -> np.ndarray:
     return bits
 
 
-def bit_ordered(table: _CondTable) -> np.ndarray:
+def bit_ordered(table: CondTable) -> np.ndarray:
     """The table as a dense array over (parents..., child), each axis indexed
     by subset bits; cells with an empty subset are zero."""
     dense = np.zeros([1 << len(f) for f in table.parent_frames + (table.child_frame,)])
@@ -246,17 +239,21 @@ def bit_ordered(table: _CondTable) -> np.ndarray:
     return dense
 
 
-def _bit_index(table: _CondTable) -> tuple[np.ndarray, ...]:
+def _bit_index(table: CondTable) -> tuple[np.ndarray, ...]:
     """Where the table's cells sit in its bit-ordered form."""
     return np.ix_(*map(_bits_of, table.parent_frames + (table.child_frame,)))
 
 
-def _parent_superset_sums(table: _CondTable, inverse: bool) -> np.ndarray:
+def _parent_superset_sums(table: CondTable, inverse: bool) -> np.ndarray:
+    """The table's values summed over parent supersets: its commonality form
+    from a mass table, or (``inverse``) its mass form from a commonality table."""
+    if table.kind != ("k" if inverse else "m"):
+        raise ValueError(f"node {table.child_frame.name}: the table is already kind={table.kind}")
     dense = superset_sums(bit_ordered(table), range(len(table.parent_frames)), inverse)
     return dense[_bit_index(table)].reshape(table.values.shape)
 
 
-def mass_to_commonality(m: CondMassTable) -> CondCommonalityTable:
+def mass_to_commonality(m: CondTable) -> CondTable:
     """Cumulate conditional mass over coarser (superset) parent configurations.
 
     The result is nonnegative with unit row sums for well-formed inputs.
@@ -265,15 +262,15 @@ def mass_to_commonality(m: CondMassTable) -> CondCommonalityTable:
     given commonality table (the input has no such representation).
     """
     vals = _parent_superset_sums(m, inverse=False)
-    negatives, _ = commonality_faults(CondCommonalityTable(m.child_frame, m.parent_frames, vals))
+    negatives, _ = commonality_faults(CondTable(m.child_frame, m.parent_frames, vals, "k"))
     if negatives:
         raise InfeasibleModelError(f"node {m.child_frame.name}: negative commonality {negatives[0]}")
-    return CondCommonalityTable(m.child_frame, m.parent_frames, np.clip(vals, 0.0, None))
+    return CondTable(m.child_frame, m.parent_frames, np.clip(vals, 0.0, None), "k")
 
 
-def commonality_to_mass(k: CondCommonalityTable) -> CondMassTable:
+def commonality_to_mass(k: CondTable) -> CondTable:
     """Exact inverse of mass_to_commonality (signed superset sums per parent axis)."""
-    return CondMassTable(k.child_frame, k.parent_frames, _parent_superset_sums(k, inverse=True))
+    return CondTable(k.child_frame, k.parent_frames, _parent_superset_sums(k, inverse=True), "m")
 
 
 @dataclass
@@ -296,7 +293,7 @@ class ValidationReport:
         return "\n".join(lines) if lines else "ok"
 
 
-def validate_table(t: _CondTable) -> ValidationReport:
+def validate_table(t: CondTable) -> ValidationReport:
     """Check table-level numeric contracts.
 
     Every table is held to the commonality contract in its commonality form
@@ -310,7 +307,7 @@ def validate_table(t: _CondTable) -> ValidationReport:
     name = t.child_frame.name
     k = t
     if t.kind == "m":
-        k = CondCommonalityTable(t.child_frame, t.parent_frames, _parent_superset_sums(t, False))
+        k = CondTable(t.child_frame, t.parent_frames, _parent_superset_sums(t, False), "k")
         sums = t.values.sum(axis=1)
         want = np.zeros_like(sums)
         want[-1] = 1.0  # the all-full-sets configuration is the last row
@@ -325,7 +322,7 @@ def validate_table(t: _CondTable) -> ValidationReport:
     return report
 
 
-def commonality_faults(t: _CondTable) -> tuple[list[str], list[str]]:
+def commonality_faults(t: CondTable) -> tuple[list[str], list[str]]:
     """Where ``t`` breaks the commonality-table contract: its cells below
     -EXACT_TOL, as ``v at (cfg ; child)``, and its rows that do not sum to one
     within ROWSUM_TOL, as ``row cfg sums to s, expected 1``; each in row order."""

@@ -14,27 +14,18 @@ import numpy as np
 
 from .cpt import ExtCPT, build_network_cpts
 from .errors import SizeGuardError
-from .network import Network
 from .extvals import own_index
+from .fusion import JointMass
+from .network import Network
 from .sampler import MAX_STATES, Sample, row_offsets
 from .tables import subsets_of
 
 
-@dataclass(eq=False)
-class ExactDistribution:
-    """Probabilities over state vectors, as a dense array with one axis per
-    variable in declaration order: axis j runs over ``labels[j]``, the values
-    of ``variables[j]``."""
-
-    variables: tuple[str, ...]
-    labels: tuple[tuple, ...]
-    array: np.ndarray
-
-
-def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -> ExactDistribution:
+def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -> JointMass:
     """The chain-rule product of the extended CPT rows, pushed forward under
-    per-variable collapse, as one tensor contraction; axis j runs over
-    ``subsets_of`` the frame of ``net.variables[j]``.
+    per-variable collapse, as one tensor contraction: a ``JointMass`` whose
+    axis j runs over ``subsets_of`` the frame of ``net.variables[j]``, with no
+    empty mass (a collapsed record never lands on an empty set).
 
     Axis j is variable j's extended value, axis n + j its collapsed class.  Per
     node: its CPT, each parent axis gathered through the edge's ``row_offsets``,
@@ -44,7 +35,8 @@ def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -
     """
     if cpts is None:
         cpts = build_network_cpts(net)
-    labels = [subsets_of(net.frame(v)) for v in net.variables]
+    frames = tuple(map(net.frame, net.variables))
+    labels = list(map(subsets_of, frames))
     if (size := math.prod(map(len, labels))) > MAX_STATES:
         raise SizeGuardError(f"collapsed state space holds {size} states (limit {MAX_STATES})")
     axis = {name: j for j, name in enumerate(net.variables)}
@@ -63,7 +55,7 @@ def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -
         operands += [cpts[name].probs[rows], [axis[p] for p, _ in parents] + [j]]
         operands += [np.eye(len(labels[j]))[own_index(cpts[name].child_domain)], [j, n + j]]
     array = np.einsum(*operands, [n + j for j in range(n)], optimize="greedy")
-    return ExactDistribution(tuple(net.variables), tuple(labels), array)
+    return JointMass(frames, array)
 
 
 @dataclass
@@ -97,7 +89,7 @@ class ComparisonReport:
 
 def compare_empirical(
     sample: Sample | np.ndarray,
-    exact: ExactDistribution,
+    exact: JointMass,
     linf_threshold: float | None = None,
 ) -> ComparisonReport:
     """Compare empirical collapsed counts against the exact collapsed distribution.
@@ -109,9 +101,9 @@ def compare_empirical(
     outside the support, are listed in array order.
     """
     if isinstance(sample, Sample):
-        if tuple(sample.variables) != tuple(exact.variables):
+        if tuple(sample.variables) != exact.scope:
             raise ValueError(
-                f"sample variables {sample.variables} do not match exact scope {exact.variables}"
+                f"sample variables {sample.variables} do not match exact scope {exact.scope}"
             )
         counts = sample.collapsed_counts()
     else:
@@ -131,5 +123,7 @@ def compare_empirical(
         chi2=float(((counts[support] - expected) ** 2 / expected).sum()),
         dof=int(support.sum()) - 1,
         threshold=linf_threshold,
-        impossible=[tuple(lab[i] for lab, i in zip(exact.labels, cell)) for cell in impossible],
+        impossible=[
+            tuple(subsets_of(f)[i] for f, i in zip(exact.frames, cell)) for cell in impossible
+        ],
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from belnet import CondMassTable, Frame, load_network, parse_subset_label, subsets_of
+from belnet import CondTable, Frame, load_network, parse_subset_label, subsets_of
 from belnet.cpt import value_rows
 from belnet.tables import subset_index
 
@@ -77,14 +77,14 @@ def cpt_row(cpt, cfg=()):
     return value_rows(cpt)[_row_index(cpt.parent_domains, cfg)]
 
 
-def mass_table(child: Frame, parents: tuple, entries: dict) -> CondMassTable:
+def mass_table(child: Frame, parents: tuple, entries: dict) -> CondTable:
     """A conditional mass table from a sparse mapping ``{(cfg, child subset): v}``,
     ``cfg`` a tuple of parent subsets; absent cells are zero."""
     domains = [subsets_of(f) for f in parents]
     values = np.zeros((math.prod(map(len, domains)), len(subsets_of(child))))
     for (cfg, subset), v in entries.items():
         values[_row_index(domains, cfg), subsets_of(child).index(subset)] = v
-    return CondMassTable(child, parents, values)
+    return CondTable(child, parents, values, "m")
 
 
 def table_row(table, cfg=()) -> np.ndarray:
@@ -98,19 +98,27 @@ def table_cell(table, cfg, child) -> float:
     return float(table_row(table, cfg)[subsets_of(table.child_frame).index(child)])
 
 
-def support(exact) -> dict:
-    """The nonzero cells of an exact distribution, keyed by state tuples (one
-    label per variable)."""
-    cells = np.argwhere(exact.array)
-    return {tuple(lab[i] for lab, i in zip(exact.labels, cell)): float(exact.array[tuple(cell)])
-            for cell in cells}
+def axis_labels(joint) -> list:
+    """Per axis of a joint, what it runs over: the nonempty subsets of each
+    frame of a ``JointMass``, or a reference's own ``labels``."""
+    if hasattr(joint, "frames"):
+        return [subsets_of(f) for f in joint.frames]
+    return joint.labels
 
 
-def marginal(exact, variable: str) -> dict:
+def support(joint) -> dict:
+    """The nonzero cells of a joint, keyed by state tuples (one label per
+    variable)."""
+    labels = axis_labels(joint)
+    return {tuple(lab[i] for lab, i in zip(labels, cell)): float(joint.array[tuple(cell)])
+            for cell in np.argwhere(joint.array)}
+
+
+def marginal(joint, variable: str) -> dict:
     """The nonzero marginal probabilities of ``variable``, keyed by its labels."""
-    j = exact.variables.index(variable)
-    sums = exact.array.sum(axis=tuple(a for a in range(exact.array.ndim) if a != j))
-    return {lab: p for lab, p in zip(exact.labels[j], sums.tolist()) if p}
+    j = joint.scope.index(variable)
+    sums = joint.array.sum(axis=tuple(a for a in range(joint.array.ndim) if a != j))
+    return {lab: p for lab, p in zip(axis_labels(joint)[j], sums.tolist()) if p}
 
 
 def ternary_collider(parents: int, spread: float, seed: int = 0) -> str:
@@ -141,14 +149,14 @@ def joint_cell(joint, *literals) -> float:
     return float(joint.array[tuple(map(subset_index, literals, joint.frames))])
 
 
-def cond_table(child: Frame, parent: Frame, rows: dict) -> CondMassTable:
+def cond_table(child: Frame, parent: Frame, rows: dict) -> CondTable:
     entries = {
         ((mask(parent, cfg),), mask(child, ch)): v for (ch, cfg), v in rows.items()
     }
     return mass_table(child, (parent,), entries)
 
 
-def root_table(frame: Frame, rows: dict = ROOT_ROWS) -> CondMassTable:
+def root_table(frame: Frame, rows: dict = ROOT_ROWS) -> CondTable:
     entries = {((), mask(frame, lit)): v for lit, v in rows.items()}
     return mass_table(frame, (), entries)
 

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.
 """
 
-import io
 import time
 from contextlib import contextmanager
 
@@ -26,10 +25,7 @@ from belnet import (
 )
 from belnet.cli import main as cli_main
 
-from conftest import (
-    bframe, by_text, cond_table, cpt_row, fixture_path, joint_cell, load, mask, table_cell,
-    LOOSE_ROWS,
-)
+from conftest import by_text, cpt_row, fixture_path, joint_cell, load, mask, table_cell
 
 
 @contextmanager
@@ -169,7 +165,7 @@ def test_c06_feasibility_pair():
 
 def test_c07_roundtrip_property():
     with criterion(7, "mass<->commonality roundtrip <= 1e-12 on 120 random tables"):
-        from belnet import CondCommonalityTable, Frame
+        from belnet import CondTable, Frame
 
         rng = np.random.default_rng(2024)
         checked = 0
@@ -181,7 +177,7 @@ def test_c07_roundtrip_property():
             parents = tuple(Frame(f"P{i}", letters[: s]) for i, s in enumerate(sizes[1:]))
             rows = int(np.prod([2 ** len(p) - 1 for p in parents]))
             k_vals = rng.uniform(0.0, 1.0, size=(rows, 2 ** len(child) - 1))
-            k = CondCommonalityTable(child, parents, k_vals)
+            k = CondTable(child, parents, k_vals, "k")
             t = commonality_to_mass(k)  # a valid mass table by construction
             back = commonality_to_mass(mass_to_commonality(t))
             assert np.abs(back.values - t.values).max() <= 1e-12

@@ -54,6 +54,16 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 1 and err.startswith(f"error: line 2: value label {label!r} ")
 
+    @pytest.mark.parametrize("name", ["A|B", "A B", "A->B"])
+    def test_unreferable_variable_name_exits_1_at_its_var_line(self, capsys, tmp_path, name):
+        # a table header or an edge line could not name it; accepted, "var A|B" would
+        # fail only at "table A|B | kind=m", as "line 3: undeclared variable 'A'"
+        bad = tmp_path / "bad.dsn"
+        bad.write_text(f"net n\nvar {name} : a b\ntable {name} | kind=m\n  {{a,b}} : 1\nend\n")
+        code, _, err = run(capsys, "validate", str(bad))
+        want = f"error: line 2: variable name {name!r} holds whitespace, '|' or '->'\n"
+        assert code == 1 and err == want
+
     def test_table_is_a_whole_word(self, capsys, tmp_path):
         bad = tmp_path / "bad.dsn"
         bad.write_text("var X : a b\ntableX | kind=m\n  {a,b} : 1\nend\n")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from belnet import (
     BelnetError,
-    CondCommonalityTable,
+    CondTable,
     ExtCPT,
     ExtValue,
     ExtVector,
@@ -34,7 +34,7 @@ from belnet.tables import EXACT_TOL, ROWSUM_TOL
 
 from conftest import (
     bframe, by_text, cond_table, cpt_row, load, mask, table_cell, table_row, ternary_collider,
-    LOOSE_ROWS, TIGHT_ROWS,
+    LOOSE_ROWS,
 )
 
 # Expected one-successor CPT of the milder conditional.  Parent rows follow
@@ -297,7 +297,7 @@ class TestExtensionRows:
         # commonality with identical rows: 2x - x = x
         child, parent = bframe("C"), bframe("P")
         vals = np.tile(np.array([0.5, 0.3, 0.2]), (3, 1))
-        cpt = build_node_cpt("C", CondCommonalityTable(child, (parent,), vals), 0)
+        cpt = build_node_cpt("C", CondTable(child, (parent,), vals, "k"), 0)
         rows = dict(zip(map(str, ext_values(parent)), value_rows(cpt)))
         assert np.array_equal(rows["{a}@{a,b}"], rows["{a}"])
 
@@ -305,7 +305,7 @@ class TestExtensionRows:
         # 2 * 0.1 - 0.2000000000000001 is about -3e-17, inside EXACT_TOL
         child, parent = bframe("C"), bframe("P")
         vals = np.array([[0.1, 0.6, 0.3], [0.1, 0.6, 0.3], [0.2000000000000001, 0.5, 0.3]])
-        cpt = build_node_cpt("C", CondCommonalityTable(child, (parent,), vals), 0)
+        cpt = build_node_cpt("C", CondTable(child, (parent,), vals, "k"), 0)
         at = (by_text(ext_values(parent), "{a}@{a,b}"),)
         assert 2 * 0.1 - 0.2000000000000001 < 0.0
         assert cpt_row(cpt, at)[cpt.child_domain.index(mask(child, "{a}"))] == 0.0
@@ -396,14 +396,14 @@ class TestFeasibility:
     def test_vacuous_leaf_is_feasible(self):
         child, parent = bframe("C"), bframe("P")
         vals = np.tile(np.array([0.0, 0.0, 1.0]), (3, 1))
-        cpt = build_node_cpt("C", CondCommonalityTable(child, (parent,), vals), 0)
+        cpt = build_node_cpt("C", CondTable(child, (parent,), vals, "k"), 0)
         assert check_feasibility(cpt).ok
 
     def test_degenerate_cpt_passes_checks(self):
         # all mass on the plain full vector satisfies every checked identity
         child, parent = bframe("C"), bframe("P")
         vals = np.tile(np.array([0.0, 0.0, 1.0]), (3, 1))
-        k = CondCommonalityTable(child, (parent,), vals)
+        k = CondTable(child, (parent,), vals, "k")
         domain = ext_vectors(child, 2)
         probs = np.zeros((len(ext_table(parent).first), len(domain)))
         probs[:, domain.index(ExtVector(mask(child, "{a,b}"), 2))] = 1.0
@@ -619,12 +619,20 @@ class TestNestedFrames:
             )  # the two singleton splits of {a,b} each carry P(full vector)
 
 
+def test_build_takes_only_a_commonality_table():
+    # a mass cell read as a probability would be refused as "P({b}|{a}) = -0.0833333"
+    m = cond_table(bframe("C"), bframe("P"), LOOSE_ROWS)
+    with pytest.raises(ValueError, match="node C: a CPT is built from a kind=k table, not kind=m"):
+        build_node_cpt("C", m, 0)
+    assert check_feasibility(build_node_cpt("C", mass_to_commonality(m), 0)).ok
+
+
 def test_cpt_size_guard():
     # one row per derivation: 149^3 * 281 cells, where two parents would fit in 149^2 * 281
     frame = Frame("Q", ("a", "b", "c", "d"))
     parents = tuple(Frame(f"P{i}", ("a", "b", "c", "d")) for i in (1, 2, 3))
     vals = np.zeros((15**3, 15))
     vals[:, 14] = 1.0
-    k = CondCommonalityTable(frame, parents, vals)
+    k = CondTable(frame, parents, vals, "k")
     with pytest.raises(SizeGuardError, match="would hold 929533669 cells"):
         build_node_cpt("Q", k, 1)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import belnet.sampler as sampler_mod
 from belnet import (
-    ExtValue,
     ExtVector,
     Frame,
     SizeGuardError,
@@ -26,7 +25,7 @@ from belnet import (
     write_csv,
 )
 
-from conftest import bframe, cpt_row, load, mask
+from conftest import cpt_row, load
 
 
 class TestDeterminism:
@@ -338,7 +337,8 @@ class TestCsv:
         far = [0] * (45 - len(digits)) + digits[::-1]
         codes = np.array([[0] * 45, far, [0] * 45], dtype=np.int64)
         domains = [subsets_of(f) for f in frames]
-        sample = sampler_mod.Sample(tuple(f.name for f in frames), domains, 3, lambda: [codes])
+        sample = sampler_mod.Sample(tuple(f.name for f in frames), domains, 3, 0, [], np.int64)
+        sample.chunks = lambda: [codes]
         fast, slow = io.StringIO(), io.StringIO()
         write_csv(sample, fast)
         write_records(sample, domains, slow)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belnet import (
-    CondCommonalityTable,
-    CondMassTable,
+    CondTable,
     Frame,
     InfeasibleModelError,
     SubsetParseError,
@@ -140,7 +139,7 @@ def _random_table(rng, n_parents, sizes):
     )
     rows = int(np.prod([2 ** len(p) - 1 for p in parents])) if parents else 1
     vals = rng.uniform(-1.0, 1.0, size=(rows, 2 ** len(child) - 1))
-    return CondMassTable(child, parents, vals)
+    return CondTable(child, parents, vals, "m")
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 3)))
@@ -187,7 +186,7 @@ def test_convention_tables_give_unit_commonality_rows():
         vals[2] = rng.dirichlet(np.ones(3))  # full-set row sums to 1
         vals[0] -= vals[0].sum() / 3.0  # other rows sum to 0
         vals[1] -= vals[1].sum() / 3.0
-        t = CondMassTable(child, (parent,), vals)
+        t = CondTable(child, (parent,), vals, "m")
         k_vals = t.values.copy()
         k_vals[0] += k_vals[2]
         k_vals[1] += k_vals[2]
@@ -213,21 +212,21 @@ class TestValidateTable:
     def test_commonality_row_sum_violation(self):
         child, parent = bframe("C"), bframe("P")
         vals = np.full((3, 3), 0.3)
-        k = CondCommonalityTable(child, (parent,), vals)
+        k = CondTable(child, (parent,), vals, "k")
         report = validate_table(k)
         assert any("sums to 0.9" in e for e in report.errors)
 
     def test_commonality_negativity_violation(self):
         child, parent = bframe("C"), bframe("P")
         vals = np.array([[1.1, -0.1, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        report = validate_table(CondCommonalityTable(child, (parent,), vals))
+        report = validate_table(CondTable(child, (parent,), vals, "k"))
         assert any("negative" in e for e in report.errors)
 
     def test_commonality_report_text(self):
         # row sums first, then negative cells, each in row order
         child, parent = bframe("C"), bframe("P")
         vals = np.array([[1.1, -0.1, 0.0], [0.5, 0.0, 0.0], [0.7, 0.5, -0.2]])
-        report = validate_table(CondCommonalityTable(child, (parent,), vals))
+        report = validate_table(CondTable(child, (parent,), vals, "k"))
         assert report.errors == [
             "C: row {b} sums to 0.500000000, expected 1",
             "C: negative value -0.1 at ({a} ; {b})",
@@ -239,7 +238,7 @@ class TestValidateTable:
         child, p, q = bframe("C"), Frame("P", ("a", "b", "c")), bframe("Q")
         vals = np.tile([1.0, 0.0, 0.0], (21, 1))
         vals[13] = [0.5, 0.0, 0.0]  # P = {a,c} (index 4 of 7), Q = {b} (index 1 of 3)
-        report = validate_table(CondCommonalityTable(child, (p, q), vals))
+        report = validate_table(CondTable(child, (p, q), vals, "k"))
         assert report.errors == ["C: row {a,c},{b} sums to 0.500000000, expected 1"]
 
     def test_mass_convention_report_text(self):
@@ -264,6 +263,17 @@ class TestValidateTable:
 def test_tables_are_immutable(loose_cond):
     with pytest.raises(ValueError):
         loose_cond.values[0, 0] = 1.0
+
+
+def test_table_kind_is_m_or_k_and_each_transform_takes_the_other():
+    k = mass_to_commonality(cond_table(bframe("C"), bframe("P"), LOOSE_ROWS))
+    assert k.kind == "k" and commonality_to_mass(k).kind == "m"
+    with pytest.raises(ValueError, match="node C: the table is already kind=k"):
+        mass_to_commonality(k)
+    with pytest.raises(ValueError, match="node C: the table is already kind=m"):
+        commonality_to_mass(commonality_to_mass(k))
+    with pytest.raises(ValueError, match="table kind must be 'm' or 'k', got 'x'"):
+        CondTable(k.child_frame, k.parent_frames, k.values, "x")
 
 
 def test_cells_formatted_as_by_python():

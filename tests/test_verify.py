@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import math
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 import belnet.verify as verify_mod
 from belnet import (
-    ExactDistribution,
     Frame,
     InfeasibleModelError,
+    JointMass,
     SizeGuardError,
     build_network_cpts,
     check_feasibility,
@@ -115,13 +116,17 @@ def enumerated_extended_joint(net, cpts) -> np.ndarray:
     return joint
 
 
-def extended_joint(net, cpts=None) -> ExactDistribution:
-    """The enumerated extended joint as a distribution: axis j runs over the
-    child domain of ``net.variables[j]``."""
+# a joint over extended states: axis j runs over ``labels[j]``, the values of ``scope[j]``
+ExtendedJoint = namedtuple("ExtendedJoint", "scope labels array")
+
+
+def extended_joint(net, cpts=None) -> ExtendedJoint:
+    """The enumerated extended joint: axis j runs over the child domain of
+    ``net.variables[j]``."""
     if cpts is None:
         cpts = build_network_cpts(net)
     labels = tuple(cpts[name].child_domain for name in net.variables)
-    return ExactDistribution(net.variables, labels, enumerated_extended_joint(net, cpts))
+    return ExtendedJoint(net.variables, labels, enumerated_extended_joint(net, cpts))
 
 
 def enumerated_collapsed_joint(net, cpts) -> np.ndarray:
@@ -399,7 +404,7 @@ def _assert_exact_if_proper(net):
 
 def _assert_collapsed_equals_joint(col, joint):
     # both oracles lay a variable's nonempty subsets along its axis in subsets_of order
-    assert col.variables == joint.scope
+    assert col.frames == joint.frames
     np.testing.assert_allclose(col.array, joint.array, rtol=0, atol=1e-12)
 
 
@@ -414,7 +419,7 @@ class TestCompareEmpirical:
         # a distribution made from the counts themselves: every cell agrees exactly
         counts = generate(sampling_net, 5000, seed=3).collapsed_counts()
         col = exact_collapsed_joint(sampling_net)
-        exact = ExactDistribution(col.variables, col.labels, counts / counts.sum())
+        exact = JointMass(col.frames, counts / counts.sum())
         report = compare_empirical(counts, exact, linf_threshold=1e-12)
         assert report.linf == 0.0 and report.passed
 
@@ -443,8 +448,8 @@ class TestCompareEmpirical:
         exact = exact_collapsed_joint(sampling_net)
         cells = support(exact)
         modal = max(cells, key=cells.get)
-        index = tuple(lab.index(m) for lab, m in zip(exact.labels, modal))
-        trimmed = ExactDistribution(exact.variables, exact.labels, exact.array.copy())
+        index = tuple(subsets_of(f).index(m) for f, m in zip(exact.frames, modal))
+        trimmed = JointMass(exact.frames, exact.array.copy())
         trimmed.array[index] = 0.0
         counts = np.zeros(exact.array.shape, dtype=np.int64)
         counts[index] = 5
