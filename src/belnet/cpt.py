@@ -30,7 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleModelError, SizeGuardError, StructureError
-from .extvals import ExtValue, ExtVector, ext_table, ext_values, ext_vectors, own_index
+from .extvals import (
+    ExtValue,
+    ExtVector,
+    ext_table,
+    ext_values,
+    ext_vectors,
+    own_index,
+    vector_table,
+)
 from .network import Network, topological_order, validate_structure
 from .tables import (
     EXACT_TOL,
@@ -109,9 +117,9 @@ def _plain_rows(krows: np.ndarray, frame: Frame, n: int) -> np.ndarray:
             vec_p[:, j] = krows[:, j] - sum(vec_p[:, w] for w in coarser)
         at = np.flatnonzero(table.at & (size == k))
         vec_p[:, at] = vec_p[:, table.sup[at]] * share
-    # the plain vectors, then per superset value a family for each proper subset
-    family = ((1 << size) - 2) * ((1 << n) - 1)
-    return np.hstack([vec_p[:, : krows.shape[1]], np.repeat(vec_p, family, axis=1) * share])
+    # the plain vectors, then each family member's share of its superset value
+    sup = vector_table(frame, n).sup[krows.shape[1] :]
+    return np.hstack([vec_p[:, : krows.shape[1]], vec_p[:, sup] * share])
 
 
 def _clip_checked(node: str, rows: np.ndarray, child_domain, where) -> None:

@@ -9,7 +9,8 @@ An ExtVector is the n-successor form: either ``n`` copies of a plain subset,
 or a family member that feeds each successor one compound component.  The
 all-``o`` component pattern is excluded from families by construction.
 
-Their printed forms are the literals of the ``cpt`` dump; nothing reads them back.
+``ext_table`` and ``vector_table`` own both layouts as integer arrays; the
+value and vector objects are built from them.  Their printed forms are the literals of the ``cpt`` dump; nothing reads them back.
 """
 
 from __future__ import annotations
@@ -21,15 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import SizeGuardError
-from .tables import (
-    Frame,
-    SubsetMask,
-    _by_fields,
-    _hash_once,
-    _stored_hash,
-    _subset_pos,
-    subsets_of,
-)
+from .tables import Frame, SubsetMask, _bits_of, _subset_pos, subsets_of
 
 OP_DOT = "o"  # behaves as its superset value
 OP_AT = "@"  # resolved by averaging against the superset value
@@ -57,10 +50,6 @@ class ExtValue:
                 raise ValueError("split subset and superset value use different frames")
             if not (self.own.issubset(parent_own) and self.own.bits != parent_own.bits):
                 raise ValueError(f"{self.own} is not a proper nonempty subset of {parent_own}")
-        _hash_once(self, self.own, self.op, self.sup)
-
-    __hash__ = _stored_hash
-    __reduce__ = _by_fields
 
     @property
     def is_plain(self) -> bool:
@@ -100,10 +89,6 @@ class ExtVector:
                 raise ValueError("family pattern must select '@' on at least one edge")
             if not (self.own.issubset(self.sup.own) and self.own.bits != self.sup.own.bits):
                 raise ValueError(f"{self.own} is not a proper nonempty subset of {self.sup.own}")
-        _hash_once(self, self.own, self.n, self.sup, self.pattern)
-
-    __hash__ = _stored_hash
-    __reduce__ = _by_fields
 
     @property
     def is_plain(self) -> bool:
@@ -124,45 +109,6 @@ def _guard_frame(frame: Frame) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _proper_subsets(frame: Frame) -> dict[int, tuple[SubsetMask, ...]]:
-    """Per subset's bits, its proper nonempty subsets in canonical order."""
-    subs = subsets_of(frame)
-    return {t.bits: tuple(s for s in subs if s.bits & t.bits == s.bits != t.bits) for t in subs}
-
-
-@lru_cache(maxsize=None)
-def ext_values(frame: Frame) -> tuple[ExtValue, ...]:
-    """All extended values of a frame, in canonical order.
-
-    Plain subsets come first (canonical subset order), then compounds level by
-    level: each level splits every value of the previous level, listing the
-    ``o`` compounds before the ``@`` compounds.
-    """
-    _guard_frame(frame)
-    proper = _proper_subsets(frame)
-    plain = [ExtValue(s) for s in subsets_of(frame)]
-    out = list(plain)
-    level = plain
-    while True:
-        nxt = [
-            ExtValue(s, op, v) for op in (OP_DOT, OP_AT) for v in level for s in proper[v.own.bits]
-        ]
-        if not nxt:
-            return tuple(out)
-        out.extend(nxt)
-        level = nxt
-
-
-@lru_cache(maxsize=None)
-def _ext_value_pos(frame: Frame) -> dict[ExtValue, int]:
-    return {v: i for i, v in enumerate(ext_values(frame))}
-
-
-def ext_value_index(value: ExtValue) -> int:
-    return _ext_value_pos(value.frame)[value]
-
-
 class ExtTable(NamedTuple):
     """Per extended value of a frame, in ``ext_values`` order: the index of
     its own plain value, that of its superset value (-1 for a plain value),
@@ -179,44 +125,99 @@ class ExtTable(NamedTuple):
     first: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def ext_table(frame: Frame) -> ExtTable:
-    values = ext_values(frame)
-    pos, plain = _ext_value_pos(frame), _subset_pos(frame)
-    own = [plain[v.own.bits] for v in values]
-    sup = [-1 if v.is_plain else pos[v.sup] for v in values]
-    at = [v.op == OP_AT for v in values]
-    row, derived = [], {}
-    for o, s, a in zip(own, sup, at):
-        if s < 0:
-            row.append(o)
-        elif a:
-            row.append(derived.setdefault((o, row[s]), len(plain) + len(derived)))
-        else:
-            row.append(row[s])
-    first = np.unique(row, return_index=True)[1]
-    table = ExtTable(*map(np.array, (own, sup, at, row)), first)
+def _frozen(table):
     for column in table:
         column.setflags(write=False)
     return table
 
 
 @lru_cache(maxsize=None)
-def ext_vectors(frame: Frame, n: int) -> tuple[ExtVector, ...]:
-    """All extended vectors for a node with n successors, in canonical order.
-
-    Plain vectors first, then families grouped by the split they refine
-    (superset value, then split subset), patterns in increasing bit order.
-    """
+def ext_table(frame: Frame) -> ExtTable:
+    """The extended values in canonical order: plain subsets first (canonical
+    subset order), then compounds level by level.  Each level splits every
+    value of the previous level by each proper nonempty subset of its own set,
+    in canonical order, listing the ``o`` compounds before the ``@`` compounds."""
     _guard_frame(frame)
+    bits = _bits_of(frame).tolist()
+    proper = [[j for j, b in enumerate(bits) if b & t == b != t] for t in bits]
+    values = [(j, -1, False) for j in range(len(bits))]  # (own, sup, at)
+    level = range(len(bits))
+    while level:
+        start = len(values)
+        values += [(s, v, a) for a in (False, True) for v in level for s in proper[values[v][0]]]
+        level = range(start, len(values))
+    own, sup, at = zip(*values)
+    row, derived = [], {}
+    for o, s, a in values:
+        if s < 0:
+            row.append(o)
+        elif a:
+            row.append(derived.setdefault((o, row[s]), len(bits) + len(derived)))
+        else:
+            row.append(row[s])
+    first = np.unique(row, return_index=True)[1]
+    return _frozen(ExtTable(*map(np.array, (own, sup, at, row)), first))
+
+
+@lru_cache(maxsize=None)
+def ext_values(frame: Frame) -> tuple[ExtValue, ...]:
+    """All extended values of a frame, in ``ext_table`` order."""
+    subsets, out = subsets_of(frame), []
+    for o, s, a in zip(*(column.tolist() for column in ext_table(frame)[:3])):
+        op = OP_AT if a else OP_DOT
+        out.append(ExtValue(subsets[o]) if s < 0 else ExtValue(subsets[o], op, out[s]))
+    return tuple(out)
+
+
+class VectorTable(NamedTuple):
+    """Per extended vector of a frame for n successors, in ``ext_vectors``
+    order: the index of its own subset, that of its superset value in
+    ``ext_values`` (-1 for a plain vector) and its component pattern; and
+    ``row[h - 1]``, per vector the ``ext_table.row`` of its component on edge h."""
+
+    own: np.ndarray
+    sup: np.ndarray
+    pattern: np.ndarray
+    row: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def vector_table(frame: Frame, n: int) -> VectorTable:
+    """The extended vectors for n successors in canonical order: plain vectors
+    first, then families grouped by the split they refine (superset value,
+    then split subset in canonical order), patterns in increasing bit order."""
+    table, bits = ext_table(frame), _bits_of(frame)
     if not 1 <= n <= MAX_SUCCESSORS:
         raise SizeGuardError(f"successor count {n} outside 1..{MAX_SUCCESSORS}")
-    proper = _proper_subsets(frame)
-    out = [ExtVector(s, n) for s in subsets_of(frame)]
-    for sup in ext_values(frame):
-        for s in proper[sup.own.bits]:
-            out.extend(ExtVector(s, n, sup, pattern) for pattern in range(1, 1 << n))
-    return tuple(out)
+    plain = np.arange(len(bits))
+    # per superset value, each proper nonempty subset of its own set, a member per pattern
+    own_bits = bits[table.own][:, None]
+    sup, own = np.nonzero((bits & own_bits == bits) & (bits != own_bits))
+    members = (1 << n) - 1
+    sup, own = np.repeat(sup, members), np.repeat(own, members)
+    pattern = np.tile(np.arange(1, members + 1), len(sup) // members)
+    # the row of each @ value, by (superset value, own subset)
+    at_row = np.zeros((len(table.own), len(bits)), dtype=np.int64)
+    at_row[table.sup[table.at], table.own[table.at]] = table.row[table.at]
+    row = np.where(pattern >> np.arange(n)[:, None] & 1, at_row[sup, own], table.row[sup])
+    return _frozen(
+        VectorTable(
+            np.concatenate([plain, own]),
+            np.concatenate([np.full(len(bits), -1), sup]),
+            np.concatenate([np.zeros_like(plain), pattern]),
+            np.hstack([np.tile(plain, (n, 1)), row]),
+        )
+    )
+
+
+@lru_cache(maxsize=None)
+def ext_vectors(frame: Frame, n: int) -> tuple[ExtVector, ...]:
+    """All extended vectors for a node with n successors, in ``vector_table`` order."""
+    subsets, values, table = subsets_of(frame), ext_values(frame), vector_table(frame, n)
+    return tuple(
+        ExtVector(subsets[o], n) if s < 0 else ExtVector(subsets[o], n, values[s], p)
+        for o, s, p in zip(*(column.tolist() for column in table[:3]))
+    )
 
 
 def component(vec: ExtVector, h: int) -> ExtValue:

@@ -87,11 +87,14 @@ class NegativityReport:
         return not len(self.values)
 
     def __str__(self) -> str:
+        # a figure that rounds to zero prints unsigned: a residue of -2e-16 is no negative mass
+        figures = (self.min_entry, self.total_nonempty, self.empty_mass)
+        minimum, total, empty = (f"{x:.9f}".replace("-0.000000000", "0.000000000") for x in figures)
         lines = [
             f"focal elements below -{EXACT_TOL:g}: {len(self.values)}",
-            f"minimum entry: {self.min_entry:.9f}",
-            f"total nonempty mass: {self.total_nonempty:.9f}",
-            f"empty-intersection mass: {self.empty_mass:.9f}",
+            f"minimum entry: {minimum}",
+            f"total nonempty mass: {total}",
+            f"empty-intersection mass: {empty}",
         ]
         if not self.proper:  # "  ({a},{a,b}) : -0.000000001" per cell
             texts = [[f"{s}," for s in subsets_of(f)] for f in self.frames]

@@ -18,7 +18,7 @@ import numpy as np
 from .cpt import ExtCPT, build_network_cpts
 from .errors import SizeGuardError
 from .tables import csv_cells, subsets_of
-from .extvals import component, ext_table, ext_value_index, own_index
+from .extvals import ext_table, own_index, vector_table
 from .network import Network, edge_index, topological_order
 
 _CHUNK = 1 << 18
@@ -29,21 +29,26 @@ MAX_STATES = 10_000_000  # cells of a dense joint or count array, at most
 _CSV_CLASSES = 1 << 12
 
 
+def guard_states(shape) -> int:
+    """The cells of a collapsed array of ``shape``; SizeGuardError past MAX_STATES."""
+    if (size := math.prod(shape)) > MAX_STATES:
+        raise SizeGuardError(f"collapsed state space holds {size} states (limit {MAX_STATES})")
+    return size
+
+
 def row_offsets(net: Network, cpts: dict[str, ExtCPT], name: str) -> list[tuple[str, np.ndarray]]:
     """How the parents' drawn values address a row of ``name``'s CPT.
 
     Per parent: its name and, per index into its child domain, the row of that
-    value's component (``ext_table.row``) times the parent's stride in the row
-    index (the sum over parents is the row).
+    vector's component on the edge (``vector_table.row``) times the parent's
+    stride in the row index (the sum over parents is the row).
     """
     out = []
     stride = cpts[name].probs.shape[0]
     for parent, frame in zip(cpts[name].parent_names, cpts[name].source.parent_frames):
-        table = ext_table(frame)
-        stride //= len(table.first)
-        h = edge_index(net, parent, name)
-        comp = [ext_value_index(component(x, h)) for x in cpts[parent].child_domain]
-        out.append((parent, table.row[comp] * stride))
+        stride //= len(ext_table(frame).first)
+        rows = vector_table(frame, len(net.node(parent).successors)).row
+        out.append((parent, rows[edge_index(net, parent, name) - 1] * stride))
     return out
 
 
@@ -156,10 +161,7 @@ class Sample:
         """Counts of collapsed records, as an int64 array with one axis per
         variable, indexed by its own subsets in ``subsets_of`` order."""
         shape = tuple(len(subs) for subs in self._subsets)
-        size = math.prod(shape)
-        if size > MAX_STATES:
-            raise SizeGuardError(f"collapsed state space holds {size} states (limit {MAX_STATES})")
-        out = np.zeros(size, dtype=np.int64)
+        out = np.zeros(guard_states(shape), dtype=np.int64)
         for codes in self.chunks():
             counts = np.bincount(self._classes(codes, 0, len(shape)))
             out[: len(counts)] += counts

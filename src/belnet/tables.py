@@ -9,7 +9,6 @@ are probability distributions.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import itertools
 from dataclasses import dataclass, field
@@ -30,24 +29,6 @@ REPORT_TOL = 1e-6
 CONVENTION_TOL = 1e-5
 
 
-# Frozen values hash once, at construction: ``__post_init__`` calls
-# ``_hash_once`` and the class sets ``__hash__ = _stored_hash``.  They pickle
-# by their fields, without the stored hash, since string hashes differ
-# between processes; unpickling constructs them afresh.
-
-
-def _hash_once(obj, *fields) -> None:
-    object.__setattr__(obj, "_hash", hash(fields))
-
-
-def _stored_hash(obj) -> int:
-    return obj._hash
-
-
-def _by_fields(obj):
-    return type(obj), tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
-
-
 @dataclass(frozen=True)
 class Frame:
     """An ordered set of values of one variable."""
@@ -60,10 +41,6 @@ class Frame:
             raise ValueError(f"frame {self.name!r} needs at least one value")
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"frame {self.name!r} has duplicate value labels")
-        _hash_once(self, self.name, self.values)
-
-    __hash__ = _stored_hash
-    __reduce__ = _by_fields
 
     def __len__(self) -> int:
         return len(self.values)
@@ -83,10 +60,6 @@ class SubsetMask:
     def __post_init__(self):
         if not 0 < self.bits <= self.frame.full_bits:
             raise ValueError(f"invalid subset bits {self.bits:#x} for frame {self.frame.name!r}")
-        _hash_once(self, self.frame, self.bits)
-
-    __hash__ = _stored_hash
-    __reduce__ = _by_fields
 
     @property
     def size(self) -> int:

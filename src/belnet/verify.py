@@ -17,7 +17,7 @@ from .errors import SizeGuardError
 from .extvals import own_index
 from .fusion import JointMass
 from .network import Network
-from .sampler import MAX_STATES, Sample, row_offsets
+from .sampler import MAX_STATES, Sample, guard_states, row_offsets
 from .tables import subsets_of
 
 
@@ -37,8 +37,7 @@ def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -
         cpts = build_network_cpts(net)
     frames = tuple(map(net.frame, net.variables))
     labels = list(map(subsets_of, frames))
-    if (size := math.prod(map(len, labels))) > MAX_STATES:
-        raise SizeGuardError(f"collapsed state space holds {size} states (limit {MAX_STATES})")
+    guard_states(map(len, labels))
     axis = {name: j for j, name in enumerate(net.variables)}
     n, operands = len(axis), []
     for name, j in axis.items():

@@ -153,6 +153,17 @@ class TestJoint:
         code, out, err = run(capsys, "joint", fixture_path("chain4_negjoint.dsn"))
         assert "-0.000029156" in out
 
+    def test_zero_figures_print_unsigned(self, capsys):
+        # the empty-intersection mass is a rounding residue of -2.2e-16 here
+        code, _, err = run(capsys, "joint", fixture_path("chain4_sampling.dsn"))
+        assert code == 0
+        assert err.splitlines() == [
+            "focal elements below -1e-12: 0",
+            "minimum entry: 0.002113889",
+            "total nonempty mass: 1.000000000",
+            "empty-intersection mass: 0.000000000",
+        ]
+
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "joint.csv"
         code, _, _ = run(capsys, "joint", fixture_path("star5_negjoint.dsn"), "-o", str(dest))

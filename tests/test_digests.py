@@ -24,6 +24,8 @@ FIXTURE_DIGESTS = {
 # 3^45 collapsed classes exceed int64: a mixed-radix class code would overflow.
 LONG_CHAIN_DIGEST = "2d5741c170416e10436c176a2012f9807a9d8251e1ba4eb3f9aea03bb52603e1"
 LONG_CHAIN_NODES = 45
+# a ternary root's nested splits, each family feeding three edges
+TERNARY_STAR_DIGEST = "b61a79087c923a4328b40f1fbc0621fc426a915a07a564d65d4ee49df2b90e87"
 # `belnet joint` and `belnet cpt` output files
 COMMAND_DIGESTS = {
     ("joint", "star5_negjoint"): "6709851de17fd0b22eeeb823d1aff7d9818db5a6b1e588abf660d662ba6f99e8",
@@ -55,12 +57,31 @@ def long_chain(nodes: int):
     return parse_network(text)
 
 
+def ternary_star():
+    """A singleton-heavy ternary root feeding three binary leaves.  Each leaf's
+    rows differ by parent subset and by leaf, so every edge's row map shows."""
+    subsets = ["{a}", "{b}", "{c}", "{a,b}", "{a,c}", "{b,c}", "{a,b,c}"]
+    root = (0.3, 0.3, 0.3, 0.03, 0.03, 0.03, 0.01)
+    lines = ["net ternary_star", "var R : a b c"]
+    lines += [f"var L{j} : a b" for j in (1, 2, 3)] + [f"edge R -> L{j}" for j in (1, 2, 3)]
+    lines += ["table R | kind=k", *(f"  {s} : {w}" for s, w in zip(subsets, root)), "end"]
+    for j in (1, 2, 3):
+        lines.append(f"table L{j} | R kind=k")
+        for i, s in enumerate(subsets):
+            d = 0.01 * ((i + j) % 7 - 3)
+            lines += [f"  {{a}} | {s} : {0.45 + d!r}", f"  {{b}} | {s} : {0.45 - d!r}"]
+            lines.append(f"  {{a,b}} | {s} : 0.1")
+        lines.append("end")
+    return parse_network("\n".join(lines) + "\n")
+
+
 def _cases():
     for fixture, digest in sorted(FIXTURE_DIGESTS.items()):
         yield pytest.param(lambda f=fixture: load(f"{f}.dsn"), 20000, 7, digest, id=fixture)
     yield pytest.param(
         lambda: long_chain(LONG_CHAIN_NODES), 20000, 3, LONG_CHAIN_DIGEST, id="chain45"
     )
+    yield pytest.param(ternary_star, 20000, 7, TERNARY_STAR_DIGEST, id="ternary_star")
 
 
 @pytest.mark.parametrize("make_net, n, seed, digest", _cases())

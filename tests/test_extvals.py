@@ -21,7 +21,7 @@ from belnet import (
     ext_vectors,
     subsets_of,
 )
-from belnet.extvals import ext_table
+from belnet.extvals import MAX_SUCCESSORS, ext_table, vector_table
 
 from conftest import bframe, by_text, mask
 
@@ -191,6 +191,54 @@ class TestComponent:
                 assert any(component(x, h).op == "@" for h in range(1, 4))
 
 
+class TestVectorTable:
+    """The array table of a node's vectors agrees with the value objects."""
+
+    @pytest.mark.parametrize(
+        "k, n", [(k, n) for k in (1, 2, 3, 4) for n in (1, 2, 3)] + [(2, MAX_SUCCESSORS)]
+    )
+    def test_rows_and_superset_values_of_the_objects(self, k, n):
+        frame = _frame(k)
+        values, rows = ext_values(frame), ext_table(frame).row
+        position = {v: i for i, v in enumerate(values)}  # values.index, by hash
+        vectors, table = ext_vectors(frame, n), vector_table(frame, n)
+        assert table.row.shape == (n, len(vectors))
+        for i, x in enumerate(vectors):
+            assert table.sup[i] == (-1 if x.is_plain else position[x.sup])
+            for h in range(1, n + 1):
+                assert table.row[h - 1, i] == rows[position[component(x, h)]]
+
+    @pytest.mark.parametrize("k, n", [(2, 3), (3, 2), (4, 1)])
+    def test_vector_order(self, k, n):
+        # plain vectors, then per superset value and proper subset, one family
+        frame = _frame(k)
+        want = [ExtVector(s, n) for s in subsets_of(frame)]
+        for sup in ext_values(frame):
+            for s in _proper_subsets(frame, sup.own):
+                want += [ExtVector(s, n, sup, pattern) for pattern in range(1, 1 << n)]
+        assert list(ext_vectors(frame, n)) == want
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_value_order(self, k):
+        # plain values, then level by level, o compounds before @ compounds
+        frame = _frame(k)
+        level = [ExtValue(s) for s in subsets_of(frame)]
+        want = list(level)
+        while level:
+            level = [
+                ExtValue(s, op, v)
+                for op in "o@"
+                for v in level
+                for s in _proper_subsets(frame, v.own)
+            ]
+            want += level
+        assert list(ext_values(frame)) == want
+
+
+def _proper_subsets(frame, own):
+    return [s for s in subsets_of(frame) if s.bits != own.bits and s.bits & own.bits == s.bits]
+
+
 def _frame(k: int) -> Frame:
     return Frame("Y", tuple("abcd"[:k]))
 
@@ -247,7 +295,8 @@ def test_family_pattern_excludes_all_dot():
 
 
 class TestHashes:
-    """Values hash once, at construction; pickles carry no hash."""
+    """Values hash by their fields, so an unpickled value equals, and hashes
+    like, the same value built in the loading process."""
 
     VALUES = (
         "frame = Frame('X', ('a', 'b', 'c'))\n"

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,3 +78,10 @@ def test_every_imported_name_is_read():
                     if name not in read:
                         unread.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     assert not unread
+
+
+def test_readme_library_names_only_exports():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    names = set(re.findall(r"\bbn\.(\w+)", block))
+    assert names and sorted(names - set(belnet.__all__)) == []

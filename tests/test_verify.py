@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import belnet.sampler as sampler_mod
 import belnet.verify as verify_mod
 from belnet import (
     Frame,
@@ -253,8 +254,8 @@ class TestExactExtended:
         assert ext.array.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_state_space_guard(self, sampling_net, monkeypatch):
-        # 3^4 collapsed states
-        monkeypatch.setattr(verify_mod, "MAX_STATES", 80)
+        # 3^4 collapsed states; the sampler owns the collapsed-array guard
+        monkeypatch.setattr(sampler_mod, "MAX_STATES", 80)
         with pytest.raises(SizeGuardError, match="collapsed state space holds 81 states"):
             exact_collapsed_joint(sampling_net)
 
