@@ -24,30 +24,22 @@ the ``@`` identity along every parent axis, slice against slice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleModelError, SizeGuardError, StructureError
-from .extvals import (
-    ExtValue,
-    ExtVector,
-    ext_table,
-    ext_values,
-    ext_vectors,
-    own_index,
-    vector_table,
-)
+from .extvals import ExtValue, ext_table, ext_values, ext_vectors, vector_table
 from .network import Network, topological_order, validate_structure
 from .tables import (
     EXACT_TOL,
     ROWSUM_TOL,
     CondTable,
     Frame,
-    SubsetMask,
     ValidationReport,
-    _bits_of,
+    _subset_bits,
     cfg_text,
     commonality_faults,
     mass_to_commonality,
@@ -57,26 +49,42 @@ from .tables import (
 MAX_CPT_CELLS = 10_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtCPT:
     """A CPT whose parents range over extended values and whose child ranges
     over extended vectors (or plain subsets for a node with no successors).
     ``probs`` holds one row per combination of parent rows (``ext_table.row``)
-    in C order; ``source`` is the commonality (``kind="k"``) table it was
-    built from.  Immutable after construction."""
+    in C order, and a column per child value; ``source`` is the commonality
+    (``kind="k"``) table it was built from.  Program paths read sizes and
+    ``own``; the value objects of the two domains are built for printed text."""
 
     node: str
-    child_domain: tuple
     parent_names: tuple[str, ...]
-    parent_domains: tuple[tuple[ExtValue, ...], ...]
     probs: np.ndarray
     source: CondTable
+    n_successors: int
+
+    @property
+    def own(self) -> np.ndarray:
+        """The collapse map: per child value, its own subset's ``subsets_of`` index."""
+        n, frame = self.n_successors, self.source.child_frame
+        return vector_table(frame, n).own if n else np.arange(self.probs.shape[1])
+
+    @property
+    def child_domain(self) -> tuple:
+        n, frame = self.n_successors, self.source.child_frame
+        return ext_vectors(frame, n) if n else subsets_of(frame)
+
+    @property
+    def parent_domains(self) -> tuple[tuple[ExtValue, ...], ...]:
+        return tuple(map(ext_values, self.source.parent_frames))
 
 
 def guard_value_rows(cpt: ExtCPT) -> None:
     """Refuse a CPT whose ``value_rows`` would exceed MAX_CPT_CELLS, sized
     from its domains alone."""
-    _guard_cells(cpt.node, math.prod(map(len, cpt.parent_domains)) * len(cpt.child_domain))
+    values = math.prod(len(ext_table(f).row) for f in cpt.source.parent_frames)
+    _guard_cells(cpt.node, values * cpt.probs.shape[1])
 
 
 def value_rows(cpt: ExtCPT) -> np.ndarray:
@@ -97,16 +105,18 @@ def _guard_cells(node: str, cells: int) -> None:
 
 def _row_names(frames):
     """The configuration text of a row index tuple, one index per frame's
-    rows, naming each row by its first value."""
-    firsts = [[ext_values(f)[i] for i in ext_table(f).first] for f in frames]
-    return lambda idx: cfg_text(tuple(v[i] for v, i in zip(firsts, idx)))
+    rows, naming each row by its first value (built on call, so only for a
+    text that is printed)."""
+    return lambda idx: cfg_text(
+        tuple(ext_values(f)[ext_table(f).first[i]] for f, i in zip(frames, idx))
+    )
 
 
 def _plain_rows(krows: np.ndarray, frame: Frame, n: int) -> np.ndarray:
     """Split commonality rows (configurations x subsets) over the extended
     child domain of a node with n >= 1 successors, coarser subsets first."""
     table = ext_table(frame)  # the plain values first, in the table's column order
-    bits = _bits_of(frame)[table.own]
+    bits = _subset_bits(len(frame))[table.own]
     size = np.array([s.size for s in subsets_of(frame)])[table.own]
     share = 1.0 / ((1 << n) - 1)
     # per extended value: its plain vector's probability, or a family member's
@@ -122,26 +132,25 @@ def _plain_rows(krows: np.ndarray, frame: Frame, n: int) -> np.ndarray:
     return np.hstack([vec_p[:, : krows.shape[1]], vec_p[:, sup] * share])
 
 
-def _clip_checked(node: str, rows: np.ndarray, child_domain, where) -> None:
+def _clip_checked(node: str, rows: np.ndarray, child, where) -> None:
     """Clip ``rows`` (..., child) to nonnegative in place.  An entry below
-    -EXACT_TOL fails instead, naming the first such row in row order; ``where``
-    turns that row's index tuple into its configuration text."""
+    -EXACT_TOL fails instead, naming the first such row in row order; ``child``
+    turns a child index into its text, and ``where`` that row's index tuple
+    into its configuration text."""
     if rows.size and rows.min() < -EXACT_TOL:
         flat = rows.reshape(-1, rows.shape[-1])
         low = flat.min(axis=1)
         r = int(np.flatnonzero(low < -EXACT_TOL)[0])
-        child = _child_text(child_domain[int(flat[r].argmin())])
+        text = child(int(flat[r].argmin()))
         cfg = where(np.unravel_index(r, rows.shape[:-1]))
-        raise InfeasibleModelError(f"node {node}: P({child}|{cfg}) = {low[r]:.6g} is negative")
+        raise InfeasibleModelError(f"node {node}: P({text}|{cfg}) = {low[r]:.6g} is negative")
     np.clip(rows, 0.0, None, out=rows)
 
 
-def _child_text(child) -> str:
-    if isinstance(child, SubsetMask):
-        return str(child)
-    if isinstance(child, ExtVector) and child.is_plain:
-        return str(child.own)
-    return str(child)
+def _child_text(frame: Frame, n_successors: int, c: int) -> str:
+    """The text of child value ``c``: a plain vector prints as its subset."""
+    plain = subsets_of(frame)
+    return str(plain[c] if c < len(plain) else ext_vectors(frame, n_successors)[c])
 
 
 def build_node_cpt(node: str, ktable: CondTable, n_successors: int) -> ExtCPT:
@@ -149,21 +158,18 @@ def build_node_cpt(node: str, ktable: CondTable, n_successors: int) -> ExtCPT:
     if ktable.kind != "k":
         raise ValueError(f"node {node}: a CPT is built from a kind=k table, not kind={ktable.kind}")
     frame = ktable.child_frame
-    if n_successors == 0:
-        child_domain: tuple = subsets_of(frame)
-    else:
-        child_domain = ext_vectors(frame, n_successors)
     tables = [ext_table(f) for f in ktable.parent_frames]
-    shape = tuple(len(t.first) for t in tables) + (len(child_domain),)
-    _guard_cells(node, math.prod(shape))
-    where = _row_names(ktable.parent_frames)
-    plain_dims = tuple(len(subsets_of(f)) for f in ktable.parent_frames)
     if n_successors == 0:
         plain = ktable.values.copy()
     else:
         plain = _plain_rows(ktable.values, frame, n_successors)
+    shape = tuple(len(t.first) for t in tables) + plain.shape[1:]
+    _guard_cells(node, math.prod(shape))
+    child = functools.partial(_child_text, frame, n_successors)
+    where = _row_names(ktable.parent_frames)
+    plain_dims = tuple(len(subsets_of(f)) for f in ktable.parent_frames)
     plain = plain.reshape(plain_dims + (-1,))
-    _clip_checked(node, plain, child_domain, where)
+    _clip_checked(node, plain, child, where)
     probs = np.empty(shape)
     probs[tuple(map(slice, plain_dims))] = plain
     # rows whose first derived coordinate is on this axis, last axis first
@@ -178,19 +184,18 @@ def build_node_cpt(node: str, ktable: CondTable, n_successors: int) -> ExtCPT:
             _clip_checked(
                 node,
                 np.moveaxis(rows, axis, 0),
-                child_domain,
+                child,
                 lambda idx: where(idx[1 : axis + 1] + (lo + idx[0],) + idx[axis + 1 :]),
             )
             probs[head + (slice(lo, hi),)] = rows
-    probs = probs.reshape(-1, len(child_domain))
+    probs = probs.reshape(-1, shape[-1])
     probs.setflags(write=False)
     return ExtCPT(
         node=node,
-        child_domain=child_domain,
         parent_names=tuple(f.name for f in ktable.parent_frames),
-        parent_domains=tuple(map(ext_values, ktable.parent_frames)),
         probs=probs,
         source=ktable,
+        n_successors=n_successors,
     )
 
 
@@ -246,7 +251,7 @@ def check_feasibility(cpt: ExtCPT) -> ValidationReport:
 
     for r, c in zip(*np.nonzero(probs < 0.0)):
         report.errors.append(
-            f"node {node}: negative P({_child_text(cpt.child_domain[c])}"
+            f"node {node}: negative P({_child_text(cpt.source.child_frame, cpt.n_successors, c)}"
             f"|{cfg(np.unravel_index(r, dims))}) = {probs[r, c]:.6g}"
         )
     sums = probs.sum(axis=1)
@@ -259,7 +264,7 @@ def check_feasibility(cpt: ExtCPT) -> ValidationReport:
     tensor = probs.reshape(dims + (-1,))
     plain_dims = tuple(len(subsets_of(f)) for f in frames)
     classes = subsets_of(cpt.source.child_frame)
-    members = np.eye(len(classes))[own_index(cpt.child_domain)]
+    members = np.eye(len(classes))[cpt.own]
     got = tensor[tuple(map(slice, plain_dims))].reshape(-1, len(members)) @ members
     want = cpt.source.values
     for r, s in zip(*np.nonzero(np.abs(got - want) > ROWSUM_TOL)):

@@ -9,8 +9,9 @@ An ExtVector is the n-successor form: either ``n`` copies of a plain subset,
 or a family member that feeds each successor one compound component.  The
 all-``o`` component pattern is excluded from families by construction.
 
-``ext_table`` and ``vector_table`` own both layouts as integer arrays; the
-value and vector objects are built from them.  Their printed forms are the literals of the ``cpt`` dump; nothing reads them back.
+``ext_table`` and ``vector_table`` own both layouts as integer arrays, one per
+frame size, and every program path reads those.  The objects are built from
+them only for printed text, the ``cpt`` dump and refusals; nothing reads it back.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import SizeGuardError
-from .tables import Frame, SubsetMask, _bits_of, _subset_pos, subsets_of
+from .tables import Frame, SubsetMask, _subset_bits, subsets_of
 
 OP_DOT = "o"  # behaves as its superset value
 OP_AT = "@"  # resolved by averaging against the superset value
@@ -54,10 +55,6 @@ class ExtValue:
     @property
     def is_plain(self) -> bool:
         return self.op is None
-
-    @property
-    def frame(self) -> Frame:
-        return self.own.frame
 
     def __str__(self) -> str:
         if self.is_plain:
@@ -94,19 +91,8 @@ class ExtVector:
     def is_plain(self) -> bool:
         return self.sup is None
 
-    @property
-    def frame(self) -> Frame:
-        return self.own.frame
-
     def __str__(self) -> str:
         return "[" + ";".join(str(component(self, h)) for h in range(1, self.n + 1)) + "]"
-
-
-def _guard_frame(frame: Frame) -> None:
-    if len(frame) > MAX_FRAME:
-        raise SizeGuardError(
-            f"frame {frame.name!r} has {len(frame)} values; extended domains support at most {MAX_FRAME}"
-        )
 
 
 class ExtTable(NamedTuple):
@@ -131,14 +117,22 @@ def _frozen(table):
     return table
 
 
-@lru_cache(maxsize=None)
 def ext_table(frame: Frame) -> ExtTable:
+    """The extended values of ``frame``: one table per frame size."""
+    if len(frame) > MAX_FRAME:
+        raise SizeGuardError(
+            f"frame {frame.name!r} has {len(frame)} values; extended domains support at most {MAX_FRAME}"
+        )
+    return _ext_table(len(frame))
+
+
+@lru_cache(maxsize=None)
+def _ext_table(size: int) -> ExtTable:
     """The extended values in canonical order: plain subsets first (canonical
     subset order), then compounds level by level.  Each level splits every
     value of the previous level by each proper nonempty subset of its own set,
     in canonical order, listing the ``o`` compounds before the ``@`` compounds."""
-    _guard_frame(frame)
-    bits = _bits_of(frame).tolist()
+    bits = _subset_bits(size).tolist()
     proper = [[j for j, b in enumerate(bits) if b & t == b != t] for t in bits]
     values = [(j, -1, False) for j in range(len(bits))]  # (own, sup, at)
     level = range(len(bits))
@@ -181,12 +175,18 @@ class VectorTable(NamedTuple):
     row: np.ndarray
 
 
-@lru_cache(maxsize=None)
 def vector_table(frame: Frame, n: int) -> VectorTable:
+    """The extended vectors of ``frame`` for n successors: one table per frame size."""
+    ext_table(frame)  # the frame guard
+    return _vector_table(len(frame), n)
+
+
+@lru_cache(maxsize=None)
+def _vector_table(size: int, n: int) -> VectorTable:
     """The extended vectors for n successors in canonical order: plain vectors
     first, then families grouped by the split they refine (superset value,
     then split subset in canonical order), patterns in increasing bit order."""
-    table, bits = ext_table(frame), _bits_of(frame)
+    table, bits = _ext_table(size), _subset_bits(size)
     if not 1 <= n <= MAX_SUCCESSORS:
         raise SizeGuardError(f"successor count {n} outside 1..{MAX_SUCCESSORS}")
     plain = np.arange(len(bits))
@@ -228,14 +228,3 @@ def component(vec: ExtVector, h: int) -> ExtValue:
         return ExtValue(vec.own)
     op = OP_AT if vec.pattern >> (h - 1) & 1 else OP_DOT
     return ExtValue(vec.own, op, vec.sup)
-
-
-def _own(value) -> SubsetMask:
-    return value if isinstance(value, SubsetMask) else value.own
-
-
-def own_index(domain) -> np.ndarray:
-    """Per value of ``domain``, the index of its own subset in ``subsets_of`` order."""
-    pos = _subset_pos(domain[0].frame)
-    return np.array([pos[_own(v).bits] for v in domain], dtype=np.int64)
-

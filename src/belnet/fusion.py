@@ -29,10 +29,10 @@ from .tables import (
     EXACT_TOL,
     REPORT_TOL,
     Frame,
-    _bits_of,
     _fixed9,
     _lines,
     _padded,
+    _subset_bits,
     bit_ordered,
     commonality_to_mass,
     subsets_of,
@@ -64,7 +64,7 @@ class JointMass:
     @cached_property
     def entries(self) -> dict[tuple[int, ...], float]:
         """Every cell of ``array``, keyed by its per-variable subset bits."""
-        keys = itertools.product(*(_bits_of(f).tolist() for f in self.frames))
+        keys = itertools.product(*(_subset_bits(len(f)).tolist() for f in self.frames))
         return dict(zip(keys, self.array.ravel().tolist()))
 
 
@@ -130,10 +130,11 @@ def network_joint(net: Network) -> tuple[JointMass, NegativityReport]:
     # sorts the negatives by subset bits; they are mapped to array positions
     nonempty = mass[(slice(1, None),) * len(names)]
     total = float(nonempty.sum())
-    joint = JointMass(frames, mass[np.ix_(*map(_bits_of, frames))], float(mass.sum()) - total)
+    bits = [_subset_bits(len(f)) for f in frames]
+    joint = JointMass(frames, mass[np.ix_(*bits)], float(mass.sum()) - total)
     negatives = np.argwhere(nonempty < -EXACT_TOL)
-    for j, frame in enumerate(frames):
-        negatives[:, j] = np.argsort(_bits_of(frame))[negatives[:, j]]
+    for j, frame_bits in enumerate(bits):
+        negatives[:, j] = np.argsort(frame_bits)[negatives[:, j]]
     report = NegativityReport(
         frames=frames,
         negatives=negatives,

@@ -18,7 +18,7 @@ import numpy as np
 from .cpt import ExtCPT, build_network_cpts
 from .errors import SizeGuardError
 from .tables import csv_cells, subsets_of
-from .extvals import ext_table, own_index, vector_table
+from .extvals import ext_table, vector_table
 from .network import Network, edge_index, topological_order
 
 _CHUNK = 1 << 18
@@ -123,20 +123,21 @@ class Sample:
     fresh generator seeded by ``seed``.
 
     ``nodes`` are the drawing tables, ``(column, _NodeDraw)`` in topological
-    order, and ``dtype`` the type of a drawn code: the index into
-    ``domains[j]``, variable j's child domain.
+    order, and ``dtype`` the type of a drawn code: an index into variable j's
+    child values, which ``owns[j]`` maps to its own subset in
+    ``subsets_of(frames[j])``.
     """
 
     def __init__(
-        self, variables: tuple[str, ...], domains: list, count: int, seed: int, nodes: list, dtype
+        self, variables: tuple[str, ...], frames, owns, count: int, seed: int, nodes: list, dtype
     ):
         self.variables = variables
         self.count = count
         self.seed = seed
         self._nodes = nodes
         self._dtype = dtype
-        self._subsets = [subsets_of(domain[0].frame) for domain in domains]
-        self._own_index = [own_index(domain) for domain in domains]
+        self._subsets = [subsets_of(frame) for frame in frames]
+        self._owns = owns
 
     def __len__(self) -> int:
         return self.count
@@ -170,7 +171,7 @@ class Sample:
     def _classes(self, codes: np.ndarray, first: int, stop: int) -> np.ndarray:
         """Collapsed class of each record of the chunk ``codes`` over variables
         ``first:stop``: their own-subset indices in mixed radix, last fastest."""
-        owns = [self._own_index[j][codes[:, j]] for j in range(first, stop)]
+        owns = [self._owns[j][codes[:, j]] for j in range(first, stop)]
         return np.ravel_multi_index(owns, [len(subs) for subs in self._subsets[first:stop]])
 
 
@@ -195,9 +196,9 @@ def generate(
     parents = {name: [(column[p], o) for p, o in row_offsets(net, cpts, name)] for name in topo}
     nodes = [(column[name], _NodeDraw(cpts[name].probs, parents[name])) for name in topo]
     # one contiguous column per variable, in the narrowest unsigned type
-    dtype = np.min_scalar_type(max(len(cpts[name].child_domain) for name in topo) - 1)
-    domains = [cpts[name].child_domain for name in variables]
-    return Sample(variables, domains, count, seed, nodes, dtype)
+    dtype = np.min_scalar_type(max(cpts[name].probs.shape[1] for name in topo) - 1)
+    owns = [cpts[name].own for name in variables]
+    return Sample(variables, tuple(map(net.frame, variables)), owns, count, seed, nodes, dtype)
 
 
 def write_csv(sample: Sample, dest: str | IO[str]) -> None:

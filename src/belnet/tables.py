@@ -78,8 +78,7 @@ class SubsetMask:
 @lru_cache(maxsize=None)
 def subsets_of(frame: Frame) -> tuple[SubsetMask, ...]:
     """All nonempty subsets in canonical order: by size, then by lowest members."""
-    masks = sorted(range(1, frame.full_bits + 1), key=lambda b: (b.bit_count(), b))
-    return tuple(SubsetMask(frame, b) for b in masks)
+    return tuple(SubsetMask(frame, b) for b in _subset_bits(len(frame)).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -197,9 +196,10 @@ def superset_sums(a: np.ndarray, axes: Iterable[int], inverse: bool = False) -> 
 
 
 @lru_cache(maxsize=None)
-def _bits_of(frame: Frame) -> np.ndarray:
-    """Membership bits of each nonempty subset, in canonical order."""
-    bits = np.array([s.bits for s in subsets_of(frame)])
+def _subset_bits(size: int) -> np.ndarray:
+    """Membership bits of each nonempty subset of a frame of ``size`` values,
+    in canonical order: by size, then by lowest members."""
+    bits = np.array(sorted(range(1, 1 << size), key=lambda b: (b.bit_count(), b)))
     bits.setflags(write=False)
     return bits
 
@@ -214,7 +214,8 @@ def bit_ordered(table: CondTable) -> np.ndarray:
 
 def _bit_index(table: CondTable) -> tuple[np.ndarray, ...]:
     """Where the table's cells sit in its bit-ordered form."""
-    return np.ix_(*map(_bits_of, table.parent_frames + (table.child_frame,)))
+    frames = table.parent_frames + (table.child_frame,)
+    return np.ix_(*(_subset_bits(len(f)) for f in frames))
 
 
 def _parent_superset_sums(table: CondTable, inverse: bool) -> np.ndarray:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .cpt import ExtCPT, build_network_cpts
 from .errors import SizeGuardError
-from .extvals import own_index
 from .fusion import JointMass
 from .network import Network
 from .sampler import MAX_STATES, Sample, guard_states, row_offsets
@@ -29,7 +28,7 @@ def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -
 
     Axis j is variable j's extended value, axis n + j its collapsed class.  Per
     node: its CPT, each parent axis gathered through the edge's ``row_offsets``,
-    and a 0/1 collapse matrix (``own_index``) from axis j to axis n + j.  The
+    and a 0/1 collapse matrix (``ExtCPT.own``) from axis j to axis n + j.  The
     guard bounds the answer and every operand; numpy's greedy path makes no
     intermediate larger than the largest of those.
     """
@@ -42,7 +41,7 @@ def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -
     n, operands = len(axis), []
     for name, j in axis.items():
         parents = row_offsets(net, cpts, name)
-        width = len(cpts[name].child_domain)
+        width = cpts[name].probs.shape[1]
         # the larger operand: the gathered CPT (parents x own) or the collapse matrix (own x subsets)
         size = max(math.prod(len(o) for _, o in parents), len(labels[j])) * width
         if size > MAX_STATES:
@@ -52,7 +51,7 @@ def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -
         # the CPT row of every combination of parent values, one axis per parent
         rows = sum(np.ix_(*(offsets for _, offsets in parents)), np.int64(0))
         operands += [cpts[name].probs[rows], [axis[p] for p, _ in parents] + [j]]
-        operands += [np.eye(len(labels[j]))[own_index(cpts[name].child_domain)], [j, n + j]]
+        operands += [np.eye(len(labels[j]))[cpts[name].own], [j, n + j]]
     array = np.einsum(*operands, [n + j for j in range(n)], optimize="greedy")
     return JointMass(frames, array)
 

@@ -1,15 +1,31 @@
 """Command-line driver: subcommands, exit codes, output formats."""
 
+import collections
 import csv
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
-from belnet import ValidationReport, load_network, mass_to_commonality, validate_structure
+from belnet import (
+    ExtValue,
+    ExtVector,
+    Frame,
+    ValidationReport,
+    build_network_cpts,
+    check_feasibility,
+    ext_values,
+    ext_vectors,
+    load_network,
+    mass_to_commonality,
+    subsets_of,
+    validate_structure,
+)
 import belnet.cli as cli_mod
 import belnet.cpt as cpt_mod
 from belnet.cli import main
+from belnet.cpt import guard_value_rows
 
 from conftest import FIXTURES, fixture_path, ternary_collider
 
@@ -511,6 +527,72 @@ class TestWideLeaf:
             "infeasible: node C: P({a,b,c}|{a}@{a,b},{a}@{a,b}@{a,b,c},{c}@{a,c}@{a,b,c},"
             "{a}@{a,b}@{a,b,c}) = -0.00248283 is negative\n"
         )
+
+
+def quaternary_star() -> str:
+    """``.dsn`` text of a quaternary root R (``kind=k``, a cell shrinking by
+    0.05 per extra member) feeding six binary leaves, every leaf row
+    0.45/0.45/0.1: R has 16,773 extended vectors."""
+    subsets = [str(s) for s in subsets_of(Frame("R", tuple("abcd")))]
+    weights = [0.05 ** s.count(",") for s in subsets]
+    leaf = [f"L{j}" for j in range(1, 7)]
+    lines = ["net qstar", "var R : a b c d", *(f"var {v} : a b" for v in leaf)]
+    lines += [f"edge R -> {v}" for v in leaf] + ["table R | kind=k"]
+    lines += [f"  {s} : {w / sum(weights)!r}" for s, w in zip(subsets, weights)] + ["end"]
+    for v in leaf:
+        lines.append(f"table {v} | R kind=k")
+        for s in subsets:
+            lines += [f"  {{a}} | {s} : 0.45", f"  {{b}} | {s} : 0.45", f"  {{a,b}} | {s} : 0.1"]
+        lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts of ``ExtValue`` and ``ExtVector`` constructions, by class name,
+    from an empty value-object cache on."""
+    counts = collections.Counter()
+    for cls in (ExtValue, ExtVector):
+
+        def counted(self, post_init=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    ext_values.cache_clear()
+    ext_vectors.cache_clear()
+    return counts
+
+
+class TestValueObjects:
+    # sha256 of `belnet cpt -o FILE`, pinned while every CPT still stored its value objects
+    DUMP_DIGESTS = {
+        "chain4_sampling": "873d8d58dff3bc7685c7c3b2e4a357ad4c1f2ecbac830a366f551c8356443881",
+        "star4_proper": "4d7f976eb3685f491a216c31f01d0ec9802eaefc2a0d854c445e6360e6523627",
+        "quaternary_star": "debe91ef0ee94072de42f6b2728faf974065888330327b4b29077f5d22b8ec1f",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DUMP_DIGESTS))
+    def test_only_printed_text_builds_value_objects(self, name, constructions, capsys, tmp_path):
+        path = tmp_path / f"{name}.dsn"
+        if name == "quaternary_star":
+            path.write_text(quaternary_star())
+        else:
+            path = fixture_path(f"{name}.dsn")
+        # at 2000 records, a sampling error of 0.01 is common: the gate is not what is tested
+        verify = ["verify", "-n", "2000", "--linf", "0.05"]
+        for argv in (["validate"], ["sample", "-n", "2000"], verify):
+            assert main([argv[0], str(path), *argv[1:]]) == 0
+        capsys.readouterr()
+        for cpt in build_network_cpts(load_network(str(path))).values():  # `cpt`'s check
+            assert check_feasibility(cpt).ok
+            guard_value_rows(cpt)
+        assert constructions == {}
+        # the dump prints the values, and its text is what it was
+        dest = tmp_path / "dump.csv"
+        assert main(["cpt", str(path), "-o", str(dest)]) == 0
+        assert constructions["ExtValue"] > 0 and constructions["ExtVector"] > 0
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == self.DUMP_DIGESTS[name]
 
 
 def _ternary_chain(tmp_path, k: int) -> str:

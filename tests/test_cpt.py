@@ -407,14 +407,7 @@ class TestFeasibility:
         domain = ext_vectors(child, 2)
         probs = np.zeros((len(ext_table(parent).first), len(domain)))
         probs[:, domain.index(ExtVector(mask(child, "{a,b}"), 2))] = 1.0
-        cpt = ExtCPT(
-            node="C",
-            child_domain=domain,
-            parent_names=("P",),
-            parent_domains=(ext_values(parent),),
-            probs=probs,
-            source=k,
-        )
+        cpt = ExtCPT(node="C", parent_names=("P",), probs=probs, source=k, n_successors=2)
         assert check_feasibility(cpt).ok
 
     @pytest.mark.parametrize(

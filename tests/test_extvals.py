@@ -235,6 +235,23 @@ class TestVectorTable:
         assert list(ext_values(frame)) == want
 
 
+class TestSharedLayouts:
+    """The integer layouts depend on a frame's size alone, so are built once per size."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_frames_of_one_size_share_both_tables(self, k):
+        one, other = Frame("P", tuple("abcd"[:k])), Frame("Q", tuple("wxyz"[:k]))
+        assert ext_table(one) is ext_table(other)
+        for n in (1, 3):
+            assert vector_table(one, n) is vector_table(other, n)
+
+    def test_five_values_refused_naming_the_frame(self):
+        frame = Frame("Wide", tuple("abcde"))
+        for build in (ext_table, lambda f: vector_table(f, 1)):
+            with pytest.raises(SizeGuardError, match="frame 'Wide' has 5 values; .* at most 4"):
+                build(frame)
+
+
 def _proper_subsets(frame, own):
     return [s for s in subsets_of(frame) if s.bits != own.bits and s.bits & own.bits == s.bits]
 

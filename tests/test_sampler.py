@@ -337,7 +337,8 @@ class TestCsv:
         far = [0] * (45 - len(digits)) + digits[::-1]
         codes = np.array([[0] * 45, far, [0] * 45], dtype=np.int64)
         domains = [subsets_of(f) for f in frames]
-        sample = sampler_mod.Sample(tuple(f.name for f in frames), domains, 3, 0, [], np.int64)
+        owns = [np.arange(3)] * len(frames)
+        sample = sampler_mod.Sample(tuple(f.name for f in frames), frames, owns, 3, 0, [], np.int64)
         sample.chunks = lambda: [codes]
         fast, slow = io.StringIO(), io.StringIO()
         write_csv(sample, fast)

@@ -30,7 +30,6 @@ from belnet import (
     subsets_of,
     topological_order,
 )
-from belnet.extvals import own_index
 from belnet.sampler import row_offsets
 from belnet.tables import subset_index
 
@@ -130,13 +129,21 @@ def extended_joint(net, cpts=None) -> ExtendedJoint:
     return ExtendedJoint(net.variables, labels, enumerated_extended_joint(net, cpts))
 
 
+def own_positions(frame, domain) -> np.ndarray:
+    """Per value of ``domain``, the position of its own subset in
+    ``subsets_of(frame)``, found from the value objects (a plain subset is its
+    own), so independent of the integer collapse map the library reads."""
+    subsets = subsets_of(frame)
+    return np.array([subsets.index(getattr(v, "own", v)) for v in domain])
+
+
 def enumerated_collapsed_joint(net, cpts) -> np.ndarray:
     """Reference push-forward: the enumerated extended joint bincounted by the
     collapsed class of every state, in mixed radix over own subsets."""
     joint = enumerated_extended_joint(net, cpts)
     sizes = [len(subsets_of(net.frame(name))) for name in net.variables]
     owns = [
-        _along(own_index(cpts[name].child_domain), j, joint.ndim)
+        _along(own_positions(net.frame(name), cpts[name].child_domain), j, joint.ndim)
         for j, name in enumerate(net.variables)
     ]
     classes = np.ravel_multi_index(owns, sizes)
