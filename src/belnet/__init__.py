@@ -22,7 +22,7 @@ _EXPORTS = {
         "StructureError",
         "SubsetParseError",
     ),
-    "extvals": ("ExtValue", "ExtVector", "component", "ext_values", "ext_vectors"),
+    "extvals": (),
     "fusion": ("JointMass", "NegativityReport", "network_joint", "write_joint_csv"),
     "network": (
         "Network",

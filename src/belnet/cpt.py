@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleModelError, SizeGuardError, StructureError
-from .extvals import ExtValue, ext_table, ext_values, ext_vectors, vector_table
+from .extvals import ext_table, value_literals, vector_literals, vector_table
 from .network import Network, topological_order, validate_structure
 from .tables import (
     EXACT_TOL,
@@ -56,7 +56,7 @@ class ExtCPT:
     ``probs`` holds one row per combination of parent rows (``ext_table.row``)
     in C order, and a column per child value; ``source`` is the commonality
     (``kind="k"``) table it was built from.  Program paths read sizes and
-    ``own``; the value objects of the two domains are built for printed text."""
+    ``own``; the literals of the two domains are built for printed text."""
 
     node: str
     parent_names: tuple[str, ...]
@@ -71,13 +71,13 @@ class ExtCPT:
         return vector_table(frame, n).own if n else np.arange(self.probs.shape[1])
 
     @property
-    def child_domain(self) -> tuple:
+    def child_domain(self) -> tuple[str, ...]:
         n, frame = self.n_successors, self.source.child_frame
-        return ext_vectors(frame, n) if n else subsets_of(frame)
+        return vector_literals(frame, n) if n else tuple(map(str, subsets_of(frame)))
 
     @property
-    def parent_domains(self) -> tuple[tuple[ExtValue, ...], ...]:
-        return tuple(map(ext_values, self.source.parent_frames))
+    def parent_domains(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(map(value_literals, self.source.parent_frames))
 
 
 def guard_value_rows(cpt: ExtCPT) -> None:
@@ -108,7 +108,7 @@ def _row_names(frames):
     rows, naming each row by its first value (built on call, so only for a
     text that is printed)."""
     return lambda idx: cfg_text(
-        tuple(ext_values(f)[ext_table(f).first[i]] for f, i in zip(frames, idx))
+        tuple(value_literals(f)[ext_table(f).first[i]] for f, i in zip(frames, idx))
     )
 
 
@@ -150,7 +150,7 @@ def _clip_checked(node: str, rows: np.ndarray, child, where) -> None:
 def _child_text(frame: Frame, n_successors: int, c: int) -> str:
     """The text of child value ``c``: a plain vector prints as its subset."""
     plain = subsets_of(frame)
-    return str(plain[c] if c < len(plain) else ext_vectors(frame, n_successors)[c])
+    return str(plain[c]) if c < len(plain) else vector_literals(frame, n_successors)[c]
 
 
 def build_node_cpt(node: str, ktable: CondTable, n_successors: int) -> ExtCPT:

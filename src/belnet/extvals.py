@@ -1,29 +1,27 @@
 """Extended variable domains used by the sampling construction.
 
-An ExtValue is either a plain subset of a frame or a compound ``s o V`` /
-``s @ V`` built from a proper nonempty subset ``s`` of an existing value's own
-set.  Every value carries ``own`` (the subset it collapses to) and ``sup``
-(the coarser value it was split from, if any).
+An extended value is either a plain subset of a frame or a compound ``s o V``
+/ ``s @ V`` split from an existing value ``V`` by a proper nonempty subset
+``s`` of its own set.  An extended vector is the n-successor form: either
+``n`` copies of a plain subset, or a family member that feeds each successor
+edge ``s o V`` or ``s @ V`` for one split ``s`` of ``V``; its pattern selects
+``@`` on at least one edge, so the all-``o`` pattern is excluded from families.
 
-An ExtVector is the n-successor form: either ``n`` copies of a plain subset,
-or a family member that feeds each successor one compound component.  The
-all-``o`` component pattern is excluded from families by construction.
-
-``ext_table`` and ``vector_table`` own both layouts as integer arrays, one per
-frame size, and every program path reads those.  The objects are built from
-them only for printed text, the ``cpt`` dump and refusals; nothing reads it back.
+``ext_table`` and ``vector_table`` hold both layouts as integer arrays, one
+per frame size, and every program path reads those.  ``value_literals`` and
+``vector_literals`` print them, for the ``cpt`` dump and refusals; nothing
+reads that text back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SizeGuardError
-from .tables import Frame, SubsetMask, _subset_bits, subsets_of
+from .tables import Frame, _subset_bits, subsets_of
 
 OP_DOT = "o"  # behaves as its superset value
 OP_AT = "@"  # resolved by averaging against the superset value
@@ -32,71 +30,8 @@ MAX_FRAME = 4
 MAX_SUCCESSORS = 6
 
 
-@dataclass(frozen=True)
-class ExtValue:
-    """A plain subset or a compound split value over one frame."""
-
-    own: SubsetMask
-    op: Optional[str] = None
-    sup: Optional["ExtValue"] = None
-
-    def __post_init__(self):
-        if (self.op is None) != (self.sup is None):
-            raise ValueError("compound values need both an operator and a superset value")
-        if self.op is not None:
-            if self.op not in (OP_DOT, OP_AT):
-                raise ValueError(f"unknown operator {self.op!r}")
-            parent_own = self.sup.own
-            if self.own.frame != parent_own.frame:
-                raise ValueError("split subset and superset value use different frames")
-            if not (self.own.issubset(parent_own) and self.own.bits != parent_own.bits):
-                raise ValueError(f"{self.own} is not a proper nonempty subset of {parent_own}")
-
-    @property
-    def is_plain(self) -> bool:
-        return self.op is None
-
-    def __str__(self) -> str:
-        if self.is_plain:
-            return str(self.own)
-        return f"{self.own}{self.op}{self.sup}"
-
-
-@dataclass(frozen=True)
-class ExtVector:
-    """A vector of n ExtValue components, one per successor edge.
-
-    ``pattern`` bit ``h-1`` selects the ``@`` component for edge ``h``;
-    plain vectors have ``sup is None`` and pattern 0.
-    """
-
-    own: SubsetMask
-    n: int
-    sup: Optional[ExtValue] = None
-    pattern: int = 0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("vectors need at least one successor edge")
-        if self.sup is None:
-            if self.pattern != 0:
-                raise ValueError("plain vectors carry no component pattern")
-        else:
-            if not (1 <= self.pattern < (1 << self.n)):
-                raise ValueError("family pattern must select '@' on at least one edge")
-            if not (self.own.issubset(self.sup.own) and self.own.bits != self.sup.own.bits):
-                raise ValueError(f"{self.own} is not a proper nonempty subset of {self.sup.own}")
-
-    @property
-    def is_plain(self) -> bool:
-        return self.sup is None
-
-    def __str__(self) -> str:
-        return "[" + ";".join(str(component(self, h)) for h in range(1, self.n + 1)) + "]"
-
-
 class ExtTable(NamedTuple):
-    """Per extended value of a frame, in ``ext_values`` order: the index of
+    """Per extended value of a frame, in canonical order: the index of
     its own plain value, that of its superset value (-1 for a plain value),
     whether it is an ``@`` compound, and its CPT row; per row, its first value.
 
@@ -153,21 +88,11 @@ def _ext_table(size: int) -> ExtTable:
     return _frozen(ExtTable(*map(np.array, (own, sup, at, row)), first))
 
 
-@lru_cache(maxsize=None)
-def ext_values(frame: Frame) -> tuple[ExtValue, ...]:
-    """All extended values of a frame, in ``ext_table`` order."""
-    subsets, out = subsets_of(frame), []
-    for o, s, a in zip(*(column.tolist() for column in ext_table(frame)[:3])):
-        op = OP_AT if a else OP_DOT
-        out.append(ExtValue(subsets[o]) if s < 0 else ExtValue(subsets[o], op, out[s]))
-    return tuple(out)
-
-
 class VectorTable(NamedTuple):
-    """Per extended vector of a frame for n successors, in ``ext_vectors``
-    order: the index of its own subset, that of its superset value in
-    ``ext_values`` (-1 for a plain vector) and its component pattern; and
-    ``row[h - 1]``, per vector the ``ext_table.row`` of its component on edge h."""
+    """Per extended vector of a frame for n successors, in canonical order:
+    the index of its own subset, that of its superset value in ``ext_table``
+    (-1 for a plain vector) and its pattern; and ``row[h - 1]``, per
+    vector the ``ext_table.row`` of the value it feeds edge h."""
 
     own: np.ndarray
     sup: np.ndarray
@@ -210,21 +135,41 @@ def _vector_table(size: int, n: int) -> VectorTable:
     )
 
 
+def value_literals(frame: Frame) -> tuple[str, ...]:
+    """The text of each extended value of ``frame``, in ``ext_table`` order: a
+    plain value prints as its subset, a compound as its subset, its operator
+    and its superset value's text, so ``{a}@{a,b}o{a,b,c}`` nests to the right."""
+    ext_table(frame)  # the frame guard
+    return _value_literals(tuple(map(str, subsets_of(frame))))
+
+
 @lru_cache(maxsize=None)
-def ext_vectors(frame: Frame, n: int) -> tuple[ExtVector, ...]:
-    """All extended vectors for a node with n successors, in ``vector_table`` order."""
-    subsets, values, table = subsets_of(frame), ext_values(frame), vector_table(frame, n)
-    return tuple(
-        ExtVector(subsets[o], n) if s < 0 else ExtVector(subsets[o], n, values[s], p)
-        for o, s, p in zip(*(column.tolist() for column in table[:3]))
-    )
+def _value_literals(subsets: tuple[str, ...]) -> tuple[str, ...]:
+    table, out = _ext_table(len(subsets).bit_length()), []  # 2**size - 1 subsets
+    for o, s, a in zip(*(column.tolist() for column in table[:3])):
+        out.append(subsets[o] if s < 0 else subsets[o] + (OP_AT if a else OP_DOT) + out[s])
+    return tuple(out)
 
 
-def component(vec: ExtVector, h: int) -> ExtValue:
-    """The ExtValue this vector contributes on successor edge h (1-based)."""
-    if not 1 <= h <= vec.n:
-        raise ValueError(f"edge index {h} outside 1..{vec.n}")
-    if vec.is_plain:
-        return ExtValue(vec.own)
-    op = OP_AT if vec.pattern >> (h - 1) & 1 else OP_DOT
-    return ExtValue(vec.own, op, vec.sup)
+def vector_literals(frame: Frame, n: int) -> tuple[str, ...]:
+    """The text of each extended vector of ``frame`` for n successors, in
+    ``vector_table`` order: ``[c1;...;cn]``, where ``ch``, the value fed to
+    edge h, is a plain vector's subset, or a family member's subset, ``@``
+    where pattern bit h-1 is set and ``o`` where it is not, then its superset
+    value's text."""
+    vector_table(frame, n)  # the frame and successor guards
+    return _vector_literals(tuple(map(str, subsets_of(frame))), n)
+
+
+@lru_cache(maxsize=None)
+def _vector_literals(subsets: tuple[str, ...], n: int) -> tuple[str, ...]:
+    table, values = _vector_table(len(subsets).bit_length(), n), _value_literals(subsets)
+    out = []
+    for o, s, p in zip(*(column.tolist() for column in table[:3])):
+        if s < 0:
+            parts = [subsets[o]] * n
+        else:
+            split = [subsets[o] + op + values[s] for op in (OP_DOT, OP_AT)]
+            parts = [split[p >> h & 1] for h in range(n)]
+        out.append("[" + ";".join(parts) + "]")
+    return tuple(out)

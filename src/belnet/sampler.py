@@ -39,8 +39,8 @@ def guard_states(shape) -> int:
 def row_offsets(net: Network, cpts: dict[str, ExtCPT], name: str) -> list[tuple[str, np.ndarray]]:
     """How the parents' drawn values address a row of ``name``'s CPT.
 
-    Per parent: its name and, per index into its child domain, the row of that
-    vector's component on the edge (``vector_table.row``) times the parent's
+    Per parent: its name and, per index into its child domain, the row of the
+    value that vector feeds the edge (``vector_table.row``) times the parent's
     stride in the row index (the sum over parents is the row).
     """
     out = []

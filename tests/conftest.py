@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from belnet import CondTable, Frame, load_network, parse_subset_label, subsets_of
+from belnet import CondTable, Frame, SubsetMask, load_network, parse_subset_label, subsets_of
 from belnet.cpt import value_rows
 from belnet.tables import subset_index
 
@@ -58,8 +60,92 @@ def mask(frame: Frame, literal: str):
 
 
 def by_text(domain, text: str):
-    """The value of ``domain``, such as ``ext_values(frame)``, that prints as ``text``."""
+    """The value of ``domain``, such as ``ref_values(frame)``, that prints as ``text``."""
     return next(v for v in domain if str(v) == text)
+
+
+# The extended domains by the paper's definition, a reference for the
+# library's integer tables and literals that reads neither.
+
+
+@dataclass(frozen=True)
+class Value:
+    """An extended value: a plain subset, or ``own`` split by ``op`` from the
+    value ``sup``."""
+
+    own: SubsetMask
+    op: str | None = None
+    sup: "Value | None" = None
+
+    @property
+    def is_plain(self) -> bool:
+        return self.op is None
+
+    def __str__(self) -> str:
+        return str(self.own) if self.is_plain else f"{self.own}{self.op}{self.sup}"
+
+
+@dataclass(frozen=True)
+class Vector:
+    """An extended vector for n successors: a plain subset on every edge, or
+    the family member of the split ``own`` of ``sup`` that is ``@`` on edge h
+    where pattern bit h-1 is set."""
+
+    own: SubsetMask
+    n: int
+    sup: Value | None = None
+    pattern: int = 0
+
+    @property
+    def is_plain(self) -> bool:
+        return self.sup is None
+
+    def __str__(self) -> str:
+        return "[" + ";".join(str(component(self, h)) for h in range(1, self.n + 1)) + "]"
+
+
+def component(vec: Vector, h: int) -> Value:
+    """The value ``vec`` feeds successor edge h (1-based)."""
+    if vec.is_plain:
+        return Value(vec.own)
+    return Value(vec.own, "@" if vec.pattern >> (h - 1) & 1 else "o", vec.sup)
+
+
+def proper_subsets(frame: Frame, own: SubsetMask) -> list:
+    """The proper nonempty subsets of ``own``, in canonical order."""
+    return [s for s in subsets_of(frame) if s.bits != own.bits and s.bits & own.bits == s.bits]
+
+
+@lru_cache(maxsize=None)
+def ref_values(frame: Frame) -> tuple:
+    """The plain values, then level by level, each value of the last level
+    split by every proper nonempty subset of its own set, ``o`` before ``@``."""
+    level = [Value(s) for s in subsets_of(frame)]
+    out = list(level)
+    while level:
+        level = [
+            Value(s, op, v) for op in "o@" for v in level for s in proper_subsets(frame, v.own)
+        ]
+        out += level
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def ref_vectors(frame: Frame, n: int) -> tuple:
+    """The plain vectors, then per superset value and proper subset of its
+    own set, the family members of patterns 1 to 2^n - 1."""
+    out = [Vector(s, n) for s in subsets_of(frame)]
+    for sup in ref_values(frame):
+        for s in proper_subsets(frame, sup.own):
+            out += [Vector(s, n, sup, pattern) for pattern in range(1, 1 << n)]
+    return tuple(out)
+
+
+def child_values(cpt) -> tuple:
+    """The reference values of a CPT's child domain: plain subsets for a node
+    with no successors, else its extended vectors."""
+    frame, n = cpt.source.child_frame, cpt.n_successors
+    return ref_vectors(frame, n) if n else subsets_of(frame)
 
 
 def _row_index(domains, cfg) -> int:
@@ -72,9 +158,9 @@ def _row_index(domains, cfg) -> int:
 
 
 def cpt_row(cpt, cfg=()):
-    """The row of ``cpt`` given the parent extended values ``cfg``, read from
-    the per-value view ``value_rows``."""
-    return value_rows(cpt)[_row_index(cpt.parent_domains, cfg)]
+    """The row of ``cpt`` given the parent extended values ``cfg``, each a
+    literal or a value that prints as one, read from the per-value view ``value_rows``."""
+    return value_rows(cpt)[_row_index(cpt.parent_domains, tuple(map(str, cfg)))]
 
 
 def mass_table(child: Frame, parents: tuple, entries: dict) -> CondTable:

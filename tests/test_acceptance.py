@@ -17,7 +17,6 @@ from belnet import (
     commonality_to_mass,
     compare_empirical,
     exact_collapsed_joint,
-    ext_values,
     generate,
     mass_to_commonality,
     network_joint,
@@ -25,7 +24,7 @@ from belnet import (
 )
 from belnet.cli import main as cli_main
 
-from conftest import by_text, cpt_row, fixture_path, joint_cell, load, mask, table_cell
+from conftest import child_values, cpt_row, fixture_path, joint_cell, load, mask, table_cell
 
 
 @contextmanager
@@ -89,24 +88,22 @@ def test_c02_cpt_golden(loose_cond):
             from belnet import build_node_cpt
 
             cpt = build_node_cpt("X2", mass_to_commonality(loose_cond), 1)
-            parent = loose_cond.parent_frames[0]
             child = loose_cond.child_frame
 
             def cell(cfg_lit, ch_lit):
-                cfg = (by_text(ext_values(parent), cfg_lit),)
                 if ch_lit.endswith("@"):
                     own = mask(child, ch_lit[:-1])
                     col = next(
-                        i for i, x in enumerate(cpt.child_domain)
+                        i for i, x in enumerate(child_values(cpt))
                         if not x.is_plain and x.own == own
                     )
                 else:
                     own = mask(child, ch_lit)
                     col = next(
-                        i for i, x in enumerate(cpt.child_domain)
+                        i for i, x in enumerate(child_values(cpt))
                         if x.is_plain and x.own == own
                     )
-                return float(cpt_row(cpt, cfg)[col])
+                return float(cpt_row(cpt, (cfg_lit,))[col])
 
             assert len(printed) >= 25
             for (cfg_lit, ch_lit), want in printed.items():
@@ -155,7 +152,7 @@ def test_c06_feasibility_pair():
         star = build_network_cpts(load("star5_negjoint.dsn"))
         assert all(cpt.probs.min() >= 0.0 for cpt in star.values())
         fam = [
-            i for i, x in enumerate(star["X1"].child_domain)
+            i for i, x in enumerate(child_values(star["X1"]))
             if not x.is_plain and str(x.own) == "{a}"
         ]
         assert cpt_row(star["X1"])[fam] == pytest.approx([0.2 / 15] * 15, abs=1e-12)

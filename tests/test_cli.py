@@ -1,6 +1,5 @@
 """Command-line driver: subcommands, exit codes, output formats."""
 
-import collections
 import csv
 import hashlib
 import io
@@ -9,14 +8,10 @@ import numpy as np
 import pytest
 
 from belnet import (
-    ExtValue,
-    ExtVector,
     Frame,
     ValidationReport,
     build_network_cpts,
     check_feasibility,
-    ext_values,
-    ext_vectors,
     load_network,
     mass_to_commonality,
     subsets_of,
@@ -24,6 +19,7 @@ from belnet import (
 )
 import belnet.cli as cli_mod
 import belnet.cpt as cpt_mod
+import belnet.extvals as extvals_mod
 from belnet.cli import main
 from belnet.cpt import guard_value_rows
 
@@ -548,23 +544,19 @@ def quaternary_star() -> str:
 
 
 @pytest.fixture
-def constructions(monkeypatch):
-    """Counts of ``ExtValue`` and ``ExtVector`` constructions, by class name,
-    from an empty value-object cache on."""
-    counts = collections.Counter()
-    for cls in (ExtValue, ExtVector):
-
-        def counted(self, post_init=cls.__post_init__, name=cls.__name__):
-            counts[name] += 1
-            post_init(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counted)
-    ext_values.cache_clear()
-    ext_vectors.cache_clear()
-    return counts
+def literal_calls():
+    """Empties the caches of the two literal functions; returns a function
+    giving the calls into each since, by name, from whichever module."""
+    caches = {"value_literals": extvals_mod._value_literals,
+              "vector_literals": extvals_mod._vector_literals}
+    for cache in caches.values():
+        cache.cache_clear()
+    return lambda: {name: sum(cache.cache_info()[:2]) for name, cache in caches.items()}
 
 
 class TestValueObjects:
+    """The domains' values are printed as literals, built only for text that is printed."""
+
     # sha256 of `belnet cpt -o FILE`, pinned while every CPT still stored its value objects
     DUMP_DIGESTS = {
         "chain4_sampling": "873d8d58dff3bc7685c7c3b2e4a357ad4c1f2ecbac830a366f551c8356443881",
@@ -573,7 +565,7 @@ class TestValueObjects:
     }
 
     @pytest.mark.parametrize("name", sorted(DUMP_DIGESTS))
-    def test_only_printed_text_builds_value_objects(self, name, constructions, capsys, tmp_path):
+    def test_only_printed_text_builds_value_objects(self, name, literal_calls, capsys, tmp_path):
         path = tmp_path / f"{name}.dsn"
         if name == "quaternary_star":
             path.write_text(quaternary_star())
@@ -587,11 +579,11 @@ class TestValueObjects:
         for cpt in build_network_cpts(load_network(str(path))).values():  # `cpt`'s check
             assert check_feasibility(cpt).ok
             guard_value_rows(cpt)
-        assert constructions == {}
+        assert literal_calls() == {"value_literals": 0, "vector_literals": 0}
         # the dump prints the values, and its text is what it was
         dest = tmp_path / "dump.csv"
         assert main(["cpt", str(path), "-o", str(dest)]) == 0
-        assert constructions["ExtValue"] > 0 and constructions["ExtVector"] > 0
+        assert all(calls > 0 for calls in literal_calls().values())
         assert hashlib.sha256(dest.read_bytes()).hexdigest() == self.DUMP_DIGESTS[name]
 
 

@@ -12,8 +12,6 @@ from belnet import (
     BelnetError,
     CondTable,
     ExtCPT,
-    ExtValue,
-    ExtVector,
     Frame,
     InfeasibleModelError,
     SizeGuardError,
@@ -21,8 +19,6 @@ from belnet import (
     build_network_cpts,
     build_node_cpt,
     check_feasibility,
-    ext_values,
-    ext_vectors,
     mass_to_commonality,
     parse_network,
     subsets_of,
@@ -33,8 +29,8 @@ from belnet.extvals import ext_table
 from belnet.tables import EXACT_TOL, ROWSUM_TOL
 
 from conftest import (
-    bframe, by_text, cond_table, cpt_row, load, mask, table_cell, table_row, ternary_collider,
-    LOOSE_ROWS,
+    Value, Vector, bframe, by_text, child_values, cond_table, cpt_row, load, mask, ref_values,
+    ref_vectors, root_table, table_cell, table_row, ternary_collider, LOOSE_ROWS,
 )
 
 # Expected one-successor CPT of the milder conditional.  Parent rows follow
@@ -65,7 +61,7 @@ class CompoundRowError(InfeasibleModelError):
 
 def _child_domain(ktable, n_successors):
     frame = ktable.child_frame
-    return subsets_of(frame) if n_successors == 0 else ext_vectors(frame, n_successors)
+    return subsets_of(frame) if n_successors == 0 else ref_vectors(frame, n_successors)
 
 
 def _plain_row(krow, ktable, n_successors):
@@ -76,17 +72,17 @@ def _plain_row(krow, ktable, n_successors):
     frame = ktable.child_frame
     share = 1.0 / ((1 << n_successors) - 1)
     vec_p = {}
-    for v in sorted(ext_values(frame), key=lambda v: -v.own.size):
+    for v in sorted(ref_values(frame), key=lambda v: -v.own.size):
         if v.is_plain:
             coarser = [
-                w for w in ext_values(frame) if v.own.issubset(w.own) and w.own.bits != v.own.bits
+                w for w in ref_values(frame) if v.own.issubset(w.own) and w.own.bits != v.own.bits
             ]
             vec_p[v] = krow[subsets_of(frame).index(v.own)] - sum(vec_p[w] for w in coarser)
         else:
             vec_p[v] = vec_p[v.sup] * share if v.op == "@" else 0.0
     return np.array(
         [
-            vec_p[ExtValue(x.own)] if x.is_plain else vec_p[x.sup] * share
+            vec_p[Value(x.own)] if x.is_plain else vec_p[x.sup] * share
             for x in _child_domain(ktable, n_successors)
         ]
     )
@@ -94,7 +90,7 @@ def _plain_row(krow, ktable, n_successors):
 
 def _negative_row(node, domain, cfg, row) -> str:
     x = domain[int(row.argmin())]
-    child = x.own if isinstance(x, ExtVector) and x.is_plain else x
+    child = x.own if isinstance(x, Vector) and x.is_plain else x
     text = ",".join(map(str, cfg)) if cfg else "()"
     return f"node {node}: P({child}|{text}) = {row.min():.6g} is negative"
 
@@ -113,7 +109,7 @@ def recursive_probs(node, ktable, n_successors):
     resolved = {}
     for cfg in ktable.configs():
         row = _plain_row(table_row(ktable, cfg), ktable, n_successors)
-        key = tuple(ExtValue(m) for m in cfg)
+        key = tuple(map(Value, cfg))
         resolved[key] = checked(key, row, InfeasibleModelError)
 
     def resolve(cfg):
@@ -124,13 +120,13 @@ def recursive_probs(node, ktable, n_successors):
         if v.op == "o":
             row = resolve(cfg[:i] + (v.sup,) + cfg[i + 1 :])
         else:
-            own = resolve(cfg[:i] + (ExtValue(v.own),) + cfg[i + 1 :])
+            own = resolve(cfg[:i] + (Value(v.own),) + cfg[i + 1 :])
             sup = resolve(cfg[:i] + (v.sup,) + cfg[i + 1 :])
             row = checked(cfg, 2.0 * own - sup, CompoundRowError)
         resolved[cfg] = row
         return row
 
-    configs = itertools.product(*map(ext_values, ktable.parent_frames))
+    configs = itertools.product(*map(ref_values, ktable.parent_frames))
     return np.array([resolve(cfg) for cfg in configs])
 
 
@@ -139,7 +135,7 @@ def per_slice_probs(node, ktable, n_successors):
     axis, last first, the slice of each compound value in domain order,
     derived from whole slices and checked row by row."""
     domain = _child_domain(ktable, n_successors)
-    domains = [ext_values(f) for f in ktable.parent_frames]
+    domains = [ref_values(f) for f in ktable.parent_frames]
     plain_dims = tuple(len(subsets_of(f)) for f in ktable.parent_frames)
     probs = np.full([len(d) for d in domains] + [len(domain)], np.nan)
 
@@ -161,7 +157,7 @@ def per_slice_probs(node, ktable, n_successors):
             if v.op == "o":
                 probs[head + (j,)] = sup
             else:
-                own = probs[head + (domains[axis].index(ExtValue(v.own)),)]
+                own = probs[head + (domains[axis].index(Value(v.own)),)]
                 rows = 2.0 * own - sup
                 probs[head + (j,)] = checked(rows, lambda idx: idx[:axis] + (j,) + idx[axis:])
     return probs.reshape(-1, len(domain))
@@ -171,7 +167,7 @@ def per_slice_check(cpt):
     """Reference for the slice identity of ``check_feasibility``: per parent
     axis, each derived row's slice in row order against the slices it is
     defined by, reporting rows in row order, each named by its first value."""
-    errors, domains = [], cpt.parent_domains
+    errors, domains = [], [ref_values(f) for f in cpt.source.parent_frames]
     tables = [ext_table(f) for f in cpt.source.parent_frames]
     tensor = cpt.probs.reshape(tuple(len(t.first) for t in tables) + (-1,))
     for axis, (domain, table) in enumerate(zip(domains, tables)):
@@ -179,7 +175,7 @@ def per_slice_check(cpt):
             v = domain[j]
             if v.is_plain:
                 continue
-            i = (r, table.row[domain.index(v.sup)], table.row[domain.index(ExtValue(v.own))])
+            i = (r, table.row[domain.index(v.sup)], table.row[domain.index(Value(v.own))])
             mine, theirs, base = (np.take(tensor, k, axis=axis) for k in i)
             bad = np.abs((mine + theirs) / 2.0 - base) > ROWSUM_TOL
             for idx in np.ndindex(bad.shape[:-1]):
@@ -236,13 +232,11 @@ class TestSplitRows:
         k = mass_to_commonality(loose_cond)
         cpt = build_node_cpt("X2", k, 0)
         for cfg in k.configs():
-            key = tuple(ExtValue(m) for m in cfg)
-            assert np.array_equal(cpt_row(cpt, key), table_row(k, cfg))
+            assert np.array_equal(cpt_row(cpt, cfg), table_row(k, cfg))
 
     def test_leaf_extension_row(self, loose_cond):
         cpt = build_node_cpt("X2", mass_to_commonality(loose_cond), 0)
-        cfg = (by_text(ext_values(loose_cond.parent_frames[0]), "{a}@{a,b}"),)
-        assert cpt_row(cpt, cfg) == pytest.approx(LEAF_AT_ROW, abs=1e-9)
+        assert cpt_row(cpt, ("{a}@{a,b}",)) == pytest.approx(LEAF_AT_ROW, abs=1e-9)
 
     def test_star_root_division(self):
         net = load("star5_negjoint.dsn")
@@ -250,27 +244,26 @@ class TestSplitRows:
         root = cpts["X1"]
         row = cpt_row(root)
         frame = net.frame("X1")
-        full = ExtVector(mask(frame, "{a,b}"), 4)
-        assert row[root.child_domain.index(full)] == pytest.approx(0.2, abs=1e-12)
+        full = root.child_domain.index("[{a,b};{a,b};{a,b};{a,b}]")
+        assert row[full] == pytest.approx(0.2, abs=1e-12)
         fam_a = [
             i
-            for i, x in enumerate(root.child_domain)
+            for i, x in enumerate(child_values(root))
             if not x.is_plain and str(x.own) == "{a}"
         ]
         assert len(fam_a) == 15
         assert row[fam_a] == pytest.approx([0.2 / 15] * 15, abs=1e-12)
-        plain_a = ExtVector(mask(frame, "{a}"), 4)
-        assert row[root.child_domain.index(plain_a)] == pytest.approx(0.2, abs=1e-12)
+        plain_a = child_values(root).index(Vector(mask(frame, "{a}"), 4))
+        assert row[plain_a] == pytest.approx(0.2, abs=1e-12)
 
     def test_class_sums_equal_commonality(self, loose_cond):
         k = mass_to_commonality(loose_cond)
         cpt = build_node_cpt("X2", k, 3)
         for cfg in k.configs():
-            key = tuple(ExtValue(m) for m in cfg)
-            row = cpt_row(cpt, key)
+            row = cpt_row(cpt, cfg)
             for s in subsets_of(k.child_frame):
                 cols = [
-                    i for i, x in enumerate(cpt.child_domain) if x.own.bits == s.bits
+                    i for i, x in enumerate(child_values(cpt)) if x.own.bits == s.bits
                 ]
                 assert row[cols].sum() == pytest.approx(table_cell(k, cfg, s), abs=1e-9)
 
@@ -278,27 +271,21 @@ class TestSplitRows:
 class TestExtensionRows:
     def test_at_rows_by_inclusion_exclusion(self, loose_cond):
         cpt = _mid_cpt(loose_cond)
-        f = loose_cond.parent_frames[0]
-        at = (by_text(ext_values(f), "{a}@{a,b}"),)
-        own = (by_text(ext_values(f), "{a}"),)
-        sup = (by_text(ext_values(f), "{a,b}"),)
+        at, own, sup = ("{a}@{a,b}",), ("{a}",), ("{a,b}",)
         want = 2 * cpt_row(cpt, own) - cpt_row(cpt, sup)
         assert cpt_row(cpt, at) == pytest.approx(want, abs=1e-12)
         assert cpt_row(cpt, at)[0] == pytest.approx(0.55, abs=1e-9)
 
     def test_dot_rows_are_bit_identical(self, loose_cond):
         cpt = _mid_cpt(loose_cond)
-        f = loose_cond.parent_frames[0]
-        dot = (by_text(ext_values(f), "{b}o{a,b}"),)
-        sup = (by_text(ext_values(f), "{a,b}"),)
-        assert np.array_equal(cpt_row(cpt, dot), cpt_row(cpt, sup))
+        assert np.array_equal(cpt_row(cpt, ("{b}o{a,b}",)), cpt_row(cpt, ("{a,b}",)))
 
     def test_at_equals_both_when_rows_agree(self):
         # commonality with identical rows: 2x - x = x
         child, parent = bframe("C"), bframe("P")
         vals = np.tile(np.array([0.5, 0.3, 0.2]), (3, 1))
         cpt = build_node_cpt("C", CondTable(child, (parent,), vals, "k"), 0)
-        rows = dict(zip(map(str, ext_values(parent)), value_rows(cpt)))
+        rows = dict(zip(cpt.parent_domains[0], value_rows(cpt)))
         assert np.array_equal(rows["{a}@{a,b}"], rows["{a}"])
 
     def test_rounding_negatives_clip_to_zero(self):
@@ -306,19 +293,16 @@ class TestExtensionRows:
         child, parent = bframe("C"), bframe("P")
         vals = np.array([[0.1, 0.6, 0.3], [0.1, 0.6, 0.3], [0.2000000000000001, 0.5, 0.3]])
         cpt = build_node_cpt("C", CondTable(child, (parent,), vals, "k"), 0)
-        at = (by_text(ext_values(parent), "{a}@{a,b}"),)
         assert 2 * 0.1 - 0.2000000000000001 < 0.0
-        assert cpt_row(cpt, at)[cpt.child_domain.index(mask(child, "{a}"))] == 0.0
+        assert cpt_row(cpt, ("{a}@{a,b}",))[cpt.child_domain.index("{a}")] == 0.0
         assert cpt.probs.min() == 0.0
 
     def test_two_at_coordinates_resolve_per_coordinate(self):
         net = load("collider3.dsn")
         cpt = build_network_cpts(net)["X3"]
-        f1, f2 = net.frame("X1"), net.frame("X2")
-        xa = by_text(ext_values(f1), "{a}@{a,b}")
-        yb = by_text(ext_values(f2), "{b}@{a,b}")
-        a, ab1 = ExtValue(mask(f1, "{a}")), ExtValue(mask(f1, "{a,b}"))
-        b, ab2 = ExtValue(mask(f2, "{b}")), ExtValue(mask(f2, "{a,b}"))
+        xa, yb = "{a}@{a,b}", "{b}@{a,b}"
+        a, ab1 = "{a}", "{a,b}"
+        b, ab2 = "{b}", "{a,b}"
 
         def row(*cfg):
             return cpt_row(cpt, cfg)
@@ -404,9 +388,9 @@ class TestFeasibility:
         child, parent = bframe("C"), bframe("P")
         vals = np.tile(np.array([0.0, 0.0, 1.0]), (3, 1))
         k = CondTable(child, (parent,), vals, "k")
-        domain = ext_vectors(child, 2)
+        domain = ref_vectors(child, 2)
         probs = np.zeros((len(ext_table(parent).first), len(domain)))
-        probs[:, domain.index(ExtVector(mask(child, "{a,b}"), 2))] = 1.0
+        probs[:, domain.index(Vector(mask(child, "{a,b}"), 2))] = 1.0
         cpt = ExtCPT(node="C", parent_names=("P",), probs=probs, source=k, n_successors=2)
         assert check_feasibility(cpt).ok
 
@@ -443,6 +427,22 @@ class TestFeasibility:
             "node X2: substitution average of {a}@{a,b} and {a,b} does not reproduce {a}"
         ]
         assert "node X2: negative P({a}|{b}@{a,b}) = -0.05" in errors(4, [(0, -0.1), (1, 0.1)])
+
+    def test_check_names_a_negative_child_vector(self):
+        # a root with two successors; mass moved within one class keeps every sum
+        cpt = build_node_cpt("R", mass_to_commonality(root_table(bframe("R"))), 2)
+
+        def errors(moves):
+            probs = cpt.probs.copy()
+            for c, delta in moves:
+                probs[0, c] += delta
+            return check_feasibility(dataclasses.replace(cpt, probs=probs)).errors
+
+        # a family member prints as its vector, a plain vector as its subset
+        assert errors([(3, -0.1), (4, 0.1)]) == [
+            "node R: negative P([{a}@{a,b};{a}o{a,b}]|()) = -0.0333333"
+        ]
+        assert errors([(0, -0.5), (5, 0.5)]) == ["node R: negative P({a}|()) = -0.3"]
 
     def test_check_report_on_two_parents(self):
         cpt = build_network_cpts(load("collider3.dsn"))["X3"]
@@ -586,7 +586,7 @@ class TestNestedFrames:
         frame = net.frame("X2")
         zero_cols = [
             i
-            for i, x in enumerate(cpt.child_domain)
+            for i, x in enumerate(child_values(cpt))
             if not x.is_plain and x.sup.op == "o"
         ]
         assert zero_cols
@@ -596,16 +596,16 @@ class TestNestedFrames:
         net = load("chain3_ternary.dsn")
         cpt = build_network_cpts(net)["X2"]
         frame = net.frame("X2")
-        full_plain = ExtVector(mask(frame, "{a,b,c}"), 1)
-        two_at = by_text(ext_values(frame), "{a,b}@{a,b,c}")
+        full_plain = Vector(mask(frame, "{a,b,c}"), 1)
+        two_at = by_text(ref_values(frame), "{a,b}@{a,b,c}")
         nested = [
             i
-            for i, x in enumerate(cpt.child_domain)
+            for i, x in enumerate(child_values(cpt))
             if not x.is_plain and x.sup == two_at
         ]
-        col_full = cpt.child_domain.index(full_plain)
+        col_full = child_values(cpt).index(full_plain)
         for cfg in cpt.source.configs():
-            row = cpt_row(cpt, tuple(ExtValue(m) for m in cfg))
+            row = cpt_row(cpt, cfg)
             # n=1 families hold exactly their superset vector's probability
             assert row[nested].sum() == pytest.approx(
                 2 * row[col_full], abs=1e-12

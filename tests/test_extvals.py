@@ -1,4 +1,5 @@
-"""Extended value and vector domains: enumeration, components, text forms."""
+"""Extended value and vector domains: the integer tables and their literals,
+against the reference built from the paper's definition."""
 
 import os
 import pickle
@@ -11,64 +12,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belnet import (
-    ExtValue,
-    ExtVector,
-    Frame,
-    SizeGuardError,
-    component,
-    ext_values,
-    ext_vectors,
-    subsets_of,
+from belnet import Frame, SizeGuardError, subsets_of
+from belnet.extvals import (
+    MAX_SUCCESSORS,
+    ext_table,
+    value_literals,
+    vector_literals,
+    vector_table,
 )
-from belnet.extvals import MAX_SUCCESSORS, ext_table, vector_table
 
-from conftest import bframe, by_text, mask
+from conftest import (
+    Value, Vector, bframe, by_text, component, mask, proper_subsets, ref_values, ref_vectors,
+)
 
 
 class TestExtValues:
     def test_binary_enumeration_order(self):
-        got = [str(v) for v in ext_values(bframe())]
-        assert got == [
+        assert value_literals(bframe()) == (
             "{a}", "{b}", "{a,b}",
             "{a}o{a,b}", "{b}o{a,b}", "{a}@{a,b}", "{b}@{a,b}",
-        ]
+        )
 
     def test_single_value_frame(self):
         f = Frame("Z", ("a",))
-        assert [str(v) for v in ext_values(f)] == ["{a}"]
+        assert value_literals(f) == ("{a}",)
 
     def test_ternary_count_by_independent_closure(self):
         f = Frame("Y", ("a", "b", "c"))
-        assert len(ext_values(f)) == len(_closure_bruteforce(f)) == 55
+        assert len(value_literals(f)) == len(_closure_bruteforce(f)) == 55
 
     def test_quaternary_count_by_independent_closure(self):
         f = Frame("Q", ("a", "b", "c", "d"))
-        vs = ext_values(f)
-        assert len(vs) == len(set(vs)) == len(_closure_bruteforce(f))
+        texts = value_literals(f)
+        assert len(texts) == len(set(texts))
+        assert set(texts) == {str(v) for v in _closure_bruteforce(f)}
 
     def test_frame_guard(self):
-        with pytest.raises(SizeGuardError, match="at most 4"):
-            ext_values(Frame("W", ("a", "b", "c", "d", "e")))
+        frame = Frame("W", ("a", "b", "c", "d", "e"))
+        for literals in (value_literals, lambda f: vector_literals(f, 1)):
+            with pytest.raises(SizeGuardError, match="at most 4"):
+                literals(frame)
 
 
 def _closure_bruteforce(frame):
-    """Fixpoint closure over (own, op, sup) triples, independent of the order
-    the library builds them in."""
-    seen = {(s.bits, None, None) for s in subsets_of(frame)}
-    by_key = {k: ExtValue(SubsetMaskOf(frame, k[0])) for k in seen}
+    """Fixpoint closure of the plain values under splitting, independent of
+    the order the reference or the library lists them in."""
+    values = {Value(s) for s in subsets_of(frame)}
     changed = True
     while changed:
         changed = False
-        for key, v in list(by_key.items()):
-            for s in subsets_of(frame):
-                if s.bits != v.own.bits and s.bits & v.own.bits == s.bits:
-                    for op in ("o", "@"):
-                        k2 = (s.bits, op, key)
-                        if k2 not in by_key:
-                            by_key[k2] = ExtValue(s, op, v)
-                            changed = True
-    return set(by_key.values())
+        for v in list(values):
+            for s in proper_subsets(frame, v.own):
+                for op in ("o", "@"):
+                    if Value(s, op, v) not in values:
+                        values.add(Value(s, op, v))
+                        changed = True
+    return values
 
 
 class TestExtTable:
@@ -81,7 +80,7 @@ class TestExtTable:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_row_layout(self, k):
-        values, table = ext_values(_frame(k)), ext_table(_frame(k))
+        values, table = ref_values(_frame(k)), ext_table(_frame(k))
         assert (np.diff(table.first) > 0).all()
         for i, v in enumerate(values):
             assert table.first[table.row[i]] <= i
@@ -92,15 +91,26 @@ class TestExtTable:
             else:
                 assert table.row[table.sup[i]] < table.row[i]
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_columns_of_the_reference(self, k):
+        frame = _frame(k)
+        subsets, values, table = subsets_of(frame), ref_values(frame), ext_table(frame)
+        position = {v: i for i, v in enumerate(values)}
+        assert len(table.own) == len(values)
+        for i, v in enumerate(values):
+            assert subsets[table.own[i]] == v.own
+            assert table.sup[i] == (-1 if v.is_plain else position[v.sup])
+            assert table.at[i] == (v.op == "@")
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_rows_are_distinct_coefficient_rows(self, k):
         # a value's slice as integer coefficients over the plain slices:
         # o copies its superset's, @ is 2 * own - superset's
-        values = ext_values(_frame(k))
+        values = ref_values(_frame(k))
         plain = [v for v in values if v.is_plain]
         coef = {}
         for v in values:
-            unit = np.eye(len(plain), dtype=np.int64)[plain.index(ExtValue(v.own))]
+            unit = np.eye(len(plain), dtype=np.int64)[plain.index(Value(v.own))]
             if v.is_plain:
                 coef[v] = unit
             elif v.op == "o":
@@ -115,95 +125,93 @@ class TestExtTable:
         assert len(set.union(*by_row.values())) == len(by_row)
 
 
-def SubsetMaskOf(frame, bits):
-    from belnet import SubsetMask
-
-    return SubsetMask(frame, bits)
-
-
 class TestExtVectors:
     def test_n1_order(self):
-        got = [str(x) for x in ext_vectors(bframe(), 1)]
-        assert got == ["[{a}]", "[{b}]", "[{a,b}]", "[{a}@{a,b}]", "[{b}@{a,b}]"]
+        assert vector_literals(bframe(), 1) == (
+            "[{a}]", "[{b}]", "[{a,b}]", "[{a}@{a,b}]", "[{b}@{a,b}]",
+        )
 
     @pytest.mark.parametrize("n,count", [(1, 5), (2, 9), (4, 33)])
     def test_binary_counts(self, n, count):
-        assert len(ext_vectors(bframe(), n)) == count
+        assert len(vector_literals(bframe(), n)) == count
 
     def test_binary_counts_closed_form(self):
         # plains + one family per proper subset of the full set
         for n in range(1, 7):
-            assert len(ext_vectors(bframe(), n)) == 3 + 2 * (2**n - 1)
+            assert len(vector_literals(bframe(), n)) == 3 + 2 * (2**n - 1)
 
     def test_ternary_n1_count_from_split_pairs(self):
         f = Frame("Y", ("a", "b", "c"))
-        pairs = sum(
-            1
-            for v in ext_values(f)
-            for s in subsets_of(f)
-            if s.bits != v.own.bits and s.bits & v.own.bits == s.bits
-        )
-        assert len(ext_vectors(f, 1)) == 7 + pairs
+        pairs = sum(len(proper_subsets(f, v.own)) for v in ref_values(f))
+        assert len(vector_literals(f, 1)) == 7 + pairs
 
     def test_successor_guard(self):
         with pytest.raises(SizeGuardError):
-            ext_vectors(bframe(), 7)
+            vector_literals(bframe(), 7)
+
+
+def _parts(literal: str) -> list[str]:
+    """The per-edge texts of a vector literal ``[c1;...;cn]``."""
+    return literal[1:-1].split(";")
 
 
 class TestComponent:
+    """Each edge's text of a vector literal is the value the vector feeds that edge."""
+
     def test_plain_vectors_are_constant(self):
         f = bframe()
-        x = ExtVector(mask(f, "{a,b}"), 4)
-        assert str(component(x, 3)) == "{a,b}"
+        assert vector_literals(f, 4)[2] == "[{a,b};{a,b};{a,b};{a,b}]"
+        assert str(component(Vector(mask(f, "{a,b}"), 4), 3)) == "{a,b}"
 
     def test_family_single_edge(self):
         f = bframe()
-        sup = ExtValue(mask(f, "{a,b}"))
-        x = ExtVector(mask(f, "{a}"), 1, sup, 0b1)
+        x = Vector(mask(f, "{a}"), 1, Value(mask(f, "{a,b}")), 0b1)
         assert str(component(x, 1)) == "{a}@{a,b}"
+        assert vector_literals(f, 1)[ref_vectors(f, 1).index(x)] == "[{a}@{a,b}]"
 
     def test_family_mixed_pattern(self):
         f = bframe()
-        sup = ExtValue(mask(f, "{a,b}"))
-        x = ExtVector(mask(f, "{a}"), 2, sup, 0b10)  # edge 1 'o', edge 2 '@'
+        x = Vector(mask(f, "{a}"), 2, Value(mask(f, "{a,b}")), 0b10)  # edge 1 'o', edge 2 '@'
         assert str(component(x, 1)) == "{a}o{a,b}"
         assert str(component(x, 2)) == "{a}@{a,b}"
-
-    def test_edge_index_bounds(self):
-        x = ExtVector(mask(bframe(), "{a,b}"), 2)
-        with pytest.raises(ValueError):
-            component(x, 3)
+        i = ref_vectors(f, 2).index(x)
+        assert vector_table(f, 2).pattern[i] == 0b10
+        assert vector_literals(f, 2)[i] == "[{a}o{a,b};{a}@{a,b}]"
 
     @pytest.mark.parametrize("frame,n", [(bframe(), 1), (bframe(), 3), (Frame("Y", ("a", "b", "c")), 1)])
     def test_components_share_own_and_sup(self, frame, n):
-        for x in ext_vectors(frame, n):
-            for h in range(1, n + 1):
-                c = component(x, h)
-                assert c.own == x.own
-                if x.is_plain:
-                    assert c.sup is None
+        subsets, values, table = subsets_of(frame), value_literals(frame), vector_table(frame, n)
+        for i, text in enumerate(vector_literals(frame, n)):
+            own, sup = str(subsets[table.own[i]]), table.sup[i]
+            for h, part in enumerate(_parts(text)):
+                if sup < 0:
+                    assert part == own
                 else:
-                    assert c.sup == x.sup
+                    op = "@" if table.pattern[i] >> h & 1 else "o"
+                    assert part == own + op + values[sup]
 
     def test_every_family_has_an_at_component(self):
-        for x in ext_vectors(bframe(), 3):
+        f = bframe()
+        for x, text in zip(ref_vectors(f, 3), vector_literals(f, 3)):
             if not x.is_plain:
                 assert any(component(x, h).op == "@" for h in range(1, 4))
+                assert any(part[len(str(x.own))] == "@" for part in _parts(text))
 
 
 class TestVectorTable:
-    """The array table of a node's vectors agrees with the value objects."""
+    """The array table of a node's vectors agrees with the reference."""
 
     @pytest.mark.parametrize(
         "k, n", [(k, n) for k in (1, 2, 3, 4) for n in (1, 2, 3)] + [(2, MAX_SUCCESSORS)]
     )
     def test_rows_and_superset_values_of_the_objects(self, k, n):
         frame = _frame(k)
-        values, rows = ext_values(frame), ext_table(frame).row
+        subsets, values, rows = subsets_of(frame), ref_values(frame), ext_table(frame).row
         position = {v: i for i, v in enumerate(values)}  # values.index, by hash
-        vectors, table = ext_vectors(frame, n), vector_table(frame, n)
+        vectors, table = ref_vectors(frame, n), vector_table(frame, n)
         assert table.row.shape == (n, len(vectors))
         for i, x in enumerate(vectors):
+            assert subsets[table.own[i]] == x.own and table.pattern[i] == x.pattern
             assert table.sup[i] == (-1 if x.is_plain else position[x.sup])
             for h in range(1, n + 1):
                 assert table.row[h - 1, i] == rows[position[component(x, h)]]
@@ -212,27 +220,13 @@ class TestVectorTable:
     def test_vector_order(self, k, n):
         # plain vectors, then per superset value and proper subset, one family
         frame = _frame(k)
-        want = [ExtVector(s, n) for s in subsets_of(frame)]
-        for sup in ext_values(frame):
-            for s in _proper_subsets(frame, sup.own):
-                want += [ExtVector(s, n, sup, pattern) for pattern in range(1, 1 << n)]
-        assert list(ext_vectors(frame, n)) == want
+        assert vector_literals(frame, n) == tuple(map(str, ref_vectors(frame, n)))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_value_order(self, k):
         # plain values, then level by level, o compounds before @ compounds
         frame = _frame(k)
-        level = [ExtValue(s) for s in subsets_of(frame)]
-        want = list(level)
-        while level:
-            level = [
-                ExtValue(s, op, v)
-                for op in "o@"
-                for v in level
-                for s in _proper_subsets(frame, v.own)
-            ]
-            want += level
-        assert list(ext_values(frame)) == want
+        assert value_literals(frame) == tuple(map(str, ref_values(frame)))
 
 
 class TestSharedLayouts:
@@ -252,10 +246,6 @@ class TestSharedLayouts:
                 build(frame)
 
 
-def _proper_subsets(frame, own):
-    return [s for s in subsets_of(frame) if s.bits != own.bits and s.bits & own.bits == s.bits]
-
-
 def _frame(k: int) -> Frame:
     return Frame("Y", tuple("abcd"[:k]))
 
@@ -265,66 +255,49 @@ class TestTextForms:
 
     def test_value_roundtrip_binary_and_ternary(self):
         for frame in (bframe(), _frame(3)):
-            values = ext_values(frame)
-            for v in values:
-                assert by_text(values, str(v)) == v
+            values = ref_values(frame)
+            for v, text in zip(values, value_literals(frame)):
+                assert by_text(values, text) == v
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_values_print_distinctly(self, k):
-        values = ext_values(_frame(k))
-        assert len({str(v) for v in values}) == len(values)
+        texts = value_literals(_frame(k))
+        assert len(set(texts)) == len(texts) == len(ext_table(_frame(k)).own)
 
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1)])
     def test_vectors_print_distinctly(self, k, n):
-        vectors = ext_vectors(_frame(k), n)
-        assert len({str(x) for x in vectors}) == len(vectors)
+        texts = vector_literals(_frame(k), n)
+        assert len(set(texts)) == len(texts) == len(vector_table(_frame(k), n).own)
+
+    def test_quaternary_vectors_at_six_successors_print_distinctly(self):
+        texts = vector_literals(_frame(4), 6)
+        assert len(set(texts)) == len(texts) == 16_773
 
     def test_nested_is_right_associative(self):
         f = _frame(3)
-        v = ExtValue(mask(f, "{a,b,c}"))
-        v = ExtValue(mask(f, "{a}"), "@", ExtValue(mask(f, "{a,b}"), "o", v))
-        assert v.op == "@" and v.sup.op == "o"
+        v = Value(mask(f, "{a}"), "@", Value(mask(f, "{a,b}"), "o", Value(mask(f, "{a,b,c}"))))
         assert str(v) == "{a}@{a,b}o{a,b,c}"
+        table, i = ext_table(f), value_literals(f).index("{a}@{a,b}o{a,b,c}")
+        assert table.at[i] and not table.at[table.sup[i]]
+        assert value_literals(f)[table.sup[i]] == "{a,b}o{a,b,c}"
 
 
 @given(st.integers(0, 54))
 @settings(max_examples=55, deadline=None)
 def test_ternary_roundtrip_property(i):
-    values = ext_values(_frame(3))
-    assert by_text(values, str(values[i])) == values[i]
-
-
-def test_compound_requires_proper_subset():
-    f = bframe()
-    full = ExtValue(mask(f, "{a,b}"))
-    with pytest.raises(ValueError):
-        ExtValue(mask(f, "{a,b}"), "o", full)
-    sing = ExtValue(mask(f, "{a}"))
-    with pytest.raises(ValueError):
-        ExtValue(mask(f, "{b}"), "@", sing)
-
-
-def test_family_pattern_excludes_all_dot():
-    f = bframe()
-    sup = ExtValue(mask(f, "{a,b}"))
-    with pytest.raises(ValueError):
-        ExtVector(mask(f, "{a}"), 2, sup, 0)
+    values = ref_values(_frame(3))
+    assert by_text(values, value_literals(_frame(3))[i]) == values[i]
 
 
 class TestHashes:
-    """Values hash by their fields, so an unpickled value equals, and hashes
-    like, the same value built in the loading process."""
+    """Frames and subsets hash by their fields, so an unpickled one equals,
+    and hashes like, the same one built in the loading process."""
 
-    VALUES = (
-        "frame = Frame('X', ('a', 'b', 'c'))\n"
-        "values = [frame, subsets_of(frame)[-1], *ext_values(frame)[::9],"
-        " *ext_vectors(frame, 2)[::40]]\n"
-    )
+    VALUES = "frame = Frame('X', ('a', 'b', 'c'))\nvalues = [frame, *subsets_of(frame)]\n"
 
     def test_pickle_round_trip_keeps_hash_and_equality(self):
         frame = Frame("X", ("a", "b", "c"))
-        values = [frame, *subsets_of(frame), *ext_values(frame), *ext_vectors(frame, 2)[::7]]
-        for value in values:
+        for value in (frame, *subsets_of(frame)):
             back = pickle.loads(pickle.dumps(value))
             assert back == value and hash(back) == hash(value)
             assert {value: 1}[back] == 1
@@ -334,15 +307,14 @@ class TestHashes:
         dump = tmp_path / "values.pickle"
         script = (
             "import pickle, sys\n"
-            "from belnet import Frame, ext_values, ext_vectors, subsets_of\n" + self.VALUES +
+            "from belnet import Frame, subsets_of\n" + self.VALUES +
             "pickle.dump((values, [hash(v) for v in values]), open(sys.argv[1], 'wb'))\n"
         )
         env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", script, str(dump)], env=env, check=True)
         with open(dump, "rb") as fh:
             theirs, their_hashes = pickle.load(fh)
-        namespace = {"Frame": Frame, "subsets_of": subsets_of, "ext_values": ext_values,
-                     "ext_vectors": ext_vectors}
+        namespace = {"Frame": Frame, "subsets_of": subsets_of}
         exec(self.VALUES, namespace)
         ours = namespace["values"]
         assert theirs == ours

@@ -14,15 +14,15 @@ ROOT = Path(__file__).parents[1]
 SUBMODULES = ("cpt", "errors", "extvals", "fusion", "network", "sampler", "tables", "verify")
 # every export, sorted: adding or removing one shows in this list
 EXPORTS = [
-    "BelnetError", "ComparisonReport", "CondTable", "ExtCPT", "ExtValue", "ExtVector", "Frame",
-    "InfeasibleModelError", "JointMass", "NegativityReport", "Network", "NetworkParseError",
-    "Node", "Sample", "SizeGuardError", "StructureError", "SubsetMask", "SubsetParseError",
-    "ValidationReport", "build_network_cpts", "build_node_cpt", "check_feasibility",
-    "commonality_to_mass", "compare_empirical", "component", "cpt", "edge_index", "errors",
-    "exact_collapsed_joint", "ext_values", "ext_vectors", "extvals", "fusion", "generate",
-    "load_network", "mass_to_commonality", "network", "network_joint", "parse_network",
-    "parse_subset_label", "sampler", "subsets_of", "tables", "topological_order",
-    "validate_structure", "validate_table", "verify", "write_csv", "write_joint_csv",
+    "BelnetError", "ComparisonReport", "CondTable", "ExtCPT", "Frame", "InfeasibleModelError",
+    "JointMass", "NegativityReport", "Network", "NetworkParseError", "Node", "Sample",
+    "SizeGuardError", "StructureError", "SubsetMask", "SubsetParseError", "ValidationReport",
+    "build_network_cpts", "build_node_cpt", "check_feasibility", "commonality_to_mass",
+    "compare_empirical", "cpt", "edge_index", "errors", "exact_collapsed_joint", "extvals",
+    "fusion", "generate", "load_network", "mass_to_commonality", "network", "network_joint",
+    "parse_network", "parse_subset_label", "sampler", "subsets_of", "tables",
+    "topological_order", "validate_structure", "validate_table", "verify", "write_csv",
+    "write_joint_csv",
 ]
 
 

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 import belnet.sampler as sampler_mod
 from belnet import (
-    ExtVector,
     Frame,
     SizeGuardError,
     SubsetMask,
     build_network_cpts,
-    component,
     edge_index,
     generate,
     load_network,
@@ -25,7 +23,7 @@ from belnet import (
     write_csv,
 )
 
-from conftest import cpt_row, load
+from conftest import Vector, child_values, component, cpt_row, load
 
 
 class TestDeterminism:
@@ -85,7 +83,7 @@ def codes_of(sample):
 def domains_of(net):
     """Per variable in declaration order, its child domain: the axis its codes index."""
     cpts = build_network_cpts(net)
-    return [cpts[name].child_domain for name in net.variables]
+    return [child_values(cpts[name]) for name in net.variables]
 
 
 def records(sample, domains):
@@ -239,7 +237,7 @@ class TestRecords:
         cpts = build_network_cpts(sampling_net)
         s = generate(sampling_net, 1500, seed=2, cpts=cpts)
         order = sampling_net.variables
-        domains = [cpts[name].child_domain for name in order]
+        domains = [child_values(cpts[name]) for name in order]
         for rec in itertools.islice(records(s, domains), 0, None, 97):
             byname = dict(zip(order, rec))
             for name in order:
@@ -248,7 +246,7 @@ class TestRecords:
                     component(byname[p], edge_index(sampling_net, p, name))
                     for p in cpt.parent_names
                 )
-                assert cpt_row(cpt, cfg)[cpt.child_domain.index(byname[name])] > 0.0
+                assert cpt_row(cpt, cfg)[cpt.child_domain.index(str(byname[name]))] > 0.0
 
     def test_collapse_is_coordinatewise_own(self, sampling_net):
         s = generate(sampling_net, 50, seed=1)
@@ -256,7 +254,7 @@ class TestRecords:
         write_csv(s, buf)
         rec = list(records(s, domains_of(sampling_net)))[9]
         row = list(csv.reader(io.StringIO(buf.getvalue())))[10]
-        assert row == [str(v.own if isinstance(v, ExtVector) else v) for v in rec]
+        assert row == [str(v.own if isinstance(v, Vector) else v) for v in rec]
 
     def test_root_marginal_tracks_mass(self, sampling_net):
         n = 20000

@@ -21,7 +21,6 @@ from belnet import (
     build_network_cpts,
     check_feasibility,
     compare_empirical,
-    component,
     edge_index,
     exact_collapsed_joint,
     generate,
@@ -33,7 +32,7 @@ from belnet import (
 from belnet.sampler import row_offsets
 from belnet.tables import subset_index
 
-from conftest import cpt_row, load, marginal, support
+from conftest import child_values, component, cpt_row, load, marginal, support
 
 # the benchmark's seeded network generator, clibench/gen.py
 _GEN_PATH = Path(__file__).parents[1] / "clibench" / "gen.py"
@@ -90,7 +89,7 @@ def recursive_extended_joint(net, cpts):
         cfg = tuple(component(values[p], edge_index(net, p, name)) for p in cpt.parent_names)
         row = cpt_row(cpt, cfg)
         for c in np.nonzero(row)[0]:
-            rec({**values, name: cpt.child_domain[c]}, acc * float(row[c]))
+            rec({**values, name: child_values(cpt)[c]}, acc * float(row[c]))
 
     rec({}, 1.0)
     return out
@@ -125,14 +124,14 @@ def extended_joint(net, cpts=None) -> ExtendedJoint:
     ``net.variables[j]``."""
     if cpts is None:
         cpts = build_network_cpts(net)
-    labels = tuple(cpts[name].child_domain for name in net.variables)
+    labels = tuple(child_values(cpts[name]) for name in net.variables)
     return ExtendedJoint(net.variables, labels, enumerated_extended_joint(net, cpts))
 
 
 def own_positions(frame, domain) -> np.ndarray:
     """Per value of ``domain``, the position of its own subset in
-    ``subsets_of(frame)``, found from the value objects (a plain subset is its
-    own), so independent of the integer collapse map the library reads."""
+    ``subsets_of(frame)``, found from the reference values (a plain subset is
+    its own), so independent of the integer collapse map the library reads."""
     subsets = subsets_of(frame)
     return np.array([subsets.index(getattr(v, "own", v)) for v in domain])
 
@@ -143,7 +142,7 @@ def enumerated_collapsed_joint(net, cpts) -> np.ndarray:
     joint = enumerated_extended_joint(net, cpts)
     sizes = [len(subsets_of(net.frame(name))) for name in net.variables]
     owns = [
-        _along(own_positions(net.frame(name), cpts[name].child_domain), j, joint.ndim)
+        _along(own_positions(net.frame(name), child_values(cpts[name])), j, joint.ndim)
         for j, name in enumerate(net.variables)
     ]
     classes = np.ravel_multi_index(owns, sizes)
