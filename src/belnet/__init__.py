@@ -37,12 +37,11 @@ _EXPORTS = {
     "tables": (
         "CondTable",
         "Frame",
-        "SubsetMask",
         "ValidationReport",
         "commonality_to_mass",
         "mass_to_commonality",
-        "parse_subset_label",
-        "subsets_of",
+        "subset_index",
+        "subset_literals",
         "validate_table",
     ),
     "verify": (

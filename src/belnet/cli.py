@@ -157,7 +157,7 @@ def _emit_network(net: Network, tables: list, to_kind: str, stream: IO[str]) -> 
         header = f"table {name} | {' '.join(net.node(name).parents)} kind={to_kind}"
         print(header.replace("  ", " "), file=stream)
         for cfg, child, v in table.items():
-            left = str(child) if not cfg else f"{child} | {' '.join(str(c) for c in cfg)}"
+            left = child if not cfg else f"{child} | {' '.join(cfg)}"
             print(f"  {left} : {v!r}", file=stream)
         print("end", file=stream)
 

@@ -43,7 +43,7 @@ from .tables import (
     cfg_text,
     commonality_faults,
     mass_to_commonality,
-    subsets_of,
+    subset_literals,
 )
 
 MAX_CPT_CELLS = 10_000_000
@@ -66,14 +66,14 @@ class ExtCPT:
 
     @property
     def own(self) -> np.ndarray:
-        """The collapse map: per child value, its own subset's ``subsets_of`` index."""
+        """The collapse map: per child value, its own subset's index."""
         n, frame = self.n_successors, self.source.child_frame
         return vector_table(frame, n).own if n else np.arange(self.probs.shape[1])
 
     @property
     def child_domain(self) -> tuple[str, ...]:
         n, frame = self.n_successors, self.source.child_frame
-        return vector_literals(frame, n) if n else tuple(map(str, subsets_of(frame)))
+        return vector_literals(frame, n) if n else subset_literals(frame)
 
     @property
     def parent_domains(self) -> tuple[tuple[str, ...], ...]:
@@ -117,7 +117,7 @@ def _plain_rows(krows: np.ndarray, frame: Frame, n: int) -> np.ndarray:
     child domain of a node with n >= 1 successors, coarser subsets first."""
     table = ext_table(frame)  # the plain values first, in the table's column order
     bits = _subset_bits(len(frame))[table.own]
-    size = np.array([s.size for s in subsets_of(frame)])[table.own]
+    size = np.array([b.bit_count() for b in bits.tolist()])
     share = 1.0 / ((1 << n) - 1)
     # per extended value: its plain vector's probability, or a family member's
     vec_p = np.zeros((len(krows), len(bits)))
@@ -149,8 +149,8 @@ def _clip_checked(node: str, rows: np.ndarray, child, where) -> None:
 
 def _child_text(frame: Frame, n_successors: int, c: int) -> str:
     """The text of child value ``c``: a plain vector prints as its subset."""
-    plain = subsets_of(frame)
-    return str(plain[c]) if c < len(plain) else vector_literals(frame, n_successors)[c]
+    plain = subset_literals(frame)
+    return plain[c] if c < len(plain) else vector_literals(frame, n_successors)[c]
 
 
 def build_node_cpt(node: str, ktable: CondTable, n_successors: int) -> ExtCPT:
@@ -167,7 +167,7 @@ def build_node_cpt(node: str, ktable: CondTable, n_successors: int) -> ExtCPT:
     _guard_cells(node, math.prod(shape))
     child = functools.partial(_child_text, frame, n_successors)
     where = _row_names(ktable.parent_frames)
-    plain_dims = tuple(len(subsets_of(f)) for f in ktable.parent_frames)
+    plain_dims = tuple((1 << len(f)) - 1 for f in ktable.parent_frames)
     plain = plain.reshape(plain_dims + (-1,))
     _clip_checked(node, plain, child, where)
     probs = np.empty(shape)
@@ -262,8 +262,8 @@ def check_feasibility(cpt: ExtCPT) -> ValidationReport:
 
     # class sums against the source table on plain configurations
     tensor = probs.reshape(dims + (-1,))
-    plain_dims = tuple(len(subsets_of(f)) for f in frames)
-    classes = subsets_of(cpt.source.child_frame)
+    plain_dims = tuple((1 << len(f)) - 1 for f in frames)
+    classes = subset_literals(cpt.source.child_frame)
     members = np.eye(len(classes))[cpt.own]
     got = tensor[tuple(map(slice, plain_dims))].reshape(-1, len(members)) @ members
     want = cpt.source.values

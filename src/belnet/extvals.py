@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SizeGuardError
-from .tables import Frame, _subset_bits, subsets_of
+from .tables import Frame, _subset_bits, subset_literals
 
 OP_DOT = "o"  # behaves as its superset value
 OP_AT = "@"  # resolved by averaging against the superset value
@@ -140,7 +140,7 @@ def value_literals(frame: Frame) -> tuple[str, ...]:
     plain value prints as its subset, a compound as its subset, its operator
     and its superset value's text, so ``{a}@{a,b}o{a,b,c}`` nests to the right."""
     ext_table(frame)  # the frame guard
-    return _value_literals(tuple(map(str, subsets_of(frame))))
+    return _value_literals(subset_literals(frame))
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +158,7 @@ def vector_literals(frame: Frame, n: int) -> tuple[str, ...]:
     where pattern bit h-1 is set and ``o`` where it is not, then its superset
     value's text."""
     vector_table(frame, n)  # the frame and successor guards
-    return _vector_literals(tuple(map(str, subsets_of(frame))), n)
+    return _vector_literals(subset_literals(frame), n)
 
 
 @lru_cache(maxsize=None)

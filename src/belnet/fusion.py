@@ -35,7 +35,7 @@ from .tables import (
     _subset_bits,
     bit_ordered,
     commonality_to_mass,
-    subsets_of,
+    subset_literals,
     superset_sums,
     write_cells,
 )
@@ -49,7 +49,7 @@ class JointMass:
     oracles return it.
 
     ``array`` holds the mass of every product of nonempty subsets, zero or
-    not: axis j runs over ``subsets_of(frames[j])``.  ``empty_mass``
+    not: axis j runs over ``subset_literals(frames[j])``.  ``empty_mass``
     accumulates anything that hit an empty intersection.
     """
 
@@ -97,7 +97,7 @@ class NegativityReport:
             f"empty-intersection mass: {empty}",
         ]
         if not self.proper:  # "  ({a},{a,b}) : -0.000000001" per cell
-            texts = [[f"{s}," for s in subsets_of(f)] for f in self.frames]
+            texts = [[f"{s}," for s in subset_literals(f)] for f in self.frames]
             texts[-1] = [t[:-1] + ") : " for t in texts[-1]]
             cells = [_padded(t)[i] for t, i in zip(texts, self.negatives.T)]
             text = _lines([_padded(["  ("]), *cells, _fixed9(self.values)], self.values.shape)
@@ -151,7 +151,7 @@ def network_joint(net: Network) -> tuple[JointMass, NegativityReport]:
 def write_joint_csv(joint: JointMass, stream: IO[str]) -> None:
     """One row per focal element, sorted by the canonical subset literals."""
     # each axis's subsets sorted by literal: their product runs in row order
-    literals = [[str(s) for s in subsets_of(f)] for f in joint.frames]
+    literals = list(map(subset_literals, joint.frames))
     orders = [sorted(range(len(lits)), key=lits.__getitem__) for lits in literals]
     axes = [[lits[i] for i in order] for lits, order in zip(literals, orders)]
     write_cells(stream, [*joint.scope, "mass"], axes, joint.array[np.ix_(*orders)])

@@ -18,12 +18,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NetworkParseError
-from .tables import CondTable, Frame, ValidationReport, subset_index, subsets_of
+from .tables import CondTable, Frame, ValidationReport, subset_index
 
 
 @dataclass
@@ -187,7 +188,7 @@ def _parse_table_header(net: Network, pending: dict, line: str, lineno: int) -> 
         "child": child,
         "frame": net.nodes[child].frame,
         "frames": frames,
-        "dims": tuple(len(subsets_of(f)) for f in frames),
+        "dims": tuple((1 << len(f)) - 1 for f in frames),
         "kind": kind,
         "line": lineno,
         "entries": {},
@@ -208,7 +209,8 @@ def _parse_table_row(net: Network, cur: dict, line: str, lineno: int) -> None:
         raise NetworkParseError(f"non-finite value {valuepart.strip()!r}", lineno)
     if "|" in left:
         childpart, parentpart = left.split("|", 1)
-        plits = parentpart.split()
+        # a literal may hold whitespace inside its braces, as on the child side
+        plits = re.findall(r"(?:\{[^{}]*\}|\S)+", parentpart)
     else:
         childpart, plits = left, []
     if len(plits) != len(cur["frames"]):
@@ -230,7 +232,7 @@ def _parse_table_row(net: Network, cur: dict, line: str, lineno: int) -> None:
 
 
 def _finish_table(net: Network, cur: dict) -> None:
-    values = np.zeros((math.prod(cur["dims"]), len(subsets_of(cur["frame"]))))
+    values = np.zeros((math.prod(cur["dims"]), (1 << len(cur["frame"])) - 1))
     if cur["entries"]:
         values[tuple(np.array(list(cur["entries"])).T)] = list(cur["entries"].values())
     net.nodes[cur["child"]].table = CondTable(cur["frame"], cur["frames"], values, cur["kind"])

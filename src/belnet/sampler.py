@@ -17,7 +17,7 @@ import numpy as np
 
 from .cpt import ExtCPT, build_network_cpts
 from .errors import SizeGuardError
-from .tables import csv_cells, subsets_of
+from .tables import csv_cells, subset_literals
 from .extvals import ext_table, vector_table
 from .network import Network, edge_index, topological_order
 
@@ -125,7 +125,7 @@ class Sample:
     ``nodes`` are the drawing tables, ``(column, _NodeDraw)`` in topological
     order, and ``dtype`` the type of a drawn code: an index into variable j's
     child values, which ``owns[j]`` maps to its own subset in
-    ``subsets_of(frames[j])``.
+    ``subset_literals(frames[j])``.
     """
 
     def __init__(
@@ -136,7 +136,7 @@ class Sample:
         self.seed = seed
         self._nodes = nodes
         self._dtype = dtype
-        self._subsets = [subsets_of(frame) for frame in frames]
+        self._subsets = [subset_literals(frame) for frame in frames]
         self._owns = owns
 
     def __len__(self) -> int:
@@ -160,7 +160,7 @@ class Sample:
 
     def collapsed_counts(self) -> np.ndarray:
         """Counts of collapsed records, as an int64 array with one axis per
-        variable, indexed by its own subsets in ``subsets_of`` order."""
+        variable, indexed by its own subsets in ``subset_literals`` order."""
         shape = tuple(len(subs) for subs in self._subsets)
         out = np.zeros(guard_states(shape), dtype=np.int64)
         for codes in self.chunks():

@@ -1,4 +1,4 @@
-"""Frames, subset masks, conditional tables, and the mass <-> commonality transforms.
+"""Frames, subset literals, conditional tables, and the mass <-> commonality transforms.
 
 A conditional table maps (parent configuration of subsets, child subset) to a
 real number, in one of two forms: mass (``kind="m"``), whose values may be
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import IO, Iterable, Iterator
@@ -45,66 +44,46 @@ class Frame:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def full_bits(self) -> int:
-        return (1 << len(self.values)) - 1
 
-
-@dataclass(frozen=True)
-class SubsetMask:
-    """A nonempty subset of one frame's values, stored as membership bits."""
-
-    frame: Frame
-    bits: int
-
-    def __post_init__(self):
-        if not 0 < self.bits <= self.frame.full_bits:
-            raise ValueError(f"invalid subset bits {self.bits:#x} for frame {self.frame.name!r}")
-
-    @property
-    def size(self) -> int:
-        return self.bits.bit_count()
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(v for i, v in enumerate(self.frame.values) if self.bits >> i & 1)
-
-    def issubset(self, other: "SubsetMask") -> bool:
-        return self.bits & other.bits == self.bits
-
-    def __str__(self) -> str:
-        return "{" + ",".join(self.labels()) + "}"
+@lru_cache(maxsize=None)
+def _subset_bits(size: int) -> np.ndarray:
+    """Membership bits of each nonempty subset of a frame of ``size`` values,
+    in canonical order: by size, then by the bits as a number."""
+    bits = np.array(sorted(range(1, 1 << size), key=lambda b: (b.bit_count(), b)))
+    bits.setflags(write=False)
+    return bits
 
 
 @lru_cache(maxsize=None)
-def subsets_of(frame: Frame) -> tuple[SubsetMask, ...]:
-    """All nonempty subsets in canonical order: by size, then by lowest members."""
-    return tuple(SubsetMask(frame, b) for b in _subset_bits(len(frame)).tolist())
-
-
-@lru_cache(maxsize=None)
-def _subset_pos(frame: Frame) -> dict[int, int]:
-    return {s.bits: i for i, s in enumerate(subsets_of(frame))}
+def subset_literals(frame: Frame) -> tuple[str, ...]:
+    """The literal of each nonempty subset of ``frame`` in canonical order
+    (``{a}``, ``{b}``, ``{a,b}``, ...): a subset is its position here."""
+    values = frame.values
+    return tuple(
+        "{" + ",".join(v for i, v in enumerate(values) if b >> i & 1) + "}"
+        for b in _subset_bits(len(frame)).tolist()
+    )
 
 
 @lru_cache(maxsize=None)
 def _literal_pos(frame: Frame) -> dict[str, int]:
-    return {str(s): i for i, s in enumerate(subsets_of(frame))}
+    return {text: i for i, text in enumerate(subset_literals(frame))}
+
+
+@lru_cache(maxsize=None)
+def _subset_pos(size: int) -> dict[int, int]:
+    return {b: i for i, b in enumerate(_subset_bits(size).tolist())}
 
 
 def subset_index(text: str, frame: Frame) -> int:
-    """Position in ``subsets_of`` order of the subset a literal names; the
-    canonical spelling is looked up, any other goes to ``parse_subset_label``."""
-    pos = _literal_pos(frame).get(text)
-    if pos is None:
-        pos = _subset_pos(frame)[parse_subset_label(text, frame).bits]
-    return pos
-
-
-def parse_subset_label(text: str, frame: Frame) -> SubsetMask:
-    """Parse a literal like ``{a,b}`` against a frame.
+    """Position in ``subset_literals`` order of the subset a literal like
+    ``{a,b}`` names; the canonical spelling is looked up, any other parsed.
 
     Rejects unknown labels, duplicates, and empty braces.
     """
+    pos = _literal_pos(frame).get(text)
+    if pos is not None:
+        return pos
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise SubsetParseError(f"subset literal must be brace-delimited, got {text!r}")
@@ -122,7 +101,7 @@ def parse_subset_label(text: str, frame: Frame) -> SubsetMask:
         if bits >> i & 1:
             raise SubsetParseError(f"duplicate label {label!r} in {text!r}")
         bits |= 1 << i
-    return SubsetMask(frame, bits)
+    return _subset_pos(len(frame))[bits]
 
 
 class CondTable:
@@ -142,9 +121,9 @@ class CondTable:
         self.kind = kind
         self.child_frame = child_frame
         self.parent_frames = tuple(parent_frames)
-        self._dims = tuple(len(subsets_of(f)) for f in self.parent_frames)
+        self._dims = tuple((1 << len(f)) - 1 for f in self.parent_frames)
         rows = int(np.prod(self._dims)) if self._dims else 1
-        ncols = len(subsets_of(child_frame))
+        ncols = (1 << len(child_frame)) - 1
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (rows, ncols):
             raise ValueError(f"table shape {values.shape} != expected ({rows}, {ncols})")
@@ -154,18 +133,17 @@ class CondTable:
         values.setflags(write=False)
         self.values = values
 
-    def configs(self) -> Iterator[tuple[SubsetMask, ...]]:
-        """Parent configurations in row order."""
-        return itertools.product(*(subsets_of(f) for f in self.parent_frames))
-
-    def config(self, r: int) -> tuple[SubsetMask, ...]:
-        """The parent configuration of row ``r``."""
+    def config(self, r: int) -> tuple[str, ...]:
+        """The parent configuration of row ``r``, as subset literals."""
         idx = np.unravel_index(r, self._dims)
-        return tuple(subsets_of(f)[i] for f, i in zip(self.parent_frames, idx))
+        return tuple(subset_literals(f)[i] for f, i in zip(self.parent_frames, idx))
 
-    def items(self) -> Iterator[tuple[tuple[SubsetMask, ...], SubsetMask, float]]:
-        children = subsets_of(self.child_frame)
-        for r, cfg in enumerate(self.configs()):
+    def items(self) -> Iterator[tuple[tuple[str, ...], str, float]]:
+        """Every cell as (parent configuration, child subset, value), the
+        subsets as literals, in row order."""
+        children = subset_literals(self.child_frame)
+        for r in range(len(self.values)):
+            cfg = self.config(r)
             for c, child in enumerate(children):
                 yield cfg, child, float(self.values[r, c])
 
@@ -193,15 +171,6 @@ def superset_sums(a: np.ndarray, axes: Iterable[int], inverse: bool = False) -> 
             else:
                 lo += hi
     return a
-
-
-@lru_cache(maxsize=None)
-def _subset_bits(size: int) -> np.ndarray:
-    """Membership bits of each nonempty subset of a frame of ``size`` values,
-    in canonical order: by size, then by lowest members."""
-    bits = np.array(sorted(range(1, 1 << size), key=lambda b: (b.bit_count(), b)))
-    bits.setflags(write=False)
-    return bits
 
 
 def bit_ordered(table: CondTable) -> np.ndarray:
@@ -300,7 +269,7 @@ def commonality_faults(t: CondTable) -> tuple[list[str], list[str]]:
     """Where ``t`` breaks the commonality-table contract: its cells below
     -EXACT_TOL, as ``v at (cfg ; child)``, and its rows that do not sum to one
     within ROWSUM_TOL, as ``row cfg sums to s, expected 1``; each in row order."""
-    children = subsets_of(t.child_frame)
+    children = subset_literals(t.child_frame)
     negatives = [
         f"{t.values[r, c]:.6g} at ({cfg_text(t.config(r))} ; {children[c]})"
         for r, c in zip(*np.nonzero(t.values < -EXACT_TOL))
@@ -323,7 +292,7 @@ def csv_cells(values: Iterable) -> list[str]:
 
 def cfg_text(cfg: tuple) -> str:
     """A parent configuration as comma-joined literals, ``()`` when empty."""
-    return ",".join(str(c) for c in cfg) if cfg else "()"
+    return ",".join(cfg) if cfg else "()"
 
 
 # The cell writer builds each line as a row of bytes, its pieces padded with

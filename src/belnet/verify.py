@@ -17,13 +17,13 @@ from .errors import SizeGuardError
 from .fusion import JointMass
 from .network import Network
 from .sampler import MAX_STATES, Sample, guard_states, row_offsets
-from .tables import subsets_of
+from .tables import subset_literals
 
 
 def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -> JointMass:
     """The chain-rule product of the extended CPT rows, pushed forward under
     per-variable collapse, as one tensor contraction: a ``JointMass`` whose
-    axis j runs over ``subsets_of`` the frame of ``net.variables[j]``, with no
+    axis j runs over ``subset_literals`` of the frame of ``net.variables[j]``, with no
     empty mass (a collapsed record never lands on an empty set).
 
     Axis j is variable j's extended value, axis n + j its collapsed class.  Per
@@ -35,15 +35,15 @@ def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -
     if cpts is None:
         cpts = build_network_cpts(net)
     frames = tuple(map(net.frame, net.variables))
-    labels = list(map(subsets_of, frames))
-    guard_states(map(len, labels))
+    sizes = [(1 << len(f)) - 1 for f in frames]
+    guard_states(sizes)
     axis = {name: j for j, name in enumerate(net.variables)}
     n, operands = len(axis), []
     for name, j in axis.items():
         parents = row_offsets(net, cpts, name)
         width = cpts[name].probs.shape[1]
         # the larger operand: the gathered CPT (parents x own) or the collapse matrix (own x subsets)
-        size = max(math.prod(len(o) for _, o in parents), len(labels[j])) * width
+        size = max(math.prod(len(o) for _, o in parents), sizes[j]) * width
         if size > MAX_STATES:
             raise SizeGuardError(
                 f"collapsed joint needs an operand of {size} cells at {name} (limit {MAX_STATES})"
@@ -51,7 +51,7 @@ def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -
         # the CPT row of every combination of parent values, one axis per parent
         rows = sum(np.ix_(*(offsets for _, offsets in parents)), np.int64(0))
         operands += [cpts[name].probs[rows], [axis[p] for p, _ in parents] + [j]]
-        operands += [np.eye(len(labels[j]))[cpts[name].own], [j, n + j]]
+        operands += [np.eye(sizes[j])[cpts[name].own], [j, n + j]]
     array = np.einsum(*operands, [n + j for j in range(n)], optimize="greedy")
     return JointMass(frames, array)
 
@@ -65,7 +65,7 @@ class ComparisonReport:
     chi2: float
     dof: int
     threshold: float | None
-    impossible: list[tuple]
+    impossible: list[tuple[str, ...]]
 
     @property
     def passed(self) -> bool:
@@ -80,7 +80,7 @@ class ComparisonReport:
             f"chi-square: {self.chi2:.6f} on {self.dof} degrees of freedom",
         ]
         for key in self.impossible:
-            lines.append(f"impossible cell observed: ({','.join(map(str, key))})")
+            lines.append(f"impossible cell observed: ({','.join(key)})")
         lines.append("result: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
 
@@ -122,6 +122,6 @@ def compare_empirical(
         dof=int(support.sum()) - 1,
         threshold=linf_threshold,
         impossible=[
-            tuple(subsets_of(f)[i] for f, i in zip(exact.frames, cell)) for cell in impossible
+            tuple(subset_literals(f)[i] for f, i in zip(exact.frames, cell)) for cell in impossible
         ],
     )

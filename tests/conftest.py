@@ -9,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from belnet import CondTable, Frame, SubsetMask, load_network, parse_subset_label, subsets_of
+from belnet import CondTable, Frame, load_network
 from belnet.cpt import value_rows
-from belnet.tables import subset_index
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -55,17 +54,56 @@ def bframe(name: str = "X") -> Frame:
     return Frame(name, ("a", "b"))
 
 
-def mask(frame: Frame, literal: str):
-    return parse_subset_label(literal, frame)
-
-
 def by_text(domain, text: str):
     """The value of ``domain``, such as ``ref_values(frame)``, that prints as ``text``."""
     return next(v for v in domain if str(v) == text)
 
 
-# The extended domains by the paper's definition, a reference for the
-# library's integer tables and literals that reads neither.
+# The plain subsets and extended domains by the paper's definition, a
+# reference for the library's subset positions, integer tables and literals
+# that reads none of them.
+
+
+@dataclass(frozen=True)
+class Subset:
+    """A nonempty subset of one frame's values, as membership bits (bit i
+    for ``frame.values[i]``)."""
+
+    frame: Frame
+    bits: int
+
+    @property
+    def size(self) -> int:
+        return self.bits.bit_count()
+
+    def issubset(self, other: "Subset") -> bool:
+        return self.bits & other.bits == self.bits
+
+    def __str__(self) -> str:
+        labels = (v for i, v in enumerate(self.frame.values) if self.bits >> i & 1)
+        return "{" + ",".join(labels) + "}"
+
+
+@lru_cache(maxsize=None)
+def subsets(frame: Frame) -> tuple:
+    """The nonempty subsets of ``frame`` by size; within a size, by their
+    members compared from the last frame value down, which is the order of
+    their membership bits read as binary numbers."""
+    values = range(len(frame))
+    members = [c for k in range(1, len(frame) + 1) for c in itertools.combinations(values, k)]
+    members.sort(key=lambda c: (len(c), c[::-1]))
+    return tuple(Subset(frame, sum(1 << i for i in c)) for c in members)
+
+
+def mask(frame: Frame, literal: str) -> Subset:
+    """The subset of ``frame`` whose canonical literal is ``literal``."""
+    return by_text(subsets(frame), literal)
+
+
+def configs(table) -> list:
+    """The parent configurations of a conditional table in row order, as
+    tuples of reference subsets."""
+    return list(itertools.product(*map(subsets, table.parent_frames)))
 
 
 @dataclass(frozen=True)
@@ -73,7 +111,7 @@ class Value:
     """An extended value: a plain subset, or ``own`` split by ``op`` from the
     value ``sup``."""
 
-    own: SubsetMask
+    own: Subset
     op: str | None = None
     sup: "Value | None" = None
 
@@ -91,7 +129,7 @@ class Vector:
     the family member of the split ``own`` of ``sup`` that is ``@`` on edge h
     where pattern bit h-1 is set."""
 
-    own: SubsetMask
+    own: Subset
     n: int
     sup: Value | None = None
     pattern: int = 0
@@ -111,16 +149,16 @@ def component(vec: Vector, h: int) -> Value:
     return Value(vec.own, "@" if vec.pattern >> (h - 1) & 1 else "o", vec.sup)
 
 
-def proper_subsets(frame: Frame, own: SubsetMask) -> list:
+def proper_subsets(frame: Frame, own: Subset) -> list:
     """The proper nonempty subsets of ``own``, in canonical order."""
-    return [s for s in subsets_of(frame) if s.bits != own.bits and s.bits & own.bits == s.bits]
+    return [s for s in subsets(frame) if s != own and s.issubset(own)]
 
 
 @lru_cache(maxsize=None)
 def ref_values(frame: Frame) -> tuple:
     """The plain values, then level by level, each value of the last level
     split by every proper nonempty subset of its own set, ``o`` before ``@``."""
-    level = [Value(s) for s in subsets_of(frame)]
+    level = [Value(s) for s in subsets(frame)]
     out = list(level)
     while level:
         level = [
@@ -134,7 +172,7 @@ def ref_values(frame: Frame) -> tuple:
 def ref_vectors(frame: Frame, n: int) -> tuple:
     """The plain vectors, then per superset value and proper subset of its
     own set, the family members of patterns 1 to 2^n - 1."""
-    out = [Vector(s, n) for s in subsets_of(frame)]
+    out = [Vector(s, n) for s in subsets(frame)]
     for sup in ref_values(frame):
         for s in proper_subsets(frame, sup.own):
             out += [Vector(s, n, sup, pattern) for pattern in range(1, 1 << n)]
@@ -145,7 +183,7 @@ def child_values(cpt) -> tuple:
     """The reference values of a CPT's child domain: plain subsets for a node
     with no successors, else its extended vectors."""
     frame, n = cpt.source.child_frame, cpt.n_successors
-    return ref_vectors(frame, n) if n else subsets_of(frame)
+    return ref_vectors(frame, n) if n else subsets(frame)
 
 
 def _row_index(domains, cfg) -> int:
@@ -166,29 +204,29 @@ def cpt_row(cpt, cfg=()):
 def mass_table(child: Frame, parents: tuple, entries: dict) -> CondTable:
     """A conditional mass table from a sparse mapping ``{(cfg, child subset): v}``,
     ``cfg`` a tuple of parent subsets; absent cells are zero."""
-    domains = [subsets_of(f) for f in parents]
-    values = np.zeros((math.prod(map(len, domains)), len(subsets_of(child))))
+    domains = [subsets(f) for f in parents]
+    values = np.zeros((math.prod(map(len, domains)), len(subsets(child))))
     for (cfg, subset), v in entries.items():
-        values[_row_index(domains, cfg), subsets_of(child).index(subset)] = v
+        values[_row_index(domains, cfg), subsets(child).index(subset)] = v
     return CondTable(child, parents, values, "m")
 
 
 def table_row(table, cfg=()) -> np.ndarray:
     """The row of a conditional table given the parent subsets ``cfg``."""
-    return table.values[_row_index([subsets_of(f) for f in table.parent_frames], cfg)]
+    return table.values[_row_index([subsets(f) for f in table.parent_frames], cfg)]
 
 
 def table_cell(table, cfg, child) -> float:
     """The cell of a conditional table at the parent subsets ``cfg`` and the
     child subset ``child``."""
-    return float(table_row(table, cfg)[subsets_of(table.child_frame).index(child)])
+    return float(table_row(table, cfg)[subsets(table.child_frame).index(child)])
 
 
 def axis_labels(joint) -> list:
     """Per axis of a joint, what it runs over: the nonempty subsets of each
     frame of a ``JointMass``, or a reference's own ``labels``."""
     if hasattr(joint, "frames"):
-        return [subsets_of(f) for f in joint.frames]
+        return [subsets(f) for f in joint.frames]
     return joint.labels
 
 
@@ -213,26 +251,27 @@ def ternary_collider(parents: int, spread: float, seed: int = 0) -> str:
     member), every leaf row the same with 0.3, perturbed by up to ``spread``
     (relative, per cell) and renormalized."""
     rng = np.random.default_rng(seed)
-    subsets = [str(s) for s in subsets_of(Frame("C", ("a", "b", "c")))]
-    sizes = np.array([s.count(",") for s in subsets])
+    literals = [str(s) for s in subsets(Frame("C", ("a", "b", "c")))]
+    sizes = np.array([s.count(",") for s in literals])
     roots = [f"A{i}" for i in range(1, parents + 1)]
     lines = [f"var {v} : a b c" for v in roots + ["C"]] + [f"edge {v} -> C" for v in roots]
     for v in roots:
         row = 0.1**sizes / (0.1**sizes).sum()
-        lines += [f"table {v} | kind=k"] + [f"  {s} : {float(x)!r}" for s, x in zip(subsets, row)]
+        lines += [f"table {v} | kind=k"] + [f"  {s} : {float(x)!r}" for s, x in zip(literals, row)]
         lines.append("end")
     lines.append(f"table C | {' '.join(roots)} kind=k")
-    for cfg in itertools.product(subsets, repeat=parents):
-        row = 0.3**sizes * (1 + rng.uniform(-spread, spread, len(subsets)))
+    for cfg in itertools.product(literals, repeat=parents):
+        row = 0.3**sizes * (1 + rng.uniform(-spread, spread, len(literals)))
         row /= row.sum()
-        lines += [f"  {s} | {' '.join(cfg)} : {float(x)!r}" for s, x in zip(subsets, row)]
+        lines += [f"  {s} | {' '.join(cfg)} : {float(x)!r}" for s, x in zip(literals, row)]
     return "\n".join(lines + ["end"]) + "\n"
 
 
 def joint_cell(joint, *literals) -> float:
     """The mass a joint puts on the product of the subsets ``literals`` name,
     one per variable in scope order."""
-    return float(joint.array[tuple(map(subset_index, literals, joint.frames))])
+    cell = (list(map(str, subsets(f))).index(t) for f, t in zip(joint.frames, literals))
+    return float(joint.array[tuple(cell)])
 
 
 def cond_table(child: Frame, parent: Frame, rows: dict) -> CondTable:

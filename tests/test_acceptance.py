@@ -20,7 +20,6 @@ from belnet import (
     generate,
     mass_to_commonality,
     network_joint,
-    parse_subset_label,
 )
 from belnet.cli import main as cli_main
 
@@ -60,8 +59,7 @@ def test_c01_commonality_golden(loose_cond):
             k = mass_to_commonality(loose_cond)
             parent, child = loose_cond.parent_frames[0], loose_cond.child_frame
             for (cfg_lit, ch_lit), want in printed.items():
-                cfg = (parse_subset_label(cfg_lit, parent),)
-                got = table_cell(k, cfg, parse_subset_label(ch_lit, child))
+                got = table_cell(k, (mask(parent, cfg_lit),), mask(child, ch_lit))
                 assert got == pytest.approx(want, abs=1e-6), (cfg_lit, ch_lit)
 
 

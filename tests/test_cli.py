@@ -14,7 +14,6 @@ from belnet import (
     check_feasibility,
     load_network,
     mass_to_commonality,
-    subsets_of,
     validate_structure,
 )
 import belnet.cli as cli_mod
@@ -23,7 +22,7 @@ import belnet.extvals as extvals_mod
 from belnet.cli import main
 from belnet.cpt import guard_value_rows
 
-from conftest import FIXTURES, fixture_path, ternary_collider
+from conftest import FIXTURES, fixture_path, subsets, ternary_collider
 
 
 def run(capsys, *argv):
@@ -529,15 +528,15 @@ def quaternary_star() -> str:
     """``.dsn`` text of a quaternary root R (``kind=k``, a cell shrinking by
     0.05 per extra member) feeding six binary leaves, every leaf row
     0.45/0.45/0.1: R has 16,773 extended vectors."""
-    subsets = [str(s) for s in subsets_of(Frame("R", tuple("abcd")))]
-    weights = [0.05 ** s.count(",") for s in subsets]
+    literals = [str(s) for s in subsets(Frame("R", tuple("abcd")))]
+    weights = [0.05 ** s.count(",") for s in literals]
     leaf = [f"L{j}" for j in range(1, 7)]
     lines = ["net qstar", "var R : a b c d", *(f"var {v} : a b" for v in leaf)]
     lines += [f"edge R -> {v}" for v in leaf] + ["table R | kind=k"]
-    lines += [f"  {s} : {w / sum(weights)!r}" for s, w in zip(subsets, weights)] + ["end"]
+    lines += [f"  {s} : {w / sum(weights)!r}" for s, w in zip(literals, weights)] + ["end"]
     for v in leaf:
         lines.append(f"table {v} | R kind=k")
-        for s in subsets:
+        for s in literals:
             lines += [f"  {{a}} | {s} : 0.45", f"  {{b}} | {s} : 0.45", f"  {{a,b}} | {s} : 0.1"]
         lines.append("end")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,6 @@ from belnet import (
     check_feasibility,
     mass_to_commonality,
     parse_network,
-    subsets_of,
     topological_order,
 )
 from belnet.cpt import value_rows
@@ -29,8 +28,9 @@ from belnet.extvals import ext_table
 from belnet.tables import EXACT_TOL, ROWSUM_TOL
 
 from conftest import (
-    Value, Vector, bframe, by_text, child_values, cond_table, cpt_row, load, mask, ref_values,
-    ref_vectors, root_table, table_cell, table_row, ternary_collider, LOOSE_ROWS,
+    Value, Vector, bframe, by_text, child_values, cond_table, configs, cpt_row, load, mask,
+    ref_values, ref_vectors, root_table, subsets, table_cell, table_row, ternary_collider,
+    LOOSE_ROWS,
 )
 
 # Expected one-successor CPT of the milder conditional.  Parent rows follow
@@ -61,7 +61,7 @@ class CompoundRowError(InfeasibleModelError):
 
 def _child_domain(ktable, n_successors):
     frame = ktable.child_frame
-    return subsets_of(frame) if n_successors == 0 else ref_vectors(frame, n_successors)
+    return subsets(frame) if n_successors == 0 else ref_vectors(frame, n_successors)
 
 
 def _plain_row(krow, ktable, n_successors):
@@ -74,10 +74,8 @@ def _plain_row(krow, ktable, n_successors):
     vec_p = {}
     for v in sorted(ref_values(frame), key=lambda v: -v.own.size):
         if v.is_plain:
-            coarser = [
-                w for w in ref_values(frame) if v.own.issubset(w.own) and w.own.bits != v.own.bits
-            ]
-            vec_p[v] = krow[subsets_of(frame).index(v.own)] - sum(vec_p[w] for w in coarser)
+            coarser = [w for w in ref_values(frame) if v.own.issubset(w.own) and w.own != v.own]
+            vec_p[v] = krow[subsets(frame).index(v.own)] - sum(vec_p[w] for w in coarser)
         else:
             vec_p[v] = vec_p[v.sup] * share if v.op == "@" else 0.0
     return np.array(
@@ -107,7 +105,7 @@ def recursive_probs(node, ktable, n_successors):
         return np.clip(row, 0.0, None)
 
     resolved = {}
-    for cfg in ktable.configs():
+    for cfg in configs(ktable):
         row = _plain_row(table_row(ktable, cfg), ktable, n_successors)
         key = tuple(map(Value, cfg))
         resolved[key] = checked(key, row, InfeasibleModelError)
@@ -126,8 +124,8 @@ def recursive_probs(node, ktable, n_successors):
         resolved[cfg] = row
         return row
 
-    configs = itertools.product(*map(ref_values, ktable.parent_frames))
-    return np.array([resolve(cfg) for cfg in configs])
+    value_cfgs = itertools.product(*map(ref_values, ktable.parent_frames))
+    return np.array([resolve(cfg) for cfg in value_cfgs])
 
 
 def per_slice_probs(node, ktable, n_successors):
@@ -136,7 +134,7 @@ def per_slice_probs(node, ktable, n_successors):
     derived from whole slices and checked row by row."""
     domain = _child_domain(ktable, n_successors)
     domains = [ref_values(f) for f in ktable.parent_frames]
-    plain_dims = tuple(len(subsets_of(f)) for f in ktable.parent_frames)
+    plain_dims = tuple(len(subsets(f)) for f in ktable.parent_frames)
     probs = np.full([len(d) for d in domains] + [len(domain)], np.nan)
 
     def checked(rows, where):
@@ -206,11 +204,11 @@ def _random_net(rng, shape, sizes, spread):
     lines += [f"edge {a} -> {b}" for a, b in edges]
     for v in names:
         parents = [a for a, b in edges if b == v]
-        children = subsets_of(frames[v])
+        children = subsets(frames[v])
         decay = rng.uniform(0.05, 0.5) ** np.array([c.size - 1 for c in children])
         base = rng.uniform(0.5, 1.5, len(children)) * decay
         lines.append(f"table {v} | {' '.join(parents)} kind=k")
-        for cfg in itertools.product(*(subsets_of(frames[p]) for p in parents)):
+        for cfg in itertools.product(*(subsets(frames[p]) for p in parents)):
             row = base * (1 + spread * rng.uniform(-1, 1, len(children)))
             row /= row.sum()
             for c, x in zip(children, row):
@@ -231,7 +229,7 @@ class TestSplitRows:
     def test_leaf_rows_equal_commonality(self, loose_cond):
         k = mass_to_commonality(loose_cond)
         cpt = build_node_cpt("X2", k, 0)
-        for cfg in k.configs():
+        for cfg in configs(k):
             assert np.array_equal(cpt_row(cpt, cfg), table_row(k, cfg))
 
     def test_leaf_extension_row(self, loose_cond):
@@ -259,11 +257,11 @@ class TestSplitRows:
     def test_class_sums_equal_commonality(self, loose_cond):
         k = mass_to_commonality(loose_cond)
         cpt = build_node_cpt("X2", k, 3)
-        for cfg in k.configs():
+        for cfg in configs(k):
             row = cpt_row(cpt, cfg)
-            for s in subsets_of(k.child_frame):
+            for s in subsets(k.child_frame):
                 cols = [
-                    i for i, x in enumerate(child_values(cpt)) if x.own.bits == s.bits
+                    i for i, x in enumerate(child_values(cpt)) if x.own == s
                 ]
                 assert row[cols].sum() == pytest.approx(table_cell(k, cfg, s), abs=1e-9)
 
@@ -604,7 +602,7 @@ class TestNestedFrames:
             if not x.is_plain and x.sup == two_at
         ]
         col_full = child_values(cpt).index(full_plain)
-        for cfg in cpt.source.configs():
+        for cfg in configs(cpt.source):
             row = cpt_row(cpt, cfg)
             # n=1 families hold exactly their superset vector's probability
             assert row[nested].sum() == pytest.approx(

@@ -26,12 +26,16 @@ LONG_CHAIN_DIGEST = "2d5741c170416e10436c176a2012f9807a9d8251e1ba4eb3f9aea03bb52
 LONG_CHAIN_NODES = 45
 # a ternary root's nested splits, each family feeding three edges
 TERNARY_STAR_DIGEST = "b61a79087c923a4328b40f1fbc0621fc426a915a07a564d65d4ee49df2b90e87"
-# `belnet joint` and `belnet cpt` output files
+# `belnet joint` and `belnet cpt` output files, and `belnet transform`'s stdout
 COMMAND_DIGESTS = {
     ("joint", "star5_negjoint"): "6709851de17fd0b22eeeb823d1aff7d9818db5a6b1e588abf660d662ba6f99e8",
     ("joint", "chain3_ternary"): "5f2db9e9bd352775c844be5ab7194345a207db69de4a5c0c670cdf08b60595dd",
     ("cpt", "collider3"): "1258dd2c506b70f752930de430428512c3c6a2f495fecf1b2953a9b812a9839a",
     ("cpt", "chain4_sampling"): "873d8d58dff3bc7685c7c3b2e4a357ad4c1f2ecbac830a366f551c8356443881",
+    ("transform --to k", "chain4_sampling"): "a5534ee5da692428b6ffbdf33e3dc20583a7fb8a8be7497fb697bafce21592b6",
+    ("transform --to m", "chain4_sampling"): "f1a1e70d5817bd60ff26a4e3a565c05e5ecc8c8fe971bea23004968fd834feb1",
+    ("transform --to k", "star5_negjoint"): "f838a4cf7ac20f9b2755eb6590c119b8979a3c8118c6424d0fd1a8934ffcacd7",
+    ("transform --to m", "star5_negjoint"): "47635c42cda71bb082d2d369c6b61179e873ac7254ec62db5775b4171546a217",
 }
 
 
@@ -96,7 +100,9 @@ def test_sample_digest(make_net, n, seed, digest, monkeypatch):
 @pytest.mark.parametrize("command, fixture", sorted(COMMAND_DIGESTS))
 def test_command_output_digest(command, fixture, tmp_path, capsys):
     dest = tmp_path / "out.csv"
-    assert main([command, fixture_path(f"{fixture}.dsn"), "-o", str(dest)]) == 0
-    capsys.readouterr()
-    digest = hashlib.sha256(dest.read_bytes()).hexdigest()
+    to_stdout = command.startswith("transform")
+    args = [*command.split(), fixture_path(f"{fixture}.dsn")]
+    assert main(args if to_stdout else [*args, "-o", str(dest)]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    digest = hashlib.sha256(out if to_stdout else dest.read_bytes()).hexdigest()
     assert digest == COMMAND_DIGESTS[command, fixture]

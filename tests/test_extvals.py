@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belnet import Frame, SizeGuardError, subsets_of
+from belnet import Frame, SizeGuardError
 from belnet.extvals import (
     MAX_SUCCESSORS,
     ext_table,
@@ -23,6 +23,7 @@ from belnet.extvals import (
 
 from conftest import (
     Value, Vector, bframe, by_text, component, mask, proper_subsets, ref_values, ref_vectors,
+    subsets,
 )
 
 
@@ -57,7 +58,7 @@ class TestExtValues:
 def _closure_bruteforce(frame):
     """Fixpoint closure of the plain values under splitting, independent of
     the order the reference or the library lists them in."""
-    values = {Value(s) for s in subsets_of(frame)}
+    values = {Value(s) for s in subsets(frame)}
     changed = True
     while changed:
         changed = False
@@ -94,11 +95,11 @@ class TestExtTable:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_columns_of_the_reference(self, k):
         frame = _frame(k)
-        subsets, values, table = subsets_of(frame), ref_values(frame), ext_table(frame)
+        plain, values, table = subsets(frame), ref_values(frame), ext_table(frame)
         position = {v: i for i, v in enumerate(values)}
         assert len(table.own) == len(values)
         for i, v in enumerate(values):
-            assert subsets[table.own[i]] == v.own
+            assert plain[table.own[i]] == v.own
             assert table.sup[i] == (-1 if v.is_plain else position[v.sup])
             assert table.at[i] == (v.op == "@")
 
@@ -180,9 +181,9 @@ class TestComponent:
 
     @pytest.mark.parametrize("frame,n", [(bframe(), 1), (bframe(), 3), (Frame("Y", ("a", "b", "c")), 1)])
     def test_components_share_own_and_sup(self, frame, n):
-        subsets, values, table = subsets_of(frame), value_literals(frame), vector_table(frame, n)
+        plain, values, table = subsets(frame), value_literals(frame), vector_table(frame, n)
         for i, text in enumerate(vector_literals(frame, n)):
-            own, sup = str(subsets[table.own[i]]), table.sup[i]
+            own, sup = str(plain[table.own[i]]), table.sup[i]
             for h, part in enumerate(_parts(text)):
                 if sup < 0:
                     assert part == own
@@ -206,12 +207,12 @@ class TestVectorTable:
     )
     def test_rows_and_superset_values_of_the_objects(self, k, n):
         frame = _frame(k)
-        subsets, values, rows = subsets_of(frame), ref_values(frame), ext_table(frame).row
+        plain, values, rows = subsets(frame), ref_values(frame), ext_table(frame).row
         position = {v: i for i, v in enumerate(values)}  # values.index, by hash
         vectors, table = ref_vectors(frame, n), vector_table(frame, n)
         assert table.row.shape == (n, len(vectors))
         for i, x in enumerate(vectors):
-            assert subsets[table.own[i]] == x.own and table.pattern[i] == x.pattern
+            assert plain[table.own[i]] == x.own and table.pattern[i] == x.pattern
             assert table.sup[i] == (-1 if x.is_plain else position[x.sup])
             for h in range(1, n + 1):
                 assert table.row[h - 1, i] == rows[position[component(x, h)]]
@@ -290,14 +291,14 @@ def test_ternary_roundtrip_property(i):
 
 
 class TestHashes:
-    """Frames and subsets hash by their fields, so an unpickled one equals,
-    and hashes like, the same one built in the loading process."""
+    """Frames hash by their fields, so an unpickled one equals, and hashes
+    like, the same one built in the loading process."""
 
-    VALUES = "frame = Frame('X', ('a', 'b', 'c'))\nvalues = [frame, *subsets_of(frame)]\n"
+    VALUES = "frame = Frame('X', ('a', 'b', 'c'))\nvalues = [frame]\n"
 
     def test_pickle_round_trip_keeps_hash_and_equality(self):
         frame = Frame("X", ("a", "b", "c"))
-        for value in (frame, *subsets_of(frame)):
+        for value in (frame,):
             back = pickle.loads(pickle.dumps(value))
             assert back == value and hash(back) == hash(value)
             assert {value: 1}[back] == 1
@@ -307,14 +308,14 @@ class TestHashes:
         dump = tmp_path / "values.pickle"
         script = (
             "import pickle, sys\n"
-            "from belnet import Frame, subsets_of\n" + self.VALUES +
+            "from belnet import Frame\n" + self.VALUES +
             "pickle.dump((values, [hash(v) for v in values]), open(sys.argv[1], 'wb'))\n"
         )
         env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", script, str(dump)], env=env, check=True)
         with open(dump, "rb") as fh:
             theirs, their_hashes = pickle.load(fh)
-        namespace = {"Frame": Frame, "subsets_of": subsets_of}
+        namespace = {"Frame": Frame}
         exec(self.VALUES, namespace)
         ours = namespace["values"]
         assert theirs == ours

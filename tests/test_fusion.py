@@ -17,29 +17,40 @@ from belnet import (
     SizeGuardError,
     network_joint,
     parse_network,
-    subsets_of,
     write_joint_csv,
 )
 from belnet.tables import csv_cells
 
-from conftest import FIXTURES, LOOSE_ROWS, ROOT_ROWS, joint_cell, load, table_cell
+from conftest import (
+    FIXTURES,
+    LOOSE_ROWS,
+    ROOT_ROWS,
+    configs,
+    joint_cell,
+    load,
+    subsets,
+    table_cell,
+)
 
 TOL = 1e-12
 
 
 def _mass_rows(table):
-    """(parent configuration, child, mass) of every cell.  A commonality table
-    is inverted by brute force: signed sums over every coarser configuration."""
-    if table.kind == "m":
-        return list(table.items())
+    """(parent configuration, child, mass) of every cell, as reference subsets.
+    A commonality table is inverted by brute force: signed sums over every
+    coarser configuration."""
     rows = []
-    for cfg, child, _ in table.items():
-        v = 0.0
-        for sup in table.configs():
-            if all(a.issubset(b) for a, b in zip(cfg, sup)):
-                sign = (-1) ** sum(b.size - a.size for a, b in zip(cfg, sup))
-                v += sign * table_cell(table, sup, child)
-        rows.append((cfg, child, v))
+    for cfg in configs(table):
+        for child in subsets(table.child_frame):
+            if table.kind == "m":
+                rows.append((cfg, child, table_cell(table, cfg, child)))
+                continue
+            v = 0.0
+            for sup in configs(table):
+                if all(a.issubset(b) for a, b in zip(cfg, sup)):
+                    sign = (-1) ** sum(b.size - a.size for a, b in zip(cfg, sup))
+                    v += sign * table_cell(table, sup, child)
+            rows.append((cfg, child, v))
     return rows
 
 
@@ -47,7 +58,7 @@ def pairwise_joint(net):
     """Reference combination: each table extended to the full scope with full
     sets elsewhere, folded in pair by pair with coordinatewise intersection."""
     names = list(net.variables)
-    full = tuple(net.frame(n).full_bits for n in names)
+    full = tuple(subsets(net.frame(n))[-1].bits for n in names)
     entries, empty = {full: 1.0}, 0.0
     for name in names:
         table = net.node(name).table
@@ -173,7 +184,7 @@ class TestNetworkJoint:
         # every cell below tolerance, in the order of its per-variable subset bits
         want = [(bits, v) for bits, v in sorted(joint.entries.items()) if v < -1e-12]
         got = [
-            tuple(subsets_of(f)[i] for f, i in zip(joint.frames, cell))
+            tuple(subsets(f)[i] for f, i in zip(joint.frames, cell))
             for cell in report.negatives.tolist()
         ]
         assert want and [tuple(s.bits for s in g) for g in got] == [bits for bits, _ in want]
@@ -253,7 +264,7 @@ def reference_joint_csv(joint, stream):
     one Python-formatted line each: what ``write_joint_csv`` must write, byte
     for byte."""
     csv.writer(stream, lineterminator="\n").writerow(list(joint.scope) + ["mass"])
-    axes = [sorted(subsets_of(f), key=str) for f in joint.frames]
+    axes = [sorted(subsets(f), key=str) for f in joint.frames]
     keys = itertools.product(*([s.bits for s in subs] for subs in axes))
     cells = itertools.product(*map(csv_cells, axes))
     for bits, row in zip(keys, cells):
@@ -301,11 +312,11 @@ def _random_net_text(rng, shape, sizes, kinds, convention):
     lines += [f"edge {a} -> {b}" for a, b in edges]
     for v, kind in zip(names, kinds):
         parents = [a for a, b in edges if b == v]
-        configs = list(itertools.product(*(subsets_of(frames[p]) for p in parents)))
-        children = subsets_of(frames[v])
+        configs = list(itertools.product(*(subsets(frames[p]) for p in parents)))
+        children = subsets(frames[v])
         mass = {}
         for cfg in configs:
-            if all(s.bits == s.frame.full_bits for s in cfg):
+            if all(s.size == len(s.frame) for s in cfg):
                 row = rng.dirichlet(np.ones(len(children)))
             else:
                 row = rng.uniform(-0.5, 0.5, len(children))

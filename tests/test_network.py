@@ -10,13 +10,12 @@ from belnet import (
     SubsetParseError,
     edge_index,
     parse_network,
-    parse_subset_label,
-    subsets_of,
+    subset_index,
     topological_order,
     validate_structure,
 )
 
-from conftest import load, mass_table
+from conftest import load, mass_table, subsets
 
 
 class TestParse:
@@ -237,15 +236,15 @@ LABELS = ["a", "b", "ab", "x1", "é"]
 @st.composite
 def spelled_tables(draw):
     """Two frames of 2-4 values, a table of ``child | parent`` rows with
-    literals spelled canonically, permuted or (the child's) padded, and the
-    rows' (parent literal, child literal, value)."""
+    literals spelled canonically, permuted or padded, and the rows' (parent
+    subset, child subset, value)."""
 
     def frame(name):
         return Frame(name, tuple(draw(st.permutations(LABELS))[: draw(st.integers(2, 4))]))
 
-    def spell(mask, padded):
-        labels = list(mask.labels())
-        style = draw(st.sampled_from(["canonical", "permuted", "padded"][: 2 + padded]))
+    def spell(subset):
+        labels = [v for i, v in enumerate(subset.frame.values) if subset.bits >> i & 1]
+        style = draw(st.sampled_from(["canonical", "permuted", "padded"]))
         if style == "permuted":
             labels = draw(st.permutations(labels))
         if style == "padded":
@@ -255,31 +254,28 @@ def spelled_tables(draw):
     child, parent = frame("C"), frame("P")
     cells = draw(
         st.lists(
-            st.tuples(st.sampled_from(subsets_of(parent)), st.sampled_from(subsets_of(child))),
+            st.tuples(st.sampled_from(subsets(parent)), st.sampled_from(subsets(child))),
             unique=True,
             max_size=20,
         )
     )
-    rows = [(spell(p, False), spell(c, True), draw(st.floats(-1, 1))) for p, c in cells]
+    rows = [(p, c, draw(st.floats(-1, 1))) for p, c in cells]
     text = f"var P : {' '.join(parent.values)}\nvar C : {' '.join(child.values)}\n"
     text += "edge P -> C\ntable P | kind=m\nend\ntable C | P kind=m\n"
-    text += "".join(f"  {c} | {p} : {v!r}\n" for p, c, v in rows) + "end\n"
+    text += "".join(f"  {spell(c)} | {spell(p)} : {v!r}\n" for p, c, v in rows) + "end\n"
     return text, child, parent, rows
 
 
 class TestLiteralLookup:
-    """Table rows parse by lookup of canonical literals; the result and every
-    error are those of ``parse_subset_label`` on each literal."""
+    """Table rows parse to the cells of the subsets their literals name, in
+    any spelling on either side of the bar; every error is that of
+    ``subset_index`` on the literal, with its line."""
 
     @given(spelled_tables())
     @settings(max_examples=100, deadline=None)
     def test_same_table_as_full_parser(self, case):
         text, child, parent, rows = case
-        entries = {
-            ((parse_subset_label(p, parent),), parse_subset_label(c, child)): v
-            for p, c, v in rows
-        }
-        want = mass_table(child, (parent,), entries)
+        want = mass_table(child, (parent,), {((p,), c): v for p, c, v in rows})
         got = parse_network(text).node("C").table
         assert got.values.tobytes() == want.values.tobytes()
 
@@ -288,7 +284,7 @@ class TestLiteralLookup:
     def test_bad_literal_error_and_line(self, literal, position):
         frame = Frame("X2" if position == "child" else "X1", ("a", "b"))
         with pytest.raises(SubsetParseError) as want:
-            parse_subset_label(literal, frame)
+            subset_index(literal, frame)
         child, cfg = (literal, "{a}") if position == "child" else ("{a}", literal)
         text = (
             "var X1 : a b\nvar X2 : a b\nedge X1 -> X2\n"
@@ -307,3 +303,27 @@ class TestLiteralLookup:
         with pytest.raises(NetworkParseError) as got:
             parse_network(text)
         assert str(got.value) == "line 4: duplicate row for ({ b , a })"
+
+    @pytest.mark.parametrize("side", ["child", "parent"])
+    def test_spaces_inside_braces_on_either_side(self, side):
+        def table(literal):
+            child, cfg = (literal, "{a}") if side == "child" else ("{a}", literal)
+            return parse_network(
+                "var X1 : a b\nvar X2 : a b\nedge X1 -> X2\ntable X1 | kind=m\n  {a,b} : 1\nend\n"
+                f"table X2 | X1 kind=m\n  {child} | {cfg} : 0.5\n  {{b}} | {{b}} : 0.25\nend\n"
+            ).node("X2").table
+        want = table("{a,b}")
+        for literal in ("{a, b}", "{ a , b }", "{b,  a}"):
+            assert table(literal).values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("parents", ["{a} {b}", "{a}{b} {a,b}", "{a, b} {a}", ""])
+    def test_conditioning_count_mismatch_names_its_line(self, parents):
+        text = (
+            "var X1 : a b\nvar X2 : a b\nedge X1 -> X2\n"
+            f"table X2 | X1 kind=m\n  {{a}} | {{b}} : 0.5\n  {{a}} | {parents} : 0.5\nend\n"
+        )
+        with pytest.raises(NetworkParseError) as got:
+            parse_network(text)
+        count = 2 if parents else 0
+        assert str(got.value) == f"line 6: row has {count} conditioning subsets, table declares 1"
+        assert got.value.line == 6

@@ -16,11 +16,11 @@ SUBMODULES = ("cpt", "errors", "extvals", "fusion", "network", "sampler", "table
 EXPORTS = [
     "BelnetError", "ComparisonReport", "CondTable", "ExtCPT", "Frame", "InfeasibleModelError",
     "JointMass", "NegativityReport", "Network", "NetworkParseError", "Node", "Sample",
-    "SizeGuardError", "StructureError", "SubsetMask", "SubsetParseError", "ValidationReport",
+    "SizeGuardError", "StructureError", "SubsetParseError", "ValidationReport",
     "build_network_cpts", "build_node_cpt", "check_feasibility", "commonality_to_mass",
     "compare_empirical", "cpt", "edge_index", "errors", "exact_collapsed_joint", "extvals",
     "fusion", "generate", "load_network", "mass_to_commonality", "network", "network_joint",
-    "parse_network", "parse_subset_label", "sampler", "subsets_of", "tables",
+    "parse_network", "sampler", "subset_index", "subset_literals", "tables",
     "topological_order", "validate_structure", "validate_table", "verify", "write_csv",
     "write_joint_csv",
 ]

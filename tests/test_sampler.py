@@ -13,17 +13,15 @@ import belnet.sampler as sampler_mod
 from belnet import (
     Frame,
     SizeGuardError,
-    SubsetMask,
     build_network_cpts,
     edge_index,
     generate,
     load_network,
     parse_network,
-    subsets_of,
     write_csv,
 )
 
-from conftest import Vector, child_values, component, cpt_row, load
+from conftest import Subset, Vector, child_values, component, cpt_row, load, subsets
 
 
 class TestDeterminism:
@@ -93,7 +91,7 @@ def records(sample, domains):
 
 
 def collapse(record):
-    return tuple(v if isinstance(v, SubsetMask) else v.own for v in record)
+    return tuple(v if isinstance(v, Subset) else v.own for v in record)
 
 
 def _reference_draw(probs, cdf, r, u):
@@ -272,10 +270,10 @@ class TestRecords:
         monkeypatch.setattr(sampler_mod, "_CHUNK", 700)
         net = load(fixture)
         s = generate(net, 3000, seed=8)
-        subsets = [subsets_of(net.frame(v)) for v in s.variables]
-        want = np.zeros([len(subs) for subs in subsets], dtype=np.int64)
+        plain = [subsets(net.frame(v)) for v in s.variables]
+        want = np.zeros([len(subs) for subs in plain], dtype=np.int64)
         for rec in map(collapse, records(s, domains_of(net))):
-            want[tuple(subs.index(m) for subs, m in zip(subsets, rec))] += 1
+            want[tuple(subs.index(m) for subs, m in zip(plain, rec))] += 1
         counts = s.collapsed_counts()
         assert counts.dtype == np.int64 and np.array_equal(counts, want)
 
@@ -307,7 +305,7 @@ class TestCsv:
     def test_record_iterable_path_matches_fast_path(self, sampling_net, monkeypatch):
         # a one-node network whose 8191 subsets are more classes than one CSV run holds
         frame = Frame("X", tuple("abcdefghijklm"))
-        rows = "".join(f"  {m} : {1 / 8191!r}\n" for m in subsets_of(frame))
+        rows = "".join(f"  {m} : {1 / 8191!r}\n" for m in subsets(frame))
         wide = parse_network(f"var X : {' '.join(frame.values)}\ntable X | kind=m\n{rows}end\n")
         nets = [(sampling_net, 40), (load("chain3_ternary.dsn"), 500),
                 (load("star4_proper.dsn"), 500), (wide, 3000)]
@@ -334,7 +332,7 @@ class TestCsv:
             digits.append(d)
         far = [0] * (45 - len(digits)) + digits[::-1]
         codes = np.array([[0] * 45, far, [0] * 45], dtype=np.int64)
-        domains = [subsets_of(f) for f in frames]
+        domains = [subsets(f) for f in frames]
         owns = [np.arange(3)] * len(frames)
         sample = sampler_mod.Sample(tuple(f.name for f in frames), frames, owns, 3, 0, [], np.int64)
         sample.chunks = lambda: [codes]

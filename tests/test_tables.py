@@ -1,4 +1,4 @@
-"""Subset parsing, conditional tables, and the mass <-> commonality transforms."""
+"""Subset literals and parsing, conditional tables, and the mass <-> commonality transforms."""
 
 import numpy as np
 import pytest
@@ -12,14 +12,24 @@ from belnet import (
     SubsetParseError,
     commonality_to_mass,
     mass_to_commonality,
-    parse_subset_label,
-    subsets_of,
+    subset_index,
+    subset_literals,
     validate_table,
 )
 from belnet import tables
 from belnet.tables import bit_ordered, superset_sums
 
-from conftest import LOOSE_ROWS, TIGHT_ROWS, bframe, cond_table, mask, mass_table, table_cell
+from conftest import (
+    LOOSE_ROWS,
+    TIGHT_ROWS,
+    bframe,
+    cond_table,
+    configs,
+    mask,
+    mass_table,
+    subsets,
+    table_cell,
+)
 
 # Commonality of the milder conditional, child values in order {a},{b},{a,b}.
 LOOSE_COMM = {
@@ -29,38 +39,69 @@ LOOSE_COMM = {
 }
 
 
+def _refused(text: str, frame: Frame) -> str:
+    with pytest.raises(SubsetParseError) as info:
+        subset_index(text, frame)
+    return str(info.value)
+
+
 class TestParseSubsetLabel:
     def test_full_set(self):
         f = bframe()
-        assert str(parse_subset_label("{a,b}", f)) == "{a,b}"
+        assert subset_literals(f)[subset_index("{a,b}", f)] == "{a,b}"
 
     def test_singleton(self):
-        f = bframe()
-        m = parse_subset_label("{a}", f)
-        assert m.labels() == ("a",) and m.size == 1
+        assert subset_index("{a}", bframe()) == 0
 
     def test_unknown_label(self):
-        with pytest.raises(SubsetParseError, match="unknown label 'c'"):
-            parse_subset_label("{c}", bframe())
+        assert _refused("{c}", bframe()) == "unknown label 'c' for frame 'X' (values: a, b)"
 
     def test_empty_braces(self):
-        with pytest.raises(SubsetParseError, match="empty"):
-            parse_subset_label("{}", bframe())
+        assert _refused("{}", bframe()) == "empty subset literal '{}'"
+        assert _refused(" { } ", bframe()) == "empty subset literal '{ }'"
 
     def test_duplicate_label(self):
-        with pytest.raises(SubsetParseError, match="duplicate"):
-            parse_subset_label("{a,a}", bframe())
+        assert _refused("{a,a}", bframe()) == "duplicate label 'a' in '{a,a}'"
+        assert _refused("{ b , b }", bframe()) == "duplicate label 'b' in '{ b , b }'"
+
+    def test_unbraced(self):
+        for text in ("a", "{a", "a}", "(a,b)"):
+            want = f"subset literal must be brace-delimited, got {text!r}"
+            assert _refused(text, bframe()) == want
 
     def test_canonical_printing_uses_frame_order(self):
         f = Frame("Y", ("b", "a"))
-        assert str(parse_subset_label("{a,b}", f)) == "{b,a}"
+        assert subset_literals(f)[subset_index("{a,b}", f)] == "{b,a}"
+
+    def test_other_spellings_name_the_same_subset(self):
+        f = Frame("Y", ("a", "b", "c"))
+        for text in ("{b,a}", "{ a , b }", " {a,b} ", "{b, a}"):
+            assert subset_index(text, f) == 3
+        assert subset_index("{c,b,a}", f) == 6
 
 
 def test_subset_order_by_size_then_members():
     f = Frame("Y", ("a", "b", "c"))
-    assert [str(s) for s in subsets_of(f)] == [
-        "{a}", "{b}", "{c}", "{a,b}", "{a,c}", "{b,c}", "{a,b,c}"
-    ]
+    assert subset_literals(f) == ("{a}", "{b}", "{c}", "{a,b}", "{a,c}", "{b,c}", "{a,b,c}")
+    # within a size, the bits as a number: the last value weighs most
+    pairs = subset_literals(Frame("Z", ("a", "b", "c", "d")))[4:10]
+    assert pairs == ("{a,b}", "{a,c}", "{b,c}", "{a,d}", "{b,d}", "{c,d}")
+
+
+# frames of 1-4 values, and the 13 values of the sampler's widest CSV test
+REFERENCE_FRAMES = [Frame("X", tuple("abcdefghijklm"[:n])) for n in (1, 2, 3, 4, 13)]
+
+
+@pytest.mark.parametrize("frame", REFERENCE_FRAMES, ids=lambda f: f"{len(f)}-values")
+def test_subset_literals_of_the_reference(frame):
+    """The literals and positions are those of the suite's own enumeration,
+    and every literal parses back to its position."""
+    ref = subsets(frame)
+    assert subset_literals(frame) == tuple(map(str, ref))
+    assert [subset_index(str(s), frame) for s in ref] == list(range(len(ref)))
+    # a spelling with the members reversed and spaced is the same subset
+    spaced = ["{ " + " , ".join(reversed(str(s)[1:-1].split(","))) + " }" for s in ref]
+    assert [subset_index(t, frame) for t in spaced] == list(range(len(ref)))
 
 
 class TestMassToCommonality:
@@ -90,7 +131,7 @@ class TestMassToCommonality:
             child, (parent,), {((mask(parent, "{a,b}"),), mask(child, "{a,b}")): 1.0}
         )
         k = mass_to_commonality(m)
-        for cfg in k.configs():
+        for cfg in configs(k):
             assert table_cell(k, cfg, mask(child, "{a,b}")) == 1.0
             assert table_cell(k, cfg, mask(child, "{a}")) == 0.0
 
@@ -156,7 +197,7 @@ def _apply_roundtrip(t):
     dense = superset_sums(bit_ordered(t), range(len(t.parent_frames)))
     superset_sums(dense, range(len(t.parent_frames)), inverse=True)
     frames = t.parent_frames + (t.child_frame,)
-    bits = [[s.bits for s in subsets_of(f)] for f in frames]
+    bits = [[s.bits for s in subsets(f)] for f in frames]
     return dense[np.ix_(*bits)].reshape(t.values.shape)
 
 
