@@ -18,6 +18,7 @@ from .network import Network, load_network, validate_structure
 from .sampler import generate, write_csv
 from .tables import (
     ValidationReport,
+    cfg_text,
     commonality_to_mass,
     mass_to_commonality,
     validate_table,
@@ -157,7 +158,7 @@ def _emit_network(net: Network, tables: list, to_kind: str, stream: IO[str]) -> 
         header = f"table {name} | {' '.join(net.node(name).parents)} kind={to_kind}"
         print(header.replace("  ", " "), file=stream)
         for cfg, child, v in table.items():
-            left = child if not cfg else f"{child} | {' '.join(cfg)}"
+            left = child if not cfg else f"{child} | {cfg_text(cfg)}"
             print(f"  {left} : {v!r}", file=stream)
         print("end", file=stream)
 
@@ -186,7 +187,8 @@ def _cmd_cpt(args) -> int:
         for cpt in map(cpts.get, net.variables):  # one node expanded at a time
             print(f"# node {cpt.node}", file=stream)
             domains = [*cpt.parent_domains, cpt.child_domain]
-            write_cells(stream, [*cpt.parent_names, cpt.node, "p"], domains, value_rows(cpt))
+            header = [*cpt.parent_names, cpt.node, "p"]
+            write_cells(stream, header, domains, cpt.probs, value_rows(cpt))
     return 0
 
 

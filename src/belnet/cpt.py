@@ -17,9 +17,9 @@ and a last axis over the child domain, in two steps:
 
 Every entry must be nonnegative; otherwise the model admits no such CPT and
 construction fails with the offending row, named by the first value of each
-parent's row.  ``value_rows`` expands a CPT to one row per combination of
-parent values.  ``check_feasibility`` verifies a CPT independently, checking
-the ``@`` identity along every parent axis, slice against slice.
+parent's row.  ``value_rows`` maps each combination of parent values to its
+row.  ``check_feasibility`` verifies a CPT independently, checking the ``@``
+identity along every parent axis, slice against slice.
 """
 
 from __future__ import annotations
@@ -88,12 +88,12 @@ def guard_value_rows(cpt: ExtCPT) -> None:
 
 
 def value_rows(cpt: ExtCPT) -> np.ndarray:
-    """``cpt.probs`` with one row per combination of parent extended values,
+    """The ``cpt.probs`` row of each combination of parent extended values,
     in C order over ``parent_domains``."""
     guard_value_rows(cpt)
     tables = [ext_table(f) for f in cpt.source.parent_frames]
-    tensor = cpt.probs.reshape(tuple(len(t.first) for t in tables) + (-1,))
-    return tensor[np.ix_(*(t.row for t in tables))].reshape(-1, tensor.shape[-1])
+    index = np.arange(len(cpt.probs)).reshape([len(t.first) for t in tables])
+    return index[np.ix_(*(t.row for t in tables))].ravel()
 
 
 def _guard_cells(node: str, cells: int) -> None:

@@ -29,9 +29,6 @@ from .tables import (
     EXACT_TOL,
     REPORT_TOL,
     Frame,
-    _fixed9,
-    _lines,
-    _padded,
     _subset_bits,
     bit_ordered,
     commonality_to_mass,
@@ -96,12 +93,11 @@ class NegativityReport:
             f"total nonempty mass: {total}",
             f"empty-intersection mass: {empty}",
         ]
-        if not self.proper:  # "  ({a},{a,b}) : -0.000000001" per cell
-            texts = [[f"{s}," for s in subset_literals(f)] for f in self.frames]
-            texts[-1] = [t[:-1] + ") : " for t in texts[-1]]
-            cells = [_padded(t)[i] for t, i in zip(texts, self.negatives.T)]
-            text = _lines([_padded(["  ("]), *cells, _fixed9(self.values)], self.values.shape)
-            lines.append(text[:-1])
+        literals = list(map(subset_literals, self.frames))
+        lines += [
+            f"  ({','.join(lits[i] for lits, i in zip(literals, cell))}) : {value:.9f}"
+            for cell, value in zip(self.negatives.tolist(), self.values.tolist())
+        ]
         lines += [f"warning: {w}" for w in self.warnings]
         return "\n".join(lines)
 
@@ -154,4 +150,5 @@ def write_joint_csv(joint: JointMass, stream: IO[str]) -> None:
     literals = list(map(subset_literals, joint.frames))
     orders = [sorted(range(len(lits)), key=lits.__getitem__) for lits in literals]
     axes = [[lits[i] for i in order] for lits, order in zip(literals, orders)]
-    write_cells(stream, [*joint.scope, "mass"], axes, joint.array[np.ix_(*orders)])
+    cells = joint.array[np.ix_(*orders)].reshape(-1, len(axes[-1]))
+    write_cells(stream, [*joint.scope, "mass"], axes, cells, np.arange(len(cells)))

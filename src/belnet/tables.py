@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import IO, Iterable, Iterator
@@ -291,68 +292,28 @@ def csv_cells(values: Iterable) -> list[str]:
 
 
 def cfg_text(cfg: tuple) -> str:
-    """A parent configuration as comma-joined literals, ``()`` when empty."""
-    return ",".join(cfg) if cfg else "()"
+    """A parent configuration in table-row syntax, space-separated; ``()`` if empty."""
+    return " ".join(cfg) if cfg else "()"
 
 
-# The cell writer builds each line as a row of bytes, its pieces padded with
-# _PAD, and writes a block of lines as what is left without the padding.
-_PAD = 0xFF  # never a byte of UTF-8 text
-_WRITE_CELLS = 1 << 14  # cells formatted at a time
+_WRITE_CELLS = 1 << 14  # lines formatted at a time
 
 
-def write_cells(stream: IO[str], header: list[str], axes: list[Iterable], values: np.ndarray):
-    """Write ``header`` as a CSV row, then one line ``x,...,x,v`` per cell of
-    ``values``, a product of ``axes``, in C order: each ``x`` is the CSV cell
-    of an item of ``axes[j]`` and ``v`` is the value as ``%.9f``."""
+def write_cells(stream: IO[str], header: list, axes: list, values: np.ndarray, rows: np.ndarray):
+    """Write ``header`` as a CSV row, then a line ``x,...,x,v`` per ``(i, c)`` in
+    C order: the CSV cells of the i-th combination of ``axes[:-1]`` (C order)
+    and of ``axes[-1][c]``, then ``values[rows[i], c]`` as ``%.9f``.  A block
+    of lines formats each row it reads once."""
     csv.writer(stream, lineterminator="\n").writerow(header)
-    *outer, last = [_padded([t + "," for t in csv_cells(a)]) for a in axes] or [_padded([""])]
-    prefix = np.zeros((1, 0), dtype=np.uint8)
-    for c in outer:
-        prefix = np.hstack([np.repeat(prefix, len(c), axis=0), np.tile(c, (len(prefix), 1))])
-    values = np.reshape(values, (len(prefix), len(last)))
-    step = max(1, _WRITE_CELLS // len(last))
-    for lo in range(0, len(prefix), step):
-        v = values[lo : lo + step]
-        stream.write(_lines([prefix[lo : lo + step, None], last, _fixed9(v)], v.shape))
-
-
-def _lines(pieces: list[np.ndarray], shape: tuple[int, ...]) -> str:
-    """The text of one line per index of ``shape``: the padded byte pieces,
-    each broadcast to ``shape`` plus its own width, side by side, then a newline."""
-    rows = [np.broadcast_to(p, shape + p.shape[-1:]) for p in [*pieces, _padded(["\n"])]]
-    lines = np.concatenate(rows, axis=-1)
-    return lines[lines != _PAD].tobytes().decode()
-
-
-def _padded(texts: list[str], width: int = 0) -> np.ndarray:
-    """Each text's UTF-8 bytes as a row of a uint8 matrix at least ``width``
-    wide, padded with _PAD."""
-    raw = [t.encode() for t in texts]
-    lengths = np.array([len(b) for b in raw], dtype=np.int64)
-    out = np.full((len(raw), max(width, lengths.max(initial=0))), _PAD, dtype=np.uint8)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(raw), dtype=np.uint8)
-    return out
-
-
-def _fixed9(p: np.ndarray) -> np.ndarray:
-    """``f"{x:.9f}"`` of every ``x`` in ``p``, as padded bytes along a new last axis.
-
-    A cell with |x| < 10 is written as its sign and ``rint(|x| * 1e9)``: the
-    product is off by less than 1e-6, so its nearest integer is the correctly
-    rounded one unless it lies within 1e-6 of a half.  Those cells, and larger
-    or non-finite ones, are formatted by Python.
-    """
-    scaled = np.abs(p) * 1e9
-    q = np.rint(scaled)
-    fast = (q < 1e10) & (np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-6)
-    slow = [f"{x:.9f}" for x in p[~fast].tolist()]
-    out = np.full(p.shape + (max([12, *map(len, slow)]),), _PAD, dtype=np.uint8)
-    out[..., 0] = np.where(np.signbit(p), ord("-"), _PAD)
-    out[..., 2] = ord(".")
-    q = np.where(fast, q, 0).astype(np.int64)
-    for at in (11, 10, 9, 8, 7, 6, 5, 4, 3, 1):  # the digits of q, last first
-        out[..., at] = q % 10 + ord("0")
-        q //= 10
-    out[~fast] = _padded(slow, out.shape[-1])
-    return out
+    *outer, items = [[t + "," for t in csv_cells(a)] for a in axes]
+    prefixes = map("".join, itertools.product(*outer))
+    width = len(items)
+    step = max(1, _WRITE_CELLS // width)
+    for lo in range(0, len(rows), step):
+        used, at = np.unique(rows[lo : lo + step], return_inverse=True)
+        cells = values[used].ravel().tolist()
+        figures = (("%.9f\n" * len(cells)) % tuple(cells)).splitlines(keepends=True)
+        texts = list(map(str.__add__, items * len(used), figures))
+        # ``starts`` first: zip stops at the block's end without drawing a prefix past it
+        starts = (at * width).tolist()
+        stream.write("".join(p + p.join(texts[s : s + width]) for s, p in zip(starts, prefixes)))

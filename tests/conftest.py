@@ -197,8 +197,8 @@ def _row_index(domains, cfg) -> int:
 
 def cpt_row(cpt, cfg=()):
     """The row of ``cpt`` given the parent extended values ``cfg``, each a
-    literal or a value that prints as one, read from the per-value view ``value_rows``."""
-    return value_rows(cpt)[_row_index(cpt.parent_domains, tuple(map(str, cfg)))]
+    literal or a value that prints as one, read through the per-value index ``value_rows``."""
+    return cpt.probs[value_rows(cpt)][_row_index(cpt.parent_domains, tuple(map(str, cfg)))]
 
 
 def mass_table(child: Frame, parents: tuple, entries: dict) -> CondTable:

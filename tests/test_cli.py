@@ -149,6 +149,20 @@ def test_network_without_variables_exits_1(capsys, tmp_path, argv):
     assert (code, out, err) == (1, "", "error: no variables\n")
 
 
+# a ternary root under a binary child whose mass table leaves the joint improper
+NEGATIVE_TERNARY = (
+    "var X1 : a b c\nvar X2 : a b\nedge X1 -> X2\n"
+    "table X1 | kind=m\n  {a} : 0.3\n  {b} : 0.2\n  {c} : 0.2\n  {a,b} : 0.1\n"
+    "  {a,c} : 0.1\n  {b,c} : 0.05\n  {a,b,c} : 0.05\nend\n"
+    "table X2 | X1 kind=m\n"
+    "  {a} | {a} : 0.1\n  {b} | {a} : -0.3\n  {a,b} | {a} : 0.2\n"
+    "  {b} | {b} : -0.3\n  {a,b} | {b} : 0.3\n"
+    "  {a} | {c} : 0.2\n  {b} | {c} : -0.2\n"
+    "  {a} | {a,b} : -0.3\n  {a,b} | {a,b} : 0.3\n"
+    "  {a} | {a,b,c} : 0.3\n  {b} | {a,b,c} : 0.3\n  {a,b} | {a,b,c} : 0.4\nend\n"
+)
+
+
 class TestJoint:
     def test_csv_and_report(self, capsys):
         code, out, err = run(capsys, "joint", fixture_path("chain4_negjoint.dsn"))
@@ -173,6 +187,25 @@ class TestJoint:
             "minimum entry: 0.002113889",
             "total nonempty mass: 1.000000000",
             "empty-intersection mass: 0.000000000",
+        ]
+
+    def test_negative_cells_listed_in_subset_bit_order(self, capsys, tmp_path):
+        # X1 = {a,b} (bits 3) is listed before X1 = {c} (bits 4), though {c} comes
+        # first in the joint's axis order
+        net = tmp_path / "neg.dsn"
+        net.write_text(NEGATIVE_TERNARY)
+        code, _, err = run(capsys, "joint", str(net), "-o", str(tmp_path / "joint.csv"))
+        assert code == 0
+        assert err.splitlines() == [
+            "focal elements below -1e-12: 5",
+            "minimum entry: -0.075000000",
+            "total nonempty mass: 1.000000000",
+            "empty-intersection mass: 0.000000000",
+            "  ({a},{b}) : -0.075000000",
+            "  ({b},{a}) : -0.015000000",
+            "  ({b},{b}) : -0.060000000",
+            "  ({a,b},{a}) : -0.015000000",
+            "  ({c},{b}) : -0.020000000",
         ]
 
     def test_output_file(self, capsys, tmp_path):
@@ -238,6 +271,15 @@ class TestCpt:
         assert "{a}@{a,b}" in out
         # 9 decimal digits
         assert "0.216666667" in out
+
+    def test_dump_of_rows_read_across_blocks(self, capsys, tmp_path):
+        # 625 CPT rows of C behind 3,025 value rows: 21,175 cells, more than one block
+        net, dest = tmp_path / "net.dsn", tmp_path / "dump.csv"
+        net.write_text(ternary_collider(2, 0.01))
+        assert run(capsys, "cpt", str(net), "-o", str(dest)) == (0, "", "")
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
+            "c1a4e6101478fea8d50490c94be239790b21798486d9055305fdd462af624c2b"
+        )
 
     def test_structure_violation_blocks_cpt(self, capsys, tmp_path):
         bad = tmp_path / "bad.dsn"
@@ -519,7 +561,7 @@ class TestWideLeaf:
         code, out, err = run(capsys, argv[0], str(net), *argv[1:])
         assert (code, out) == (2, "")
         assert err == (
-            "infeasible: node C: P({a,b,c}|{a}@{a,b},{a}@{a,b}@{a,b,c},{c}@{a,c}@{a,b,c},"
+            "infeasible: node C: P({a,b,c}|{a}@{a,b} {a}@{a,b}@{a,b,c} {c}@{a,c}@{a,b,c} "
             "{a}@{a,b}@{a,b,c}) = -0.00248283 is negative\n"
         )
 

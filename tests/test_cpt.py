@@ -89,7 +89,7 @@ def _plain_row(krow, ktable, n_successors):
 def _negative_row(node, domain, cfg, row) -> str:
     x = domain[int(row.argmin())]
     child = x.own if isinstance(x, Vector) and x.is_plain else x
-    text = ",".join(map(str, cfg)) if cfg else "()"
+    text = " ".join(map(str, cfg)) if cfg else "()"
     return f"node {node}: P({child}|{text}) = {row.min():.6g} is negative"
 
 
@@ -179,7 +179,7 @@ def per_slice_check(cpt):
             for idx in np.ndindex(bad.shape[:-1]):
                 if bad[idx].any():
                     cfgs = [
-                        ",".join(str(d[t.first[c]]) for d, t, c in zip(domains, tables, cfg))
+                        " ".join(str(d[t.first[c]]) for d, t, c in zip(domains, tables, cfg))
                         for cfg in (idx[:axis] + (k,) + idx[axis:] for k in i)
                     ]
                     errors.append(
@@ -223,8 +223,8 @@ class TestSplitRows:
         cpt = _mid_cpt(loose_cond)
         # one row per derivation: {a}o{a,b} and {b}o{a,b} share the row of {a,b}
         assert cpt.probs.shape == (5, 5)
-        assert np.array_equal(value_rows(cpt)[[2, 3, 4]], cpt.probs[[2, 2, 2]])
-        assert np.abs(value_rows(cpt) - MID_EXPECTED).max() <= 1e-9
+        assert np.array_equal(cpt.probs[value_rows(cpt)][[2, 3, 4]], cpt.probs[[2, 2, 2]])
+        assert np.abs(cpt.probs[value_rows(cpt)] - MID_EXPECTED).max() <= 1e-9
 
     def test_leaf_rows_equal_commonality(self, loose_cond):
         k = mass_to_commonality(loose_cond)
@@ -283,7 +283,7 @@ class TestExtensionRows:
         child, parent = bframe("C"), bframe("P")
         vals = np.tile(np.array([0.5, 0.3, 0.2]), (3, 1))
         cpt = build_node_cpt("C", CondTable(child, (parent,), vals, "k"), 0)
-        rows = dict(zip(cpt.parent_domains[0], value_rows(cpt)))
+        rows = dict(zip(cpt.parent_domains[0], cpt.probs[value_rows(cpt)]))
         assert np.array_equal(rows["{a}@{a,b}"], rows["{a}"])
 
     def test_rounding_negatives_clip_to_zero(self):
@@ -445,31 +445,31 @@ class TestFeasibility:
     def test_check_report_on_two_parents(self):
         cpt = build_network_cpts(load("collider3.dsn"))["X3"]
         probs = cpt.probs.copy()
-        # mass moved within rows {a,b},{a}@{a,b}; {b}@{a,b},{a,b}; {a},{b} of 5 x 5,
+        # mass moved within rows {a,b} {a}@{a,b}; {b}@{a,b} {a,b}; {a} {b} of 5 x 5,
         # so every row sum holds
         for r, c, delta in [(13, 0, 1e-3), (13, 1, -1e-3), (22, 2, 0.01), (22, 0, -0.01),
                             (1, 0, 1e-3), (1, 1, -1e-3)]:
             probs[r, c] += delta
         bad = dataclasses.replace(cpt, probs=probs)
         assert check_feasibility(bad).errors == [
-            "node X3: class {a} of row {a},{b} sums to 0.501000000000, table says 0.500000000000",
-            "node X3: class {b} of row {a},{b} sums to 0.399000000000, table says 0.400000000000",
-            "node X3: substitution average of {a}@{a,b},{b} and {a,b},{b} does not reproduce "
-            "{a},{b}",
-            "node X3: substitution average of {a}@{a,b},{a}@{a,b} and {a,b},{a}@{a,b} does not "
-            "reproduce {a},{a}@{a,b}",
-            "node X3: substitution average of {b}@{a,b},{a,b} and {a,b},{a,b} does not "
-            "reproduce {b},{a,b}",
-            "node X3: substitution average of {b}@{a,b},{a}@{a,b} and {a,b},{a}@{a,b} does not "
-            "reproduce {b},{a}@{a,b}",
-            "node X3: substitution average of {a,b},{a}@{a,b} and {a,b},{a,b} does not "
-            "reproduce {a,b},{a}",
-            "node X3: substitution average of {b}@{a,b},{a}@{a,b} and {b}@{a,b},{a,b} does not "
-            "reproduce {b}@{a,b},{a}",
-            "node X3: substitution average of {a},{b}@{a,b} and {a},{a,b} does not reproduce "
-            "{a},{b}",
-            "node X3: substitution average of {b}@{a,b},{b}@{a,b} and {b}@{a,b},{a,b} does not "
-            "reproduce {b}@{a,b},{b}",
+            "node X3: class {a} of row {a} {b} sums to 0.501000000000, table says 0.500000000000",
+            "node X3: class {b} of row {a} {b} sums to 0.399000000000, table says 0.400000000000",
+            "node X3: substitution average of {a}@{a,b} {b} and {a,b} {b} does not reproduce "
+            "{a} {b}",
+            "node X3: substitution average of {a}@{a,b} {a}@{a,b} and {a,b} {a}@{a,b} does not "
+            "reproduce {a} {a}@{a,b}",
+            "node X3: substitution average of {b}@{a,b} {a,b} and {a,b} {a,b} does not "
+            "reproduce {b} {a,b}",
+            "node X3: substitution average of {b}@{a,b} {a}@{a,b} and {a,b} {a}@{a,b} does not "
+            "reproduce {b} {a}@{a,b}",
+            "node X3: substitution average of {a,b} {a}@{a,b} and {a,b} {a,b} does not "
+            "reproduce {a,b} {a}",
+            "node X3: substitution average of {b}@{a,b} {a}@{a,b} and {b}@{a,b} {a,b} does not "
+            "reproduce {b}@{a,b} {a}",
+            "node X3: substitution average of {a} {b}@{a,b} and {a} {a,b} does not reproduce "
+            "{a} {b}",
+            "node X3: substitution average of {b}@{a,b} {b}@{a,b} and {b}@{a,b} {a,b} does not "
+            "reproduce {b}@{a,b} {b}",
         ]
 
 
@@ -495,7 +495,8 @@ class TestAgainstSlices:
                     build_node_cpt(*args)
                 assert str(got.value) == str(err)
             else:
-                assert value_rows(build_node_cpt(*args)).tobytes() == want.tobytes(), name
+                cpt = build_node_cpt(*args)
+                assert cpt.probs[value_rows(cpt)].tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("parents, spread", [(2, 0.1), (3, 0.03)])
     def test_refusal_names_the_per_value_row(self, parents, spread):
@@ -537,7 +538,7 @@ class TestAgainstRecursion:
         net = load(fixture)
         for name, cpt in build_network_cpts(net).items():
             want = recursive_probs(name, cpt.source, len(net.node(name).successors))
-            assert value_rows(cpt).tobytes() == want.tobytes(), name
+            assert cpt.probs[value_rows(cpt)].tobytes() == want.tobytes(), name
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -572,8 +573,9 @@ class TestAgainstRecursion:
         else:
             assert got is None, got
             for name, probs in want.items():
-                assert value_rows(cpts[name]).tobytes() == probs.tobytes(), name
-                report = check_feasibility(cpts[name])
+                cpt = cpts[name]
+                assert cpt.probs[value_rows(cpt)].tobytes() == probs.tobytes(), name
+                report = check_feasibility(cpt)
                 assert report.ok, report
 
 

@@ -85,3 +85,17 @@ def test_readme_library_names_only_exports():
     block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     names = set(re.findall(r"\bbn\.(\w+)", block))
     assert names and sorted(names - set(belnet.__all__)) == []
+
+
+def test_no_module_borrows_a_private_name():
+    # tables._subset_bits is shared on purpose: it owns the canonical subset order
+    borrowed = []
+    for path in sorted(ROOT.glob("src/belnet/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or str(node.module).split(".")[0] == "belnet"
+            ):
+                module = str(node.module).removeprefix("belnet.")
+                names = (f"{module}.{a.name}" for a in node.names if a.name.startswith("_"))
+                borrowed += [f"{path.name}: {n}" for n in names if n != "tables._subset_bits"]
+    assert not borrowed

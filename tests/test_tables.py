@@ -1,5 +1,10 @@
 """Subset literals and parsing, conditional tables, and the mass <-> commonality transforms."""
 
+import csv
+import io
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +17,13 @@ from belnet import (
     SubsetParseError,
     commonality_to_mass,
     mass_to_commonality,
+    parse_network,
     subset_index,
     subset_literals,
     validate_table,
 )
 from belnet import tables
-from belnet.tables import bit_ordered, superset_sums
+from belnet.tables import bit_ordered, superset_sums, write_cells
 
 from conftest import (
     LOOSE_ROWS,
@@ -280,7 +286,21 @@ class TestValidateTable:
         vals = np.tile([1.0, 0.0, 0.0], (21, 1))
         vals[13] = [0.5, 0.0, 0.0]  # P = {a,c} (index 4 of 7), Q = {b} (index 1 of 3)
         report = validate_table(CondTable(child, (p, q), vals, "k"))
-        assert report.errors == ["C: row {a,c},{b} sums to 0.500000000, expected 1"]
+        assert report.errors == ["C: row {a,c} {b} sums to 0.500000000, expected 1"]
+
+    def test_faulty_row_configuration_parses_back_to_its_row(self):
+        child, p, q = bframe("C"), Frame("P", ("a", "b", "c")), bframe("Q")
+        vals = np.tile([1.0, 0.0, 0.0], (21, 1))
+        vals[13] = [0.5, 0.0, 0.0]
+        (error,) = validate_table(CondTable(child, (p, q), vals, "k")).errors
+        cfg = re.fullmatch(r"C: row (.*) sums to 0\.500000000, expected 1", error).group(1)
+        text = (
+            "var P : a b c\nvar Q : a b\nvar C : a b\nedge P -> C\nedge Q -> C\n"
+            "table P | kind=k\n  {a,b,c} : 1\nend\ntable Q | kind=k\n  {a,b} : 1\nend\n"
+            f"table C | P Q kind=k\n  {{a}} | {cfg} : 0.5\nend\n"
+        )
+        table = parse_network(text).node("C").table
+        assert np.array_equal(np.argwhere(table.values), [[13, 0]])
 
     def test_mass_convention_report_text(self):
         rows = dict(LOOSE_ROWS)
@@ -330,5 +350,30 @@ def test_cells_formatted_as_by_python():
         (np.arange(100_000) + 0.5) / 1e9,  # near ties once scaled
         edges,
     ])
-    got = [bytes(c[c != tables._PAD]) for c in tables._fixed9(cells)]
+    stream = io.StringIO()
+    rows = np.arange(len(cells))
+    write_cells(stream, ["i", "x"], [rows, ["x"]], cells[:, None], rows)
+    got = [line.rsplit(",", 1)[1].encode() for line in stream.getvalue().splitlines()[1:]]
     assert got == [f"{x:.9f}".encode() for x in cells.tolist()]
+
+
+def test_cells_written_on_awkward_text(monkeypatch):
+    # two rows a block, rows read again within and across blocks
+    monkeypatch.setattr(tables, "_WRITE_CELLS", 7)
+    header = ["P", "Q", "C", "p"]
+    axes = [["50%", 'say "hi"'], ["a,b", "é", "%s%%"], ["ß,%d", '"', "x"]]
+    values = np.array([
+        [-0.0, np.nan, np.inf],
+        [-np.inf, 1e20, 1 / 1024],  # 0.0009765625: a tie at nine decimals
+        [3 / 1024, 5e-10, 2.5],
+    ])
+    rows = np.array([2, 0, 2, 1, 1, 0])
+    stream = io.StringIO()
+    write_cells(stream, header, axes, values, rows)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    for i, cfg in enumerate(itertools.product(*axes[:-1])):
+        for c, item in enumerate(axes[-1]):
+            writer.writerow([*cfg, item, f"{values[rows[i], c]:.9f}"])
+    assert stream.getvalue() == want.getvalue()
