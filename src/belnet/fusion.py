@@ -93,10 +93,10 @@ class NegativityReport:
             f"total nonempty mass: {total}",
             f"empty-intersection mass: {empty}",
         ]
-        literals = list(map(subset_literals, self.frames))
+        axes = zip(self.frames, self.negatives.T.tolist())
+        cells = zip(*(map(subset_literals(f).__getitem__, col) for f, col in axes))
         lines += [
-            f"  ({','.join(lits[i] for lits, i in zip(literals, cell))}) : {value:.9f}"
-            for cell, value in zip(self.negatives.tolist(), self.values.tolist())
+            f"  ({','.join(cell)}) : {value:.9f}" for cell, value in zip(cells, self.values.tolist())
         ]
         lines += [f"warning: {w}" for w in self.warnings]
         return "\n".join(lines)
