@@ -172,22 +172,15 @@ def build_node_cpt(node: str, ktable: CondTable, n_successors: int) -> ExtCPT:
     _clip_checked(node, plain, child, where)
     probs = np.empty(shape)
     probs[tuple(map(slice, plain_dims))] = plain
-    # rows whose first derived coordinate is on this axis, last axis first
+    # rows whose first derived coordinate is on this axis, last axis first, in row order:
+    # a superset row always comes before its row, so it is derived by then
     for axis, table in reversed(list(enumerate(tables))):
         head = tuple(map(slice, plain_dims[:axis]))
         own, sup = table.own[table.first], table.row[table.sup[table.first]]
-        for lo, hi in _blocks(sup, plain_dims[axis]):
-            rows = probs[head + (own[lo:hi],)]
-            rows *= 2.0
-            rows -= probs[head + (sup[lo:hi],)]
-            # the derived rows in order, each slice in row order
-            _clip_checked(
-                node,
-                np.moveaxis(rows, axis, 0),
-                child,
-                lambda idx: where(idx[1 : axis + 1] + (lo + idx[0],) + idx[axis + 1 :]),
-            )
-            probs[head + (slice(lo, hi),)] = rows
+        for r in range(plain_dims[axis], len(sup)):
+            row = 2.0 * probs[head + (own[r],)] - probs[head + (sup[r],)]
+            _clip_checked(node, row, child, lambda idx: where(idx[:axis] + (r,) + idx[axis:]))
+            probs[head + (r,)] = row
     probs = probs.reshape(-1, shape[-1])
     probs.setflags(write=False)
     return ExtCPT(
@@ -197,18 +190,6 @@ def build_node_cpt(node: str, ktable: CondTable, n_successors: int) -> ExtCPT:
         source=ktable,
         n_successors=n_successors,
     )
-
-
-def _blocks(sup: np.ndarray, start: int):
-    """Runs ``[lo, hi)`` of the derived rows, from ``start`` on, whose
-    superset rows all lie before the run, so can be derived together."""
-    lo = start
-    for j in range(start, len(sup)):
-        if sup[j] >= lo:
-            yield lo, j
-            lo = j
-    if lo < len(sup):
-        yield lo, len(sup)
 
 
 def build_network_cpts(net: Network) -> dict[str, ExtCPT]:

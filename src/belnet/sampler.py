@@ -53,18 +53,19 @@ def row_offsets(net: Network, cpts: dict[str, ExtCPT], name: str) -> list[tuple[
 
 
 class _NodeDraw:
-    """One node's drawing tables: the cumulative CPT rows, the last positive cell
-    of each row, a guide of ``k`` buckets per row, and per parent, its record
-    column and its ``row_offsets`` pre-multiplied by ``k``."""
+    """One node's drawing tables: the cumulative CPT rows, holding 2 from each
+    row's last positive cell on, a guide of ``k`` buckets per row, and per
+    parent, its record column and its ``row_offsets`` pre-multiplied by ``k``."""
 
     def __init__(self, probs: np.ndarray, parents: list[tuple[int, np.ndarray]]):
-        # rows of nonnegative cells, so every CDF row is nondecreasing
+        # nonnegative cells, so every CDF row is nondecreasing; no variate (< 1) reaches a 2
         self.cdf = np.cumsum(probs, axis=1)
-        self.top = np.where(probs > 0.0, np.arange(probs.shape[1]), -1).max(axis=1)
+        last = np.where(probs > 0.0, np.arange(probs.shape[1]), -1).max(axis=1)
+        self.cdf[np.arange(probs.shape[1]) >= last[:, None]] = 2.0
         self.k = 1 << max(4, (8 * probs.shape[1] - 1).bit_length())
         while self.k > 1 and probs.shape[0] * self.k > _GUIDE_CELLS:
             self.k >>= 1
-        self.guide = _guide(self.cdf, self.top, self.k)
+        self.guide = _guide(self.cdf, self.k)
         self.parents = [(col, offsets * self.k) for col, offsets in parents]
 
     def draw(self, records: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -76,15 +77,15 @@ class _NodeDraw:
         out = self.guide[cell]
         miss = np.flatnonzero(out < 0)
         if len(miss):
-            out[miss] = _draw_cells(self.cdf, self.top, cell[miss] // self.k, u[miss])
+            out[miss] = _draw_cells(self.cdf, cell[miss] // self.k, u[miss])
         return out
 
 
-def _guide(cdf: np.ndarray, top: np.ndarray, k: int) -> np.ndarray:
-    """Per row r and bucket b, flattened: ``min(#{c : cdf[r, c] <= u}, top[r])``,
-    the same for every u in ``[b/k, (b+1)/k)``, or -1 where a CDF entry lies
-    inside the bucket.  ``k`` is a power of two, so ``cdf * k`` and ``u * k``
-    are exact, and the cells <= u are those with ``ceil(cdf * k) <= b``."""
+def _guide(cdf: np.ndarray, k: int) -> np.ndarray:
+    """Per row r and bucket b, flattened: ``#{c : cdf[r, c] <= u}``, the same for
+    every u in ``[b/k, (b+1)/k)``, or -1 where a CDF entry lies inside the
+    bucket.  ``k`` is a power of two, so ``cdf * k`` and ``u * k`` are exact,
+    and the cells <= u are those with ``ceil(cdf * k) <= b``."""
     scaled = cdf * k
     ceil = np.ceil(scaled)
     guide = np.zeros(cdf.shape[:1] + (k,), dtype=np.min_scalar_type(-cdf.shape[1] - 1))
@@ -93,14 +94,13 @@ def _guide(cdf: np.ndarray, top: np.ndarray, k: int) -> np.ndarray:
     r, c = np.nonzero(last & (ceil < k))
     guide[r, ceil[r, c].astype(np.intp)] = c + 1
     np.maximum.accumulate(guide, axis=1, out=guide)
-    np.minimum(guide, top[:, None].astype(guide.dtype), out=guide)
     r, c = np.nonzero((scaled != ceil) & (scaled < k))
     guide[r, scaled[r, c].astype(np.intp)] = -1
     return guide.ravel()
 
 
-def _draw_cells(cdf: np.ndarray, top: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``min(#{c : cdf[r, c] <= u}, top[r])`` with ``r = rows[i]``, for every i.
+def _draw_cells(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``#{c : cdf[r, c] <= u}`` with ``r = rows[i]``, for every i.
 
     The count is a binary search of each record's own nondecreasing CDF row,
     vectorized over records, so memory is a few arrays of ``len(u)`` whatever
@@ -115,7 +115,7 @@ def _draw_cells(cdf: np.ndarray, top: np.ndarray, rows: np.ndarray, u: np.ndarra
         cand = np.minimum(count + step, d)
         count = np.where(flat[last + cand] <= u, cand, count)
         step >>= 1
-    return np.minimum(count, top[rows], out=count)
+    return count
 
 
 class Sample:
@@ -152,10 +152,10 @@ class Sample:
     def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """The codes of ``size`` records; their variates are freed before the caller yields."""
         codes = np.empty((size, len(self._nodes)), dtype=self._dtype, order="F")
-        # one variate per record per node, in topological order; a row per node
-        u = rng.random((size, len(self._nodes))).T.copy()
+        # one variate per record per node, in topological order; a column per node
+        u = rng.random((size, len(self._nodes)))
         for t, (col, node) in enumerate(self._nodes):
-            codes[:, col] = node.draw(codes, u[t])
+            codes[:, col] = node.draw(codes, u[:, t])
         return codes
 
     def collapsed_counts(self) -> np.ndarray:

@@ -16,7 +16,7 @@ from .cpt import ExtCPT, build_network_cpts
 from .errors import SizeGuardError
 from .fusion import JointMass
 from .network import Network
-from .sampler import MAX_STATES, Sample, guard_states, row_offsets
+from . import sampler
 from .tables import subset_literals
 
 
@@ -36,17 +36,17 @@ def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -
         cpts = build_network_cpts(net)
     frames = tuple(map(net.frame, net.variables))
     sizes = [(1 << len(f)) - 1 for f in frames]
-    guard_states(sizes)
+    sampler.guard_states(sizes)
     axis = {name: j for j, name in enumerate(net.variables)}
     n, operands = len(axis), []
     for name, j in axis.items():
-        parents = row_offsets(net, cpts, name)
+        parents = sampler.row_offsets(net, cpts, name)
         width = cpts[name].probs.shape[1]
         # the larger operand: the gathered CPT (parents x own) or the collapse matrix (own x subsets)
         size = max(math.prod(len(o) for _, o in parents), sizes[j]) * width
-        if size > MAX_STATES:
+        if size > (limit := sampler.MAX_STATES):
             raise SizeGuardError(
-                f"collapsed joint needs an operand of {size} cells at {name} (limit {MAX_STATES})"
+                f"collapsed joint needs an operand of {size} cells at {name} (limit {limit})"
             )
         # the CPT row of every combination of parent values, one axis per parent
         rows = sum(np.ix_(*(offsets for _, offsets in parents)), np.int64(0))
@@ -86,7 +86,7 @@ class ComparisonReport:
 
 
 def compare_empirical(
-    sample: Sample | np.ndarray,
+    sample: sampler.Sample | np.ndarray,
     exact: JointMass,
     linf_threshold: float | None = None,
 ) -> ComparisonReport:
@@ -98,7 +98,7 @@ def compare_empirical(
     verdict keys on the L-infinity distance.  Impossible cells, observed
     outside the support, are listed in array order.
     """
-    if isinstance(sample, Sample):
+    if isinstance(sample, sampler.Sample):
         if tuple(sample.variables) != exact.scope:
             raise ValueError(
                 f"sample variables {sample.variables} do not match exact scope {exact.scope}"

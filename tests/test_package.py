@@ -87,15 +87,29 @@ def test_readme_library_names_only_exports():
     assert names and sorted(names - set(belnet.__all__)) == []
 
 
-def test_no_module_borrows_a_private_name():
-    # tables._subset_bits is shared on purpose: it owns the canonical subset order
-    borrowed = []
+def _package_imports():
+    """Per name a module under src/belnet imports from a belnet module: the
+    importing file, the module and the name."""
     for path in sorted(ROOT.glob("src/belnet/*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (
                 node.level or str(node.module).split(".")[0] == "belnet"
             ):
                 module = str(node.module).removeprefix("belnet.")
-                names = (f"{module}.{a.name}" for a in node.names if a.name.startswith("_"))
-                borrowed += [f"{path.name}: {n}" for n in names if n != "tables._subset_bits"]
+                yield from ((path.name, module, a.name) for a in node.names)
+
+
+def test_no_module_borrows_a_private_name():
+    # tables._subset_bits is shared on purpose: it owns the canonical subset order
+    borrowed = [
+        f"{path}: {module}.{name}"
+        for path, module, name in _package_imports()
+        if name.startswith("_") and f"{module}.{name}" != "tables._subset_bits"
+    ]
     assert not borrowed
+
+
+def test_no_module_copies_another_modules_limit():
+    # a limit imported by name is a copy, which patching the owner's binding misses
+    copied = [f"{path}: {name}" for path, _, name in _package_imports() if name.startswith("MAX_")]
+    assert not copied

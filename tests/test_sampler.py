@@ -94,10 +94,10 @@ def collapse(record):
     return tuple(v if isinstance(v, Subset) else v.own for v in record)
 
 
-def _reference_draw(probs, cdf, r, u):
-    """The draw rule, one record at a time: the number of CDF cells <= u,
-    clamped to the last cell with positive probability."""
-    count = sum(1 for x in cdf[r] if x <= u)
+def _reference_draw(probs, r, u):
+    """The draw rule, one record at a time: the number of cells of row r's own
+    CDF <= u, clamped to the last cell with positive probability."""
+    count = sum(1 for x in np.cumsum(probs[r]) if x <= u)
     return min(count, max(c for c, p in enumerate(probs[r]) if p > 0.0))
 
 
@@ -107,10 +107,10 @@ _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 @st.composite
 def _cpt_rows(draw, max_width=12):
     """Random CPT rows and records, in the cases the guide table must get
-    right: runs of zero cells at either end (the ``top`` clip), rows of dyadic
-    cells whose CDF entries sit exactly on bucket edges, rows summing to
-    1 +- 1e-12 or short of one, and variates on CDF entries, just below them,
-    on bucket edges and just below one."""
+    right: runs of zero cells at either end, rows of dyadic cells whose CDF
+    entries sit exactly on bucket edges, rows summing to 1 +- 1e-12 or short
+    of one, and variates on CDF entries, just below them, on bucket edges and
+    just below one."""
     width = draw(st.integers(1, max_width))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = []
@@ -159,28 +159,25 @@ class TestDrawRule:
     @settings(max_examples=200, deadline=None)
     def test_matches_reference(self, case):
         probs, rows, u = case
-        cdf = np.cumsum(probs, axis=1)
-        top = np.where(probs > 0.0, np.arange(probs.shape[1]), -1).max(axis=1)
-        got = sampler_mod._draw_cells(cdf, top, rows, u)
-        want = [_reference_draw(probs, cdf, r, x) for r, x in zip(rows, u)]
+        got = sampler_mod._draw_cells(_node_draw(probs).cdf, rows, u)
+        want = [_reference_draw(probs, r, x) for r, x in zip(rows, u)]
         assert got.tolist() == want
 
     @given(_cpt_rows(max_width=300))
     @settings(max_examples=200, deadline=None)
     def test_guide_and_fallback_match_reference(self, case):
         probs, rows, u = case
-        node = _node_draw(probs)
-        got = node.draw(rows[:, None], u)
-        want = [_reference_draw(probs, node.cdf, r, x) for r, x in zip(rows, u)]
+        got = _node_draw(probs).draw(rows[:, None], u)
+        want = [_reference_draw(probs, r, x) for r, x in zip(rows, u)]
         assert got.tolist() == want
 
     def _counted_fallback(self, monkeypatch):
         calls = []
         exact = sampler_mod._draw_cells
 
-        def counted(cdf, top, rows, u):
+        def counted(cdf, rows, u):
             calls.append(len(u))
-            return exact(cdf, top, rows, u)
+            return exact(cdf, rows, u)
 
         monkeypatch.setattr(sampler_mod, "_draw_cells", counted)
         return calls
@@ -202,7 +199,7 @@ class TestDrawRule:
         u = np.array([0.0, 0.25, float(np.nextafter(0.25, 0.0)), 0.5, 0.875, _BELOW_ONE] * 2)
         rows = np.repeat([0, 1], 6)
         got = node.draw(rows[:, None], u)
-        assert got.tolist() == [_reference_draw(probs, node.cdf, r, x) for r, x in zip(rows, u)]
+        assert got.tolist() == [_reference_draw(probs, r, x) for r, x in zip(rows, u)]
         assert calls == []
 
     def test_cell_budget_shrinks_buckets(self, monkeypatch):
@@ -213,7 +210,7 @@ class TestDrawRule:
         u = np.array([0.0, 0.3, 0.5, 0.7, _BELOW_ONE])
         rows = np.array([0, 0, 1, 1, 1])
         got = node.draw(rows[:, None], u)
-        assert got.tolist() == [_reference_draw(probs, node.cdf, r, x) for r, x in zip(rows, u)]
+        assert got.tolist() == [_reference_draw(probs, r, x) for r, x in zip(rows, u)]
 
 
 class TestRecords:

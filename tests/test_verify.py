@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import belnet.sampler as sampler_mod
-import belnet.verify as verify_mod
 from belnet import (
     Frame,
     InfeasibleModelError,
@@ -207,16 +206,16 @@ class TestContraction:
     def test_guard_bounds_every_operand(self, monkeypatch):
         # collider3's 27-cell answer needs X3's 5 x 5 x 3 factor
         net = load("collider3.dsn")
-        monkeypatch.setattr(verify_mod, "MAX_STATES", 75)
+        monkeypatch.setattr(sampler_mod, "MAX_STATES", 75)
         assert exact_collapsed_joint(net).array.size == 27
-        monkeypatch.setattr(verify_mod, "MAX_STATES", 74)
+        monkeypatch.setattr(sampler_mod, "MAX_STATES", 74)
         with pytest.raises(SizeGuardError, match="operand of 75 cells at X3 "):
             exact_collapsed_joint(net)
         # CHAIN2's 9-cell answer needs X1's collapse matrix: 5 extended values by 3 subsets
         net = parse_network(CHAIN2)
-        monkeypatch.setattr(verify_mod, "MAX_STATES", 15)
+        monkeypatch.setattr(sampler_mod, "MAX_STATES", 15)
         assert exact_collapsed_joint(net).array.size == 9
-        monkeypatch.setattr(verify_mod, "MAX_STATES", 14)
+        monkeypatch.setattr(sampler_mod, "MAX_STATES", 14)
         with pytest.raises(SizeGuardError, match="operand of 15 cells at X1 "):
             exact_collapsed_joint(net)
 
