@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleModelError, SizeGuardError, StructureError
+from .errors import InfeasibleModelError, StructureError, guard_cells
 from .extvals import ext_table, value_literals, vector_literals, vector_table
 from .network import Network, topological_order, validate_structure
 from .tables import (
@@ -45,8 +45,6 @@ from .tables import (
     mass_to_commonality,
     subset_literals,
 )
-
-MAX_CPT_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ class ExtCPT:
 
 
 def guard_value_rows(cpt: ExtCPT) -> None:
-    """Refuse a CPT whose ``value_rows`` would exceed MAX_CPT_CELLS, sized
+    """Refuse a CPT whose ``value_rows`` would exceed the cell budget, sized
     from its domains alone."""
     values = math.prod(len(ext_table(f).row) for f in cpt.source.parent_frames)
     _guard_cells(cpt.node, values * cpt.probs.shape[1])
@@ -97,10 +95,7 @@ def value_rows(cpt: ExtCPT) -> np.ndarray:
 
 
 def _guard_cells(node: str, cells: int) -> None:
-    if cells > MAX_CPT_CELLS:
-        raise SizeGuardError(
-            f"node {node}: extended CPT would hold {cells} cells (limit {MAX_CPT_CELLS})"
-        )
+    guard_cells(cells, f"node {node}: extended CPT would hold {cells} cells")
 
 
 def _row_names(frames):

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one cell budget: every dense
+array (a CPT, the dump's expansion, a collapsed joint or operand, the combination
+array) holds at most ``MAX_CELLS`` cells, checked by ``guard_cells`` at call time."""
+
+MAX_CELLS = 10_000_000
 
 
 class BelnetError(Exception):
@@ -37,3 +41,10 @@ class InfeasibleModelError(BelnetError):
 
 class SizeGuardError(BelnetError):
     """A computation was refused because it exceeds the desk-scale guards."""
+
+
+def guard_cells(cells: int, message: str) -> int:
+    """``cells``; SizeGuardError with ``message`` and the limit past MAX_CELLS."""
+    if cells > MAX_CELLS:
+        raise SizeGuardError(f"{message} (limit {MAX_CELLS})")
+    return cells

@@ -23,7 +23,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import SizeGuardError
+from .errors import guard_cells
 from .network import Network, topological_order
 from .tables import (
     EXACT_TOL,
@@ -36,8 +36,6 @@ from .tables import (
     superset_sums,
     write_cells,
 )
-
-MAX_CELLS = 1 << 23  # entries of the dense array, one axis of 2^|frame| per variable
 
 
 @dataclass(eq=False)
@@ -107,8 +105,7 @@ def network_joint(net: Network) -> tuple[JointMass, NegativityReport]:
     names = list(net.variables)
     frames = tuple(net.frame(n) for n in names)
     cells = math.prod(1 << len(f) for f in frames)
-    if cells > MAX_CELLS:
-        raise SizeGuardError(f"joint array would hold {cells} cells (limit {MAX_CELLS})")
+    guard_cells(cells, f"joint array would hold {cells} cells")
     commonality = np.ones([1 << len(f) for f in frames])
     for name in topological_order(net):
         table = net.node(name).table

@@ -16,24 +16,22 @@ from typing import IO, Iterator
 import numpy as np
 
 from .cpt import ExtCPT, build_network_cpts
-from .errors import SizeGuardError
+from .errors import guard_cells
 from .tables import csv_cells, subset_literals
 from .extvals import ext_table, vector_table
 from .network import Network, edge_index, topological_order
 
 _CHUNK = 1 << 18
 _GUIDE_CELLS = 1 << 21  # guide entries per node, at most
-MAX_STATES = 10_000_000  # cells of a dense joint or count array, at most
 # collapsed classes of a run of CSV columns, at most: a run's class texts are formatted
 # up front, and this caps that work while one run still covers each benchmark network
 _CSV_CLASSES = 1 << 12
 
 
 def guard_states(shape) -> int:
-    """The cells of a collapsed array of ``shape``; SizeGuardError past MAX_STATES."""
-    if (size := math.prod(shape)) > MAX_STATES:
-        raise SizeGuardError(f"collapsed state space holds {size} states (limit {MAX_STATES})")
-    return size
+    """The cells of a collapsed array of ``shape``; SizeGuardError past the cell budget."""
+    size = math.prod(shape)
+    return guard_cells(size, f"collapsed state space holds {size} states")
 
 
 def row_offsets(net: Network, cpts: dict[str, ExtCPT], name: str) -> list[tuple[str, np.ndarray]]:

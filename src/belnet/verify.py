@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpt import ExtCPT, build_network_cpts
-from .errors import SizeGuardError
+from .errors import guard_cells
 from .fusion import JointMass
 from .network import Network
 from . import sampler
@@ -44,10 +44,7 @@ def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -
         width = cpts[name].probs.shape[1]
         # the larger operand: the gathered CPT (parents x own) or the collapse matrix (own x subsets)
         size = max(math.prod(len(o) for _, o in parents), sizes[j]) * width
-        if size > (limit := sampler.MAX_STATES):
-            raise SizeGuardError(
-                f"collapsed joint needs an operand of {size} cells at {name} (limit {limit})"
-            )
+        guard_cells(size, f"collapsed joint needs an operand of {size} cells at {name}")
         # the CPT row of every combination of parent values, one axis per parent
         rows = sum(np.ix_(*(offsets for _, offsets in parents)), np.int64(0))
         operands += [cpts[name].probs[rows], [axis[p] for p, _ in parents] + [j]]

@@ -499,7 +499,7 @@ NEGATIVE_SECOND_TABLE = (
     "table X1 | kind=m\n  {a} : 0.5\n  {b} : 0.5\nend\n"
     "table X2 | X1 kind=m\n  {a} | {a,b} : 1.2\n  {b} | {a,b} : -0.2\nend\n"
 )
-# six 4-value variables: a combination joint of 16^6 cells, beyond MAX_CELLS = 2^23
+# six 4-value variables: a combination joint of 16^6 cells, beyond MAX_CELLS = 1e7
 SIX_QUATERNARY = "".join(f"var X{i} : a b c d\n" for i in range(1, 7)) + "".join(
     f"table X{i} | kind=m\n  {{a,b,c,d}} : 1\nend\n" for i in range(1, 7)
 )

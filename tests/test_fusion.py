@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import belnet.fusion as fusion_mod
+import belnet.errors as errors_mod
 from belnet import (
     Frame,
     SizeGuardError,
@@ -223,9 +223,9 @@ class TestNetworkJoint:
         with pytest.raises(SizeGuardError, match="16777216 cells"):
             network_joint(parse_network("\n".join(lines)))
         net = load("chain4_negjoint.dsn")  # 4^4 = 256 cells, 81 focal elements
-        monkeypatch.setattr(fusion_mod, "MAX_CELLS", 256)
+        monkeypatch.setattr(errors_mod, "MAX_CELLS", 256)
         assert network_joint(net)[0].array.size == 81
-        monkeypatch.setattr(fusion_mod, "MAX_CELLS", 255)
+        monkeypatch.setattr(errors_mod, "MAX_CELLS", 255)
         with pytest.raises(SizeGuardError, match="256 cells"):
             network_joint(net)
 

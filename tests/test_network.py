@@ -1,5 +1,6 @@
 """Network file parsing, structural checks, topological order, edge indexing."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +147,47 @@ class TestParse:
         )
         net = parse_network(text)
         assert net.name == "demo" and net.variables == ("X1",)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (
+                "var X1 : a b\ntable X1 | kind=m\n  {a} : 1\n",
+                2,
+                "table 'X1' not closed with 'end'",
+            ),
+            ("var X1 a b\n", 1, "var line needs ': value value ...'"),
+            ("var : a b\n", 1, "missing variable name"),
+            ("var X1 : a b\nvar X1 : a b\n", 2, "duplicate variable 'X1'"),
+            ("var X1 : a a\n", 1, "frame 'X1' has duplicate value labels"),
+            ("var X1 : a b\nvar X2 : a b\nedge X1 X2\n", 3, "edge line needs 'A -> B'"),
+            ("var X1 : a b\ntable X1 |\n", 2, "table header needs kind=m or kind=k"),
+            ("var X1 : a b\ntable X1 | kind=q\n", 2, "kind must be 'm' or 'k', got 'q'"),
+            ("var X1 : a b\ntable | kind=m\n", 2, "missing table variable"),
+            ("var X1 : a b\ntable Y | kind=m\n", 2, "undeclared variable 'Y'"),
+            ("var X1 : a b\ntable X1 | Y kind=m\n", 2, "undeclared variable 'Y'"),
+            ("var X1 : a b\ntable X1 | kind=m\n  {a,b} 1\n", 3, "table row needs ': value'"),
+        ],
+        ids=[
+            "unclosed-table", "var-no-colon", "var-no-name", "duplicate-var", "duplicate-label",
+            "edge-no-arrow", "header-no-kind", "header-bad-kind", "header-no-child",
+            "undeclared-child", "undeclared-parent", "row-no-colon",
+        ],
+    )
+    def test_refusal_message_and_line(self, text, line, message):
+        with pytest.raises(NetworkParseError) as got:
+            parse_network(text)
+        assert str(got.value) == f"line {line}: {message}" and got.value.line == line
+
+    def test_root_header_without_bar(self):
+        # `table X1 kind=m` is read as `table X1 | kind=m`
+        rows = "  {a} : 0.25\n  {a,b} : 0.75\nend\n"
+        bare, barred = (
+            parse_network(f"var X1 : a b\ntable X1 {sep}kind=m\n{rows}").node("X1").table
+            for sep in ("", "| ")
+        )
+        assert bare.kind == barred.kind == "m" and bare.parent_frames == barred.parent_frames == ()
+        assert np.array_equal(bare.values, barred.values)
 
 
 class TestStructure:

@@ -7,7 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import belnet
+import belnet.errors as errors_mod
+from belnet.cpt import guard_value_rows
 
 ROOT = Path(__file__).parents[1]
 
@@ -113,3 +117,26 @@ def test_no_module_copies_another_modules_limit():
     # a limit imported by name is a copy, which patching the owner's binding misses
     copied = [f"{path}: {name}" for path, _, name in _package_imports() if name.startswith("MAX_")]
     assert not copied
+
+
+def test_only_the_budget_owner_refuses_a_size():
+    # every cell guard goes through errors.guard_cells; extvals bounds its layout
+    # tables by a frame size and a successor count, not by cells
+    raising = {
+        path.name
+        for path in ROOT.glob("src/belnet/*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SizeGuardError"
+    }
+    assert raising == {"errors.py", "extvals.py"}
+
+
+def test_refusal_prints_a_braced_name_verbatim(monkeypatch):
+    # the parser accepts braces in a name, so a message is never a format template
+    net = belnet.parse_network("var C{1} : a b\ntable C{1} | kind=m\n  {a,b} : 1\nend\n")
+    cpt = belnet.build_network_cpts(net)["C{1}"]
+    monkeypatch.setattr(errors_mod, "MAX_CELLS", 2)
+    with pytest.raises(belnet.SizeGuardError) as refused:
+        guard_value_rows(cpt)
+    assert str(refused.value) == "node C{1}: extended CPT would hold 3 cells (limit 2)"

@@ -337,6 +337,32 @@ def test_table_kind_is_m_or_k_and_each_transform_takes_the_other():
         CondTable(k.child_frame, k.parent_frames, k.values, "x")
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Frame("X", ()), "frame 'X' needs at least one value"),
+        (lambda: Frame("X", ("a", "a")), "frame 'X' has duplicate value labels"),
+        (
+            lambda: CondTable(bframe("X"), (), np.zeros((2, 3)), "m"),
+            "table shape (2, 3) != expected (1, 3)",
+        ),
+        (
+            lambda: CondTable(bframe("X"), (), np.full((1, 3), np.nan), "m"),
+            "table contains non-finite values",
+        ),
+        (
+            lambda: superset_sums(np.zeros((2, 4)).T, [0]),
+            "superset sums work in place on a C-contiguous array",
+        ),
+    ],
+    ids=["empty-frame", "duplicate-label", "table-shape", "table-nan", "not-c-contiguous"],
+)
+def test_input_refusals(build, message):
+    with pytest.raises(ValueError) as got:
+        build()
+    assert str(got.value) == message
+
+
 def test_cells_formatted_as_by_python():
     rng = np.random.default_rng(9)
     edges = [0.0, -0.0, 1.0, 0.5, 1e-10, 5e-10, 4.9999999999e-10, 0.9999999995,

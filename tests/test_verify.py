@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import belnet.sampler as sampler_mod
+import belnet.errors as errors_mod
 from belnet import (
     Frame,
     InfeasibleModelError,
@@ -204,20 +204,23 @@ class TestContraction:
         _assert_collapsed_equals_joint(exact_collapsed_joint(net), joint)
 
     def test_guard_bounds_every_operand(self, monkeypatch):
+        # each net's CPTs are built before the budget is lowered: it bounds X3's 75-cell CPT too
         # collider3's 27-cell answer needs X3's 5 x 5 x 3 factor
         net = load("collider3.dsn")
-        monkeypatch.setattr(sampler_mod, "MAX_STATES", 75)
-        assert exact_collapsed_joint(net).array.size == 27
-        monkeypatch.setattr(sampler_mod, "MAX_STATES", 74)
+        cpts = build_network_cpts(net)
+        monkeypatch.setattr(errors_mod, "MAX_CELLS", 75)
+        assert exact_collapsed_joint(net, cpts).array.size == 27
+        monkeypatch.setattr(errors_mod, "MAX_CELLS", 74)
         with pytest.raises(SizeGuardError, match="operand of 75 cells at X3 "):
-            exact_collapsed_joint(net)
+            exact_collapsed_joint(net, cpts)
         # CHAIN2's 9-cell answer needs X1's collapse matrix: 5 extended values by 3 subsets
         net = parse_network(CHAIN2)
-        monkeypatch.setattr(sampler_mod, "MAX_STATES", 15)
-        assert exact_collapsed_joint(net).array.size == 9
-        monkeypatch.setattr(sampler_mod, "MAX_STATES", 14)
+        cpts = build_network_cpts(net)
+        monkeypatch.setattr(errors_mod, "MAX_CELLS", 15)
+        assert exact_collapsed_joint(net, cpts).array.size == 9
+        monkeypatch.setattr(errors_mod, "MAX_CELLS", 14)
         with pytest.raises(SizeGuardError, match="operand of 15 cells at X1 "):
-            exact_collapsed_joint(net)
+            exact_collapsed_joint(net, cpts)
 
 
 class TestExactExtended:
@@ -259,7 +262,7 @@ class TestExactExtended:
 
     def test_state_space_guard(self, sampling_net, monkeypatch):
         # 3^4 collapsed states; the sampler owns the collapsed-array guard
-        monkeypatch.setattr(sampler_mod, "MAX_STATES", 80)
+        monkeypatch.setattr(errors_mod, "MAX_CELLS", 80)
         with pytest.raises(SizeGuardError, match="collapsed state space holds 81 states"):
             exact_collapsed_joint(sampling_net)
 
@@ -448,6 +451,11 @@ class TestCompareEmpirical:
         shapes = r"shape \(7, 7, 7\) do not match exact shape \(3, 3, 3, 3\)"
         with pytest.raises(ValueError, match=shapes):
             compare_empirical(counts, exact)
+
+    def test_empty_counts_rejected(self, sampling_net):
+        exact = exact_collapsed_joint(sampling_net)
+        with pytest.raises(ValueError, match="^empirical sample is empty$"):
+            compare_empirical(np.zeros(exact.array.shape, dtype=np.int64), exact)
 
     def test_impossible_cell_flagged(self, sampling_net):
         exact = exact_collapsed_joint(sampling_net)
