@@ -205,7 +205,7 @@ def _cmd_verify(args) -> int:
     # the oracle's size guard refuses an oversized model before any draw
     exact = exact_collapsed_joint(net, cpts)
     sample = generate(net, args.count, seed=args.seed, cpts=cpts)
-    report = compare_empirical(sample, exact, linf_threshold=args.linf)
+    report = compare_empirical(sample.collapsed_counts(), exact, linf_threshold=args.linf)
     print(report)
     return 0 if report.passed else 3
 

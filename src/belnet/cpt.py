@@ -17,8 +17,10 @@ and a last axis over the child domain, in two steps:
 
 Every entry must be nonnegative; otherwise the model admits no such CPT and
 construction fails with the offending row, named by the first value of each
-parent's row.  ``value_rows`` maps each combination of parent values to its
-row.  ``check_feasibility`` verifies a CPT independently, checking the ``@``
+parent's row.  Two functions address those rows: ``value_rows`` maps each
+combination of parent values to its row, for the dump, and ``row_offsets``
+maps the parents' drawn vectors to it, for the sampler and the oracle.
+``check_feasibility`` verifies a CPT independently, checking the ``@``
 identity along every parent axis, slice against slice.
 """
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import InfeasibleModelError, StructureError, guard_cells
 from .extvals import ext_table, value_literals, vector_literals, vector_table
-from .network import Network, topological_order, validate_structure
+from .network import Network, edge_index, topological_order, validate_structure
 from .tables import (
     EXACT_TOL,
     ROWSUM_TOL,
@@ -92,6 +94,28 @@ def value_rows(cpt: ExtCPT) -> np.ndarray:
     tables = [ext_table(f) for f in cpt.source.parent_frames]
     index = np.arange(len(cpt.probs)).reshape([len(t.first) for t in tables])
     return index[np.ix_(*(t.row for t in tables))].ravel()
+
+
+def row_offsets(net: Network, cpts: dict[str, ExtCPT], name: str) -> list[tuple[str, np.ndarray]]:
+    """How the parents' drawn values address a row of ``name``'s CPT.
+
+    Per parent: its name and, per index into its child domain, the row of the
+    value that vector feeds the edge (``vector_table.row``) times the parent's
+    stride in the row index (the sum over parents is the row).
+    """
+    out = []
+    stride = cpts[name].probs.shape[0]
+    for parent, frame in zip(cpts[name].parent_names, cpts[name].source.parent_frames):
+        stride //= len(ext_table(frame).first)
+        rows = vector_table(frame, len(net.node(parent).successors)).row
+        out.append((parent, rows[edge_index(net, parent, name) - 1] * stride))
+    return out
+
+
+def guard_states(shape) -> int:
+    """The cells of a collapsed array of ``shape``; SizeGuardError past the cell budget."""
+    size = math.prod(shape)
+    return guard_cells(size, f"collapsed state space holds {size} states")
 
 
 def _guard_cells(node: str, cells: int) -> None:

@@ -135,35 +135,25 @@ def _vector_table(size: int, n: int) -> VectorTable:
     )
 
 
+@lru_cache(maxsize=None)
 def value_literals(frame: Frame) -> tuple[str, ...]:
     """The text of each extended value of ``frame``, in ``ext_table`` order: a
     plain value prints as its subset, a compound as its subset, its operator
     and its superset value's text, so ``{a}@{a,b}o{a,b,c}`` nests to the right."""
-    ext_table(frame)  # the frame guard
-    return _value_literals(subset_literals(frame))
-
-
-@lru_cache(maxsize=None)
-def _value_literals(subsets: tuple[str, ...]) -> tuple[str, ...]:
-    table, out = _ext_table(len(subsets).bit_length()), []  # 2**size - 1 subsets
+    table, subsets, out = ext_table(frame), subset_literals(frame), []
     for o, s, a in zip(*(column.tolist() for column in table[:3])):
         out.append(subsets[o] if s < 0 else subsets[o] + (OP_AT if a else OP_DOT) + out[s])
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def vector_literals(frame: Frame, n: int) -> tuple[str, ...]:
     """The text of each extended vector of ``frame`` for n successors, in
     ``vector_table`` order: ``[c1;...;cn]``, where ``ch``, the value fed to
     edge h, is a plain vector's subset, or a family member's subset, ``@``
     where pattern bit h-1 is set and ``o`` where it is not, then its superset
     value's text."""
-    vector_table(frame, n)  # the frame and successor guards
-    return _vector_literals(subset_literals(frame), n)
-
-
-@lru_cache(maxsize=None)
-def _vector_literals(subsets: tuple[str, ...], n: int) -> tuple[str, ...]:
-    table, values = _vector_table(len(subsets).bit_length(), n), _value_literals(subsets)
+    table, subsets, values = vector_table(frame, n), subset_literals(frame), value_literals(frame)
     out = []
     for o, s, p in zip(*(column.tolist() for column in table[:3])):
         if s < 0:

@@ -15,39 +15,15 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .cpt import ExtCPT, build_network_cpts
-from .errors import guard_cells
+from .cpt import ExtCPT, build_network_cpts, guard_states, row_offsets
+from .network import Network, topological_order
 from .tables import csv_cells, subset_literals
-from .extvals import ext_table, vector_table
-from .network import Network, edge_index, topological_order
 
 _CHUNK = 1 << 18
 _GUIDE_CELLS = 1 << 21  # guide entries per node, at most
 # collapsed classes of a run of CSV columns, at most: a run's class texts are formatted
 # up front, and this caps that work while one run still covers each benchmark network
 _CSV_CLASSES = 1 << 12
-
-
-def guard_states(shape) -> int:
-    """The cells of a collapsed array of ``shape``; SizeGuardError past the cell budget."""
-    size = math.prod(shape)
-    return guard_cells(size, f"collapsed state space holds {size} states")
-
-
-def row_offsets(net: Network, cpts: dict[str, ExtCPT], name: str) -> list[tuple[str, np.ndarray]]:
-    """How the parents' drawn values address a row of ``name``'s CPT.
-
-    Per parent: its name and, per index into its child domain, the row of the
-    value that vector feeds the edge (``vector_table.row``) times the parent's
-    stride in the row index (the sum over parents is the row).
-    """
-    out = []
-    stride = cpts[name].probs.shape[0]
-    for parent, frame in zip(cpts[name].parent_names, cpts[name].source.parent_frames):
-        stride //= len(ext_table(frame).first)
-        rows = vector_table(frame, len(net.node(parent).successors)).row
-        out.append((parent, rows[edge_index(net, parent, name) - 1] * stride))
-    return out
 
 
 class _NodeDraw:

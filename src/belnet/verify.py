@@ -2,7 +2,9 @@
 
 The sampler realizes the chain-rule product of the extended CPT rows.  Its
 push-forward under per-variable collapse, summed by one tensor contraction
-rather than enumerated, is the one oracle a sample is checked against.
+rather than enumerated, is the one oracle a sample's counts are checked
+against.  The oracle reads the CPTs through ``cpt.row_offsets``, as the
+sampler does; this module takes arrays and CPTs and imports no sampler.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpt import ExtCPT, build_network_cpts
+from .cpt import ExtCPT, build_network_cpts, guard_states, row_offsets
 from .errors import guard_cells
 from .fusion import JointMass
 from .network import Network
-from . import sampler
 from .tables import subset_literals
 
 
@@ -36,11 +37,11 @@ def exact_collapsed_joint(net: Network, cpts: dict[str, ExtCPT] | None = None) -
         cpts = build_network_cpts(net)
     frames = tuple(map(net.frame, net.variables))
     sizes = [(1 << len(f)) - 1 for f in frames]
-    sampler.guard_states(sizes)
+    guard_states(sizes)
     axis = {name: j for j, name in enumerate(net.variables)}
     n, operands = len(axis), []
     for name, j in axis.items():
-        parents = sampler.row_offsets(net, cpts, name)
+        parents = row_offsets(net, cpts, name)
         width = cpts[name].probs.shape[1]
         # the larger operand: the gathered CPT (parents x own) or the collapse matrix (own x subsets)
         size = max(math.prod(len(o) for _, o in parents), sizes[j]) * width
@@ -83,26 +84,17 @@ class ComparisonReport:
 
 
 def compare_empirical(
-    sample: sampler.Sample | np.ndarray,
-    exact: JointMass,
-    linf_threshold: float | None = None,
+    counts: np.ndarray, exact: JointMass, linf_threshold: float | None = None
 ) -> ComparisonReport:
     """Compare empirical collapsed counts against the exact collapsed distribution.
 
-    ``sample`` is either a Sample or an array of counts shaped like
-    ``exact.array``, such as ``Sample.collapsed_counts()``.  The chi-square
-    statistic is computed over the cells of the exact support; the pass
-    verdict keys on the L-infinity distance.  Impossible cells, observed
-    outside the support, are listed in array order.
+    ``counts`` is an array shaped like ``exact.array``, such as
+    ``Sample.collapsed_counts()``.  The chi-square statistic is computed over
+    the cells of the exact support; the pass verdict keys on the L-infinity
+    distance.  Impossible cells, observed outside the support, are listed in
+    array order.
     """
-    if isinstance(sample, sampler.Sample):
-        if tuple(sample.variables) != exact.scope:
-            raise ValueError(
-                f"sample variables {sample.variables} do not match exact scope {exact.scope}"
-            )
-        counts = sample.collapsed_counts()
-    else:
-        counts = np.asarray(sample)
+    counts = np.asarray(counts)
     p = exact.array
     if counts.shape != p.shape:
         raise ValueError(f"counts of shape {counts.shape} do not match exact shape {p.shape}")

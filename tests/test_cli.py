@@ -588,8 +588,8 @@ def quaternary_star() -> str:
 def literal_calls():
     """Empties the caches of the two literal functions; returns a function
     giving the calls into each since, by name, from whichever module."""
-    caches = {"value_literals": extvals_mod._value_literals,
-              "vector_literals": extvals_mod._vector_literals}
+    caches = {"value_literals": extvals_mod.value_literals,
+              "vector_literals": extvals_mod.vector_literals}
     for cache in caches.values():
         cache.cache_clear()
     return lambda: {name: sum(cache.cache_info()[:2]) for name, cache in caches.items()}

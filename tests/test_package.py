@@ -48,6 +48,14 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(belnet, "no_such_name")
 
 
+def _fresh_interpreter(script: str) -> list[str]:
+    """The lines ``script`` prints in a fresh interpreter, on this test's path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+
+
 def test_import_loads_submodules_on_first_use():
     script = (
         "import sys, belnet\n"
@@ -55,15 +63,17 @@ def test_import_loads_submodules_on_first_use():
         "belnet.build_network_cpts\n"
         "print(sorted(m for m in sys.modules if m.startswith('belnet')))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    ).stdout.splitlines()
-    assert out == [
+    assert _fresh_interpreter(script) == [
         "['belnet']",
         "['belnet', 'belnet.cpt', 'belnet.errors', 'belnet.extvals', 'belnet.network', "
         "'belnet.tables']",
     ]
+
+
+def test_verify_loads_without_the_sampler():
+    # the oracle and the comparison take CPTs and counts; no part of them draws
+    script = "import sys, belnet.verify\nprint('belnet.sampler' in sys.modules)\n"
+    assert _fresh_interpreter(script) == ["False"]
 
 
 def test_every_imported_name_is_read():

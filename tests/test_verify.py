@@ -27,7 +27,7 @@ from belnet import (
     parse_network,
     topological_order,
 )
-from belnet.sampler import row_offsets
+from belnet.cpt import row_offsets
 from belnet.tables import subset_index
 
 from conftest import child_values, component, cpt_row, load, marginal, subsets, support
@@ -439,16 +439,18 @@ class TestCompareEmpirical:
         report = compare_empirical(counts, exact)
         assert report.linf == pytest.approx(1.0 - exact.array[modal], abs=1e-12)
 
-    def test_scope_mismatch_rejected(self, sampling_net):
+    @pytest.mark.parametrize(
+        "given, shape",
+        [
+            pytest.param(lambda s: s.collapsed_counts(), r"\(7, 7, 7\)", id="counts"),
+            # a Sample is no counts array: it reads as one of shape ()
+            pytest.param(lambda s: s, r"\(\)", id="sample"),
+        ],
+    )
+    def test_shape_mismatch_rejected(self, sampling_net, given, shape):
         exact = exact_collapsed_joint(sampling_net)
-        other = generate(load("vacuous1.dsn"), 5, seed=0)
-        with pytest.raises(ValueError, match="variables"):
-            compare_empirical(other, exact)
-
-    def test_shape_mismatch_rejected(self, sampling_net):
-        exact = exact_collapsed_joint(sampling_net)
-        counts = generate(load("chain3_ternary.dsn"), 5, seed=0).collapsed_counts()
-        shapes = r"shape \(7, 7, 7\) do not match exact shape \(3, 3, 3, 3\)"
+        counts = given(generate(load("chain3_ternary.dsn"), 5, seed=0))
+        shapes = rf"^counts of shape {shape} do not match exact shape \(3, 3, 3, 3\)$"
         with pytest.raises(ValueError, match=shapes):
             compare_empirical(counts, exact)
 
@@ -472,8 +474,8 @@ class TestCompareEmpirical:
 
     def test_chi_square_degrees_of_freedom(self, sampling_net):
         exact = exact_collapsed_joint(sampling_net)
-        sample = generate(sampling_net, 5000, seed=21)
-        report = compare_empirical(sample, exact)
+        counts = generate(sampling_net, 5000, seed=21).collapsed_counts()
+        report = compare_empirical(counts, exact)
         assert report.dof == len(support(exact)) - 1
         assert report.chi2 > 0.0
 
@@ -482,7 +484,7 @@ class TestCompareEmpirical:
         exact = exact_collapsed_joint(sampling_net, cpts)
         for n, bound in ((10**3, 0.05), (10**4, 0.02), (10**5, 0.008)):
             sample = generate(sampling_net, n, seed=T_SEED, cpts=cpts)
-            report = compare_empirical(sample, exact, linf_threshold=bound)
+            report = compare_empirical(sample.collapsed_counts(), exact, linf_threshold=bound)
             assert report.passed, f"N={n}: linf={report.linf}"
 
 
@@ -522,5 +524,5 @@ def test_random_tree_pipeline(seed):
     exact = exact_collapsed_joint(net, cpts)
     assert exact.array.sum() == pytest.approx(1.0, abs=1e-9)
     sample = generate(net, 20000, seed=seed)
-    report = compare_empirical(sample, exact, linf_threshold=0.02)
+    report = compare_empirical(sample.collapsed_counts(), exact, linf_threshold=0.02)
     assert report.passed, f"tree seed {seed}: linf={report.linf}"
