@@ -14,11 +14,10 @@ from typing import IO, Iterator
 from .cpt import build_network_cpts, check_feasibility, guard_value_rows, value_rows
 from .errors import BelnetError, InfeasibleModelError, StructureError
 from .fusion import network_joint, write_joint_csv
-from .network import Network, load_network, validate_structure
+from .network import load_network, validate_structure, write_network
 from .sampler import generate, write_csv
 from .tables import (
     ValidationReport,
-    cfg_text,
     commonality_to_mass,
     mass_to_commonality,
     validate_table,
@@ -31,7 +30,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(load_network(args.path), args)
     except InfeasibleModelError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
@@ -122,8 +121,7 @@ def _output(path: str | None) -> Iterator[IO[str]]:
             yield stream
 
 
-def _cmd_validate(args) -> int:
-    net = load_network(args.path)
+def _cmd_validate(net, args) -> int:
     report = ValidationReport()
     report.extend(validate_structure(net))
     for name in net.variables:
@@ -136,35 +134,17 @@ def _cmd_validate(args) -> int:
     return 0 if report.ok else 3
 
 
-def _cmd_transform(args) -> int:
-    net = load_network(args.path)
+def _cmd_transform(net, args) -> int:
     # every table converts before the output opens, so a refused one leaves no file
     convert = mass_to_commonality if args.to == "k" else commonality_to_mass
     tables = [net.node(name).table for name in net.variables]
     tables = [table if table.kind == args.to else convert(table) for table in tables]
     with _output(args.output) as stream:
-        _emit_network(net, tables, args.to, stream)
+        write_network(net, tables, stream)
     return 0
 
 
-def _emit_network(net: Network, tables: list, to_kind: str, stream: IO[str]) -> None:
-    print(f"net {net.name}", file=stream)
-    print("# all table rows written explicitly; absent rows default to 0", file=stream)
-    for name in net.variables:
-        print(f"var {name} : {' '.join(net.frame(name).values)}", file=stream)
-    for a, b in net.edges:
-        print(f"edge {a} -> {b}", file=stream)
-    for name, table in zip(net.variables, tables):
-        header = f"table {name} | {' '.join(net.node(name).parents)} kind={to_kind}"
-        print(header.replace("  ", " "), file=stream)
-        for cfg, child, v in table.items():
-            left = child if not cfg else f"{child} | {cfg_text(cfg)}"
-            print(f"  {left} : {v!r}", file=stream)
-        print("end", file=stream)
-
-
-def _cmd_joint(args) -> int:
-    net = load_network(args.path)
+def _cmd_joint(net, args) -> int:
     joint, report = network_joint(net)
     with _output(args.output) as stream:
         write_joint_csv(joint, stream)
@@ -172,8 +152,7 @@ def _cmd_joint(args) -> int:
     return 0
 
 
-def _cmd_cpt(args) -> int:
-    net = load_network(args.path)
+def _cmd_cpt(net, args) -> int:
     cpts = build_network_cpts(net)
     failures = ValidationReport()
     for name in net.variables:
@@ -192,15 +171,13 @@ def _cmd_cpt(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
-    net = load_network(args.path)
+def _cmd_sample(net, args) -> int:
     sample = generate(net, args.count, seed=args.seed)
     write_csv(sample, sys.stdout if args.output is None else args.output)
     return 0
 
 
-def _cmd_verify(args) -> int:
-    net = load_network(args.path)
+def _cmd_verify(net, args) -> int:
     cpts = build_network_cpts(net)
     # the oracle's size guard refuses an oversized model before any draw
     exact = exact_collapsed_joint(net, cpts)

@@ -1,4 +1,4 @@
-"""Network definition: parsing, structural validation, topological order.
+"""Network definition: ``.dsn`` text read and written, structural checks, topological order.
 
 File format (line oriented, ``#`` starts a comment):
 
@@ -20,11 +20,12 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from typing import IO
 
 import numpy as np
 
 from .errors import NetworkParseError
-from .tables import CondTable, Frame, ValidationReport, subset_index
+from .tables import CondTable, Frame, ValidationReport, subset_index, subset_literals
 
 
 @dataclass
@@ -94,23 +95,42 @@ def parse_network(text: str, name_hint: str = "net") -> Network:
         raise NetworkParseError("no variables")
 
     net.edges = tuple(edges)
-    for child, node in net.nodes.items():
-        node.parents = tuple(p for p, c in edges if c == child)
-        node.successors = tuple(c for p, c in edges if p == child)
     topological_order(net)  # rejects cycles
     for name, node in net.nodes.items():
         if node.table is None:
             raise NetworkParseError(f"no table declared for variable {name!r}")
-        declared = tuple(f.name for f in node.table.parent_frames)
-        if set(declared) != set(node.parents):
+        # the table's declared parent order is authoritative
+        node.parents = tuple(f.name for f in node.table.parent_frames)
+        node.successors = tuple(c for p, c in edges if p == name)
+        incoming = tuple(p for p, c in edges if c == name)
+        if set(node.parents) != set(incoming):
             raise NetworkParseError(
-                f"table for {name!r} conditions on ({', '.join(declared) or 'nothing'}) "
-                f"but its incoming edges are ({', '.join(node.parents) or 'none'})",
+                f"table for {name!r} conditions on ({', '.join(node.parents) or 'nothing'}) "
+                f"but its incoming edges are ({', '.join(incoming) or 'none'})",
                 pending[name],
             )
-        # the table's declared parent order is authoritative
-        node.parents = declared
     return net
+
+
+def write_network(net: Network, tables: list[CondTable], stream: IO[str]) -> None:
+    """Write ``net``, with ``tables`` (one per variable, in order) as its tables, as text
+    ``parse_network`` reads back to the same floats: every row, each value's repr."""
+    print(f"net {net.name}", file=stream)
+    print("# all table rows written explicitly; absent rows default to 0", file=stream)
+    for name in net.variables:
+        print(f"var {name} : {' '.join(net.frame(name).values)}", file=stream)
+    for a, b in net.edges:
+        print(f"edge {a} -> {b}", file=stream)
+    for name, table in zip(net.variables, tables):
+        parents = [f.name for f in table.parent_frames]
+        print(" ".join(["table", name, "|", *parents, f"kind={table.kind}"]), file=stream)
+        children = subset_literals(table.child_frame)
+        for r, row in enumerate(table.values.tolist()):
+            cfg = table.config(r)
+            given = f" | {' '.join(cfg)}" if cfg else ""
+            for child, v in zip(children, row):
+                print(f"  {child}{given} : {v!r}", file=stream)
+        print("end", file=stream)
 
 
 def load_network(path: str) -> Network:

@@ -13,7 +13,7 @@ import io
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -138,15 +138,6 @@ class CondTable:
         """The parent configuration of row ``r``, as subset literals."""
         idx = np.unravel_index(r, self._dims)
         return tuple(subset_literals(f)[i] for f, i in zip(self.parent_frames, idx))
-
-    def items(self) -> Iterator[tuple[tuple[str, ...], str, float]]:
-        """Every cell as (parent configuration, child subset, value), the
-        subsets as literals, in row order."""
-        children = subset_literals(self.child_frame)
-        for r in range(len(self.values)):
-            cfg = self.config(r)
-            for c, child in enumerate(children):
-                yield cfg, child, float(self.values[r, c])
 
 
 def superset_sums(a: np.ndarray, axes: Iterable[int], inverse: bool = False) -> np.ndarray:

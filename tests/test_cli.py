@@ -256,6 +256,22 @@ class TestTransform:
         code, _, err = run(capsys, "cpt", str(dest))
         assert code == 0 and err == ""
 
+    @pytest.mark.parametrize("kind", ["k", "m"])
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.dsn")))
+    def test_accepted_exactly_when_the_input_is(self, capsys, tmp_path, fixture, kind):
+        # README: `cpt`, `sample` and `verify` accept the output exactly when they
+        # accept the input; in commonality form they draw the same records
+        dest = tmp_path / f"as_{kind}.dsn"
+        code, _, _ = run(capsys, "transform", fixture_path(fixture), "--to", kind, "-o", str(dest))
+        assert code == 0
+        draw = ["-n", "2000", "--seed", "1"]
+        for command, *rest in (["cpt"], ["sample", *draw], ["verify", *draw]):
+            given = run(capsys, command, fixture_path(fixture), *rest)
+            converted = run(capsys, command, str(dest), *rest)
+            assert converted[0] == given[0]
+            if kind == "k" and command != "cpt":
+                assert converted[1] == given[1]
+
 
 class TestCpt:
     def test_infeasible_exits_2_with_named_row(self, capsys):

@@ -1,4 +1,6 @@
-"""Network file parsing, structural checks, topological order, edge indexing."""
+"""Network file parsing and writing, structural checks, topological order, edge indexing."""
+
+import io
 
 import numpy as np
 import pytest
@@ -9,14 +11,17 @@ from belnet import (
     Frame,
     NetworkParseError,
     SubsetParseError,
+    commonality_to_mass,
     edge_index,
+    mass_to_commonality,
     parse_network,
     subset_index,
     topological_order,
     validate_structure,
 )
+from belnet.network import write_network
 
-from conftest import load, mass_table, subsets
+from conftest import FIXTURES, load, mass_table, subsets
 
 
 class TestParse:
@@ -179,6 +184,23 @@ class TestParse:
             parse_network(text)
         assert str(got.value) == f"line {line}: {message}" and got.value.line == line
 
+    def test_table_parent_order_is_authoritative(self):
+        # edges name X1 first; the table's header order wins, and a mismatch
+        # message lists the incoming edges in edge order
+        head = "var X1 : a b\nvar X2 : a b\nvar X3 : a b\nedge X1 -> X3\nedge X2 -> X3\n"
+        roots = "table X1 | kind=m\n  {a,b} : 1\nend\ntable X2 | kind=m\n  {a,b} : 1\nend\n"
+        net = parse_network(head + roots + "table X3 | X2 X1 kind=m\nend\n")
+        assert net.node("X3").parents == ("X2", "X1")
+        assert net.node("X1").successors == net.node("X2").successors == ("X3",)
+        with pytest.raises(
+            NetworkParseError,
+            match=(
+                r"^line 12: table for 'X3' conditions on \(X2\) "
+                r"but its incoming edges are \(X1, X2\)$"
+            ),
+        ):
+            parse_network(head + roots + "table X3 | X2 kind=m\nend\n")
+
     def test_root_header_without_bar(self):
         # `table X1 kind=m` is read as `table X1 | kind=m`
         rows = "  {a} : 0.25\n  {a,b} : 0.75\nend\n"
@@ -188,6 +210,29 @@ class TestParse:
         )
         assert bare.kind == barred.kind == "m" and bare.parent_frames == barred.parent_frames == ()
         assert np.array_equal(bare.values, barred.values)
+
+
+class TestWrite:
+    @pytest.mark.parametrize("kind", [None, "k", "m"])
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.dsn")))
+    def test_round_trip(self, fixture, kind):
+        # the tables as given, or each converted to ``kind`` as `belnet transform` does
+        net = load(fixture)
+        tables = [net.node(name).table for name in net.variables]
+        if kind is not None:
+            convert = mass_to_commonality if kind == "k" else commonality_to_mass
+            tables = [t if t.kind == kind else convert(t) for t in tables]
+        stream = io.StringIO()
+        write_network(net, tables, stream)
+        back = parse_network(stream.getvalue())
+        assert (back.name, back.variables, back.edges) == (net.name, net.variables, net.edges)
+        for name, table in zip(net.variables, tables):
+            node, got = net.node(name), back.node(name)
+            assert got.frame == node.frame
+            assert got.parents == tuple(f.name for f in table.parent_frames) == node.parents
+            assert got.successors == node.successors
+            assert got.table.kind == table.kind
+            assert np.array_equal(got.table.values, table.values)
 
 
 class TestStructure:
